@@ -117,6 +117,41 @@ def load_prediction_file(path: str, method_name: str | None = None) -> dict[int,
     return out
 
 
+def load_prediction_files(
+    paths, reserved: tuple[str, ...] = ()
+) -> dict[str, dict[int, PredictionSet]]:
+    """Load several prediction files, keyed by method name in file order.
+
+    Names must be unique and must not be one of ``reserved``.
+    """
+    out: dict[str, dict[int, PredictionSet]] = {}
+    for path in paths:
+        sets = load_prediction_file(path)
+        name = next(iter(sets.values())).method_name
+        if name in out or name in reserved:
+            raise DataError(f"duplicate method name {name!r} among prediction files")
+        out[name] = sets
+    return out
+
+
+def pairwise_kappa(labels: dict[str, np.ndarray]) -> list[tuple[str, str, float, str]]:
+    """(rater_1, rater_2, kappa, agreement band) for every pair of methods,
+    in insertion order, over each method's pooled boolean labels."""
+    names = list(labels)
+    rows = []
+    for i in range(len(names)):
+        for j in range(i + 1, len(names)):
+            a, b = labels[names[i]], labels[names[j]]
+            if a.shape != b.shape:
+                raise DataError(
+                    f"methods {names[i]!r} and {names[j]!r} cover different rows; "
+                    "cannot compare labels"
+                )
+            k = cohen_kappa(a, b)
+            rows.append((names[i], names[j], k, kappa_agreement_label(k)))
+    return rows
+
+
 @dataclass(frozen=True, eq=False)
 class BenchResult:
     reports: list[RunReport]
@@ -168,13 +203,7 @@ def _score(
 
 def run_benchmark(cfg: ExperimentConfig) -> BenchResult:
     ds = load_csv(cfg.data, cfg.target)
-    external: dict[str, dict[int, PredictionSet]] = {}
-    for path in cfg.predictions:
-        sets = load_prediction_file(path)
-        name = next(iter(sets.values())).method_name
-        if name in external or name in (SPLINE_METHOD, BASELINE_METHOD):
-            raise DataError(f"duplicate method name {name!r} among prediction files")
-        external[name] = sets
+    external = load_prediction_files(cfg.predictions, (SPLINE_METHOD, BASELINE_METHOD))
 
     reports: list[RunReport] = []
     labels: dict[str, list[np.ndarray]] = {}
@@ -191,12 +220,7 @@ def run_benchmark(cfg: ExperimentConfig) -> BenchResult:
     methods, run_ids, ranks = rank_matrix(reports)
     kappa_rows: list[tuple[str, str, float, str]] = []
     if cfg.protocol == "ood":
-        pooled = {m: np.concatenate(chunks) for m, chunks in labels.items()}
-        names = list(pooled)
-        for i in range(len(names)):
-            for j in range(i + 1, len(names)):
-                k = cohen_kappa(pooled[names[i]], pooled[names[j]])
-                kappa_rows.append((names[i], names[j], k, kappa_agreement_label(k)))
+        kappa_rows = pairwise_kappa({m: np.concatenate(c) for m, c in labels.items()})
     return BenchResult(reports, summaries, methods, run_ids, ranks, kappa_rows)
 
 
@@ -213,7 +237,7 @@ def _one_run(
     out: list[RunReport] = []
     for method, fit_cfg in ((SPLINE_METHOD, cfg.fit), (BASELINE_METHOD, _BASELINE_CONFIG)):
         start = time.perf_counter()
-        model = fit(split.train.features, split.train.target, fit_cfg, rng_seed=seed)
+        model = fit(split.train.features, split.train.target, fit_cfg)
         seconds = time.perf_counter() - start
         pred = model.predict(split.test.features)
         out.append(

@@ -234,19 +234,16 @@ def _insert_knot(knots: list[float], value: float, lo: float, hi: float) -> None
     knots.insert(i, value)
 
 
-def fit(X, y, config: FitConfig | None = None, rng_seed: int = 0) -> CFracModel:
+def fit(X, y, config: FitConfig | None = None) -> CFracModel:
     """Fit a continued-fraction model, one layer per depth.
 
     The target is scaled by 1/norm, the linear layer is fit by least
     squares, and each further depth fits a penalized additive spline to the
     inverted, offset residuals of the previous layer. Knot sites accumulate
     across depths: every depth keeps all earlier knots and adds up to
-    ``knots_per_depth`` new sites chosen from the residuals.
-
-    ``rng_seed`` is accepted for interface symmetry with the split helpers;
-    the fitting procedure itself is deterministic.
+    ``knots_per_depth`` new sites chosen from the residuals. The procedure
+    is deterministic.
     """
-    del rng_seed  # deterministic procedure; splits carry the randomness
     if config is None:
         config = FitConfig()
     X = np.asarray(X, dtype=float)
@@ -311,7 +308,9 @@ def fit(X, y, config: FitConfig | None = None, rng_seed: int = 0) -> CFracModel:
         raise ArithmeticError("training predictions are not finite")
 
     if config.auto_depth:
-        model = _truncate_at_first_worsening(model, values, y)
+        stop = first_worsening_depth(_rmse_from_values(model, values, y))
+        if stop is not None:
+            model = model.truncated(stop)
     return model
 
 
@@ -337,29 +336,10 @@ def first_worsening_depth(rmses: Sequence[float]) -> int | None:
     return None
 
 
-def _truncate_at_first_worsening(
-    model: CFracModel, values: Sequence[np.ndarray], y: np.ndarray
-) -> CFracModel:
-    rmses = _rmse_from_values(model, values, y)
-    stop = first_worsening_depth(rmses)
-    return model if stop is None else model.truncated(stop)
-
-
 def training_rmse_by_depth(model: CFracModel, X, y) -> list[float]:
     """RMSE of each truncation of ``model`` on (X, y), original target units."""
     y = np.asarray(y, dtype=float)
     return _rmse_from_values(model, model.layer_values(X), y)
-
-
-def auto_depth_truncate(model: CFracModel, X, y) -> CFracModel:
-    """Truncate at the depth where training RMSE first increases.
-
-    Scans depth 0 upward and returns the truncation at the smallest depth d
-    whose successor has strictly larger RMSE; the full model when RMSE never
-    increases.
-    """
-    y = np.asarray(y, dtype=float)
-    return _truncate_at_first_worsening(model, model.layer_values(X), y)
 
 
 # ---------------------------------------------------------------------------
@@ -446,17 +426,33 @@ class _DocReader:
         return np.array([item.number() for item in self.array()], dtype=float)
 
 
-def _layer_from_doc(reader: _DocReader) -> DepthLayer:
+def _check_count(reader: _DocReader, values: np.ndarray, expected: int) -> None:
+    if values.shape[0] != expected:
+        raise ModelFormatError(
+            f"{reader.path}: expected {expected} entries, got {values.shape[0]}"
+        )
+
+
+def _layer_from_doc(reader: _DocReader, feature_count: int) -> DepthLayer:
     kind = reader.child("kind").string()
     offset = reader.child("offset").number()
-    coefficients = reader.child("coefficients").numbers()
+    coef_reader = reader.child("coefficients")
+    coefficients = coef_reader.numbers()
     if kind == "linear":
+        _check_count(coef_reader, coefficients, 1 + feature_count)
         return DepthLayer(LinearModel(coefficients), offset)
     if kind == "additive_spline":
         ids = []
         bases = []
         for var in reader.child("variables").array():
-            ids.append(var.child("id").integer())
+            id_reader = var.child("id")
+            vid = id_reader.integer()
+            if not 0 <= vid < feature_count:
+                raise ModelFormatError(
+                    f"{id_reader.path}: expected a feature index in [0, {feature_count}), "
+                    f"got {vid}"
+                )
+            ids.append(vid)
             try:
                 kv = build_knot_vector(
                     var.child("interior").numbers(),
@@ -466,12 +462,7 @@ def _layer_from_doc(reader: _DocReader) -> DepthLayer:
             except ValueError as exc:
                 raise ModelFormatError(f"{var.path}: {exc}") from exc
             bases.append(kv)
-        expected = 1 + sum(kv.basis_count for kv in bases)
-        if coefficients.shape[0] != expected:
-            raise ModelFormatError(
-                f"{reader.path}.coefficients: expected {expected} entries, "
-                f"got {coefficients.shape[0]}"
-            )
+        _check_count(coef_reader, coefficients, 1 + sum(kv.basis_count for kv in bases))
         return DepthLayer(AdditiveSplineModel(tuple(ids), tuple(bases), coefficients), offset)
     raise ModelFormatError(f"{reader.path}.kind: unknown layer kind {kind!r}")
 
@@ -504,7 +495,7 @@ def deserialize(text: str) -> CFracModel:
     layer_readers = root.child("layers").array()
     if not layer_readers:
         raise ModelFormatError("model.layers: expected at least one layer")
-    layers = tuple(_layer_from_doc(r) for r in layer_readers)
+    layers = tuple(_layer_from_doc(r, bounds.shape[0]) for r in layer_readers)
     if not isinstance(layers[0].model, LinearModel):
         raise ModelFormatError("model.layers[0]: the first layer must be linear")
     return CFracModel(

@@ -16,7 +16,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .bench import ExperimentConfig, load_prediction_file, run_benchmark, write_bench_outputs
+from .bench import (
+    ExperimentConfig,
+    load_prediction_files,
+    pairwise_kappa,
+    run_benchmark,
+    write_bench_outputs,
+)
 from .cfr_core import (
     FitConfig,
     deserialize,
@@ -26,13 +32,7 @@ from .cfr_core import (
 )
 from .data_io import gen_gamma, gen_sinc, load_csv, read_numeric_table
 from .errors import DataError, SplineCfrError
-from .evaluation import (
-    PredictionSet,
-    cohen_kappa,
-    kappa_agreement_label,
-    threshold_counts,
-    top_k_table,
-)
+from .evaluation import PredictionSet, threshold_counts, top_k_table
 from .fileio import atomic_write_text, csv_text, format_cell
 
 _UNSET = object()
@@ -271,13 +271,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 def cmd_report(args: argparse.Namespace) -> int:
     out_dir = Path(args.out_dir)
-    per_method: dict[str, dict[int, PredictionSet]] = {}
-    for path in args.predictions:
-        sets = load_prediction_file(path)
-        name = next(iter(sets.values())).method_name
-        if name in per_method:
-            raise DataError(f"duplicate method name {name!r} among prediction files")
-        per_method[name] = sets
+    per_method = load_prediction_files(args.predictions)
 
     # Pool runs (or take the one selected); check y_true consistency per run.
     pooled: dict[str, PredictionSet] = {}
@@ -339,18 +333,9 @@ def cmd_report(args: argparse.Namespace) -> int:
         out_dir / "pn_counts.csv", csv_text(["method", "p_count", "n_count"], pn_rows)
     )
 
-    kappa_rows = []
-    names = list(pooled)
-    for i in range(len(names)):
-        for j in range(i + 1, len(names)):
-            a, b = pooled[names[i]], pooled[names[j]]
-            if a.y_pred.shape != b.y_pred.shape:
-                raise DataError(
-                    f"methods {names[i]!r} and {names[j]!r} cover different rows; "
-                    "cannot compare labels"
-                )
-            k = cohen_kappa(a.y_pred >= args.threshold, b.y_pred >= args.threshold)
-            kappa_rows.append((names[i], names[j], k, kappa_agreement_label(k)))
+    kappa_rows = pairwise_kappa(
+        {name: pset.y_pred >= args.threshold for name, pset in pooled.items()}
+    )
     atomic_write_text(
         out_dir / "kappa.csv",
         csv_text(["rater_1", "rater_2", "kappa", "agreement"], kappa_rows),

@@ -1,4 +1,4 @@
-"""CSV ingestion, split protocols, normalization, and synthetic generators.
+"""CSV ingestion, split protocols, and synthetic generators.
 
 All randomness flows through ``numpy.random.default_rng`` (the PCG64
 generator) seeded explicitly, so every split and every synthetic dataset is
@@ -193,28 +193,6 @@ def split_out_of_domain(
         seed=seed,
         threshold=threshold,
     )
-
-
-def minmax_fit(train: Dataset) -> np.ndarray:
-    """Per-feature (min, max) from the training rows, as an (m, 2) array."""
-    return np.column_stack([train.features.min(axis=0), train.features.max(axis=0)])
-
-
-def minmax_apply(params: np.ndarray, ds: Dataset) -> Dataset:
-    """Map features through (x - min) / (max - min) without clamping.
-
-    Columns that were constant in training map to zero everywhere. Test
-    values outside the training range land outside [0, 1]; that is the
-    point of the transform, not an error.
-    """
-    params = np.asarray(params, dtype=float)
-    if params.ndim != 2 or params.shape != (ds.m, 2):
-        raise ValueError(f"expected parameter shape {(ds.m, 2)}, got {params.shape}")
-    mins = params[:, 0]
-    span = params[:, 1] - mins
-    ok = span > 0
-    scaled = np.where(ok, (ds.features - mins) / np.where(ok, span, 1.0), 0.0)
-    return replace(ds, features=scaled)
 
 
 def _validated_range(x_range: Sequence[float]) -> tuple[float, float]:

@@ -3,7 +3,8 @@
 Both solvers answer the same kind of system: the normal equations with a
 fixed 1e-10 ridge on the diagonal. The jitter makes rank-deficient designs
 solvable without any data-dependent branching, and it is small enough to be
-invisible on well-posed problems.
+invisible on well-posed problems. Penalties are plain square matrices (see
+``spline_basis.penalty_block``) added along the diagonal in blocks.
 """
 
 from __future__ import annotations
@@ -11,8 +12,6 @@ from __future__ import annotations
 from typing import Sequence
 
 import numpy as np
-
-from .spline_basis import PenaltyBlock
 
 JITTER = 1e-10
 
@@ -49,18 +48,19 @@ def least_squares(A, y) -> np.ndarray:
     return beta
 
 
-def penalized_least_squares(B, y, lam: float, penalties: Sequence[PenaltyBlock]) -> np.ndarray:
+def penalized_least_squares(B, y, lam: float, penalties: Sequence[np.ndarray]) -> np.ndarray:
     """Solve (B'B + lam * blockdiag(0, P_1..P_m) + 1e-10 I) beta = B'y.
 
-    The penalty blocks tile the trailing columns of ``B``; at most one
-    leading column (the intercept) may be left unpenalized.
+    ``penalties`` are the square matrices P_1..P_m. They tile the trailing
+    columns of ``B``, each covering as many columns as it has rows; at most
+    one leading column (the intercept) may be left unpenalized.
     """
     B = np.asarray(B, dtype=float)
     y = np.asarray(y, dtype=float)
     _check_system(B, y)
     if lam < 0:
         raise ValueError(f"penalty weight must be non-negative, got {lam}")
-    sizes = [pb.size for pb in penalties]
+    sizes = [pen.shape[0] for pen in penalties]
     lead = B.shape[1] - sum(sizes)
     if lead not in (0, 1):
         raise ValueError(
@@ -70,9 +70,9 @@ def penalized_least_squares(B, y, lam: float, penalties: Sequence[PenaltyBlock])
     g = B.T @ B
     g[np.diag_indices_from(g)] += JITTER
     col = lead
-    for pb in penalties:
-        g[col : col + pb.size, col : col + pb.size] += lam * pb.matrix
-        col += pb.size
+    for pen, size in zip(penalties, sizes):
+        g[col : col + size, col : col + size] += lam * pen
+        col += size
     rhs = B.T @ y
     try:
         return np.linalg.solve(g, rhs)

@@ -3,7 +3,8 @@
 Basis values inside the training domain come from the Cox-de Boor recurrence.
 Outside [lo, hi] every basis function is continued linearly from the nearest
 boundary (boundary value plus one-sided derivative), so spline terms
-extrapolate as straight lines instead of dropping to zero.
+extrapolate as straight lines instead of dropping to zero. The boundary
+derivative comes from the same recurrence one degree lower.
 """
 
 from __future__ import annotations
@@ -73,69 +74,16 @@ def build_knot_vector(interior: Iterable[float], lo: float, hi: float) -> KnotVe
     return KnotVector(vals, lo, hi)
 
 
-def _row_for_degree(t: np.ndarray, degree: int, x: float) -> np.ndarray:
-    """All basis values of the given degree at a single in-domain point."""
-    count = len(t) - degree - 1
-    mu = int(np.searchsorted(t, x, side="right")) - 1
-    mu = min(max(mu, degree), count - 1)
-    # Step off zero-width spans (hit at the right boundary for lower degrees).
-    while mu > degree and t[mu] == t[mu + 1]:
-        mu -= 1
-    vals = np.zeros(degree + 1)
-    vals[0] = 1.0
-    left = np.zeros(degree + 1)
-    right = np.zeros(degree + 1)
-    for j in range(1, degree + 1):
-        left[j] = x - t[mu + 1 - j]
-        right[j] = t[mu + j] - x
-        saved = 0.0
-        for r in range(j):
-            den = right[r + 1] + left[j - r]
-            temp = vals[r] / den if den != 0.0 else 0.0
-            vals[r] = saved + right[r + 1] * temp
-            saved = left[j - r] * temp
-        vals[j] = saved
-    row = np.zeros(count)
-    row[mu - degree : mu + 1] = vals
-    return row
-
-
-def _derivative_row(kv: KnotVector, x: float) -> np.ndarray:
-    """First derivative of every basis function at an in-domain point."""
-    t = kv.augmented
-    p = kv.degree
-    lower = _row_for_degree(t, p - 1, x)
-    der = np.zeros(kv.basis_count)
-    for i in range(kv.basis_count):
-        a = t[i + p] - t[i]
-        b = t[i + p + 1] - t[i + 1]
-        val = p * lower[i] / a if a > 0.0 else 0.0
-        if b > 0.0:
-            val -= p * lower[i + 1] / b
-        der[i] = val
-    return der
-
-
-@lru_cache(maxsize=None)
-def _boundary_extension(kv: KnotVector):
-    """Cached (value row, derivative row) at each boundary, for extrapolation."""
-    pairs = []
-    for x in (kv.lo, kv.hi):
-        val = _row_for_degree(kv.augmented, kv.degree, x)
-        der = _derivative_row(kv, x)
-        val.setflags(write=False)
-        der.setflags(write=False)
-        pairs.append((val, der))
-    return tuple(pairs)
-
-
-def _rows_in_domain(kv: KnotVector, x: np.ndarray) -> np.ndarray:
-    """Vectorized Cox-de Boor for points inside [lo, hi]."""
-    t = kv.augmented
-    p = kv.degree
-    count = kv.basis_count
+def _rows_in_domain(t: np.ndarray, degree: int, x: np.ndarray) -> np.ndarray:
+    """Vectorized Cox-de Boor: every basis value of ``degree`` over knot
+    vector ``t``, one row per point of ``x`` inside [t[0], t[-1]]."""
+    p = degree
+    count = len(t) - p - 1
     n = x.shape[0]
-    mu = np.clip(np.searchsorted(t, x, side="right") - 1, p, count - 1)
+    # Clip to the last non-empty span: a degree below the knot vector's
+    # multiplicity would otherwise land on a zero-width span at t[-1].
+    last = int(np.searchsorted(t, t[-1], side="left")) - 1
+    mu = np.clip(np.searchsorted(t, x, side="right") - 1, p, last)
     vals = np.zeros((n, p + 1))
     vals[:, 0] = 1.0
     left = np.zeros((n, p + 1))
@@ -156,6 +104,28 @@ def _rows_in_domain(kv: KnotVector, x: np.ndarray) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=None)
+def _boundary_extension(kv: KnotVector):
+    """Cached (value row, derivative row) at each boundary, for extrapolation.
+
+    The derivative of basis function i is p*N_i/a - p*N_{i+1}/b over the
+    degree p-1 basis N, with a = t[i+p] - t[i] and b = t[i+p+1] - t[i+1]
+    (a term with a zero-width support drops out).
+    """
+    t = kv.augmented
+    p = kv.degree
+    ends = np.array([kv.lo, kv.hi])
+    val = _rows_in_domain(t, p, ends)
+    lower = _rows_in_domain(t, p - 1, ends)
+    a = t[p:-1] - t[: -p - 1]
+    b = t[p + 1 :] - t[1:-p]
+    der = np.divide(p * lower[:, :-1], a, out=np.zeros_like(val), where=a > 0.0)
+    der -= np.divide(p * lower[:, 1:], b, out=np.zeros_like(val), where=b > 0.0)
+    val.setflags(write=False)
+    der.setflags(write=False)
+    return (val[0], der[0]), (val[1], der[1])
+
+
 def eval_basis_matrix(kv: KnotVector, x) -> np.ndarray:
     """Basis values for an array of points, one row per point.
 
@@ -169,7 +139,7 @@ def eval_basis_matrix(kv: KnotVector, x) -> np.ndarray:
     above = x > kv.hi
     inside = ~(below | above)
     if inside.any():
-        out[inside] = _rows_in_domain(kv, x[inside])
+        out[inside] = _rows_in_domain(kv.augmented, kv.degree, x[inside])
     if below.any():
         val, der = _boundary_extension(kv)[0]
         out[below] = val + (x[below] - kv.lo)[:, None] * der
@@ -177,11 +147,6 @@ def eval_basis_matrix(kv: KnotVector, x) -> np.ndarray:
         val, der = _boundary_extension(kv)[1]
         out[above] = val + (x[above] - kv.hi)[:, None] * der
     return out
-
-
-def eval_basis(kv: KnotVector, x: float) -> np.ndarray:
-    """Basis values at a single point (length ``kv.basis_count``)."""
-    return eval_basis_matrix(kv, np.array([float(x)]))[0]
 
 
 def design_matrix(X, bases: Sequence[KnotVector]) -> np.ndarray:
@@ -204,22 +169,13 @@ def design_matrix(X, bases: Sequence[KnotVector]) -> np.ndarray:
     return np.hstack(blocks)
 
 
-@dataclass(frozen=True, eq=False)
-class PenaltyBlock:
-    """Second-difference roughness penalty for one coefficient block."""
-
-    matrix: np.ndarray
-
-    @property
-    def size(self) -> int:
-        return self.matrix.shape[0]
-
-
-def penalty_block(basis_count: int) -> PenaltyBlock:
+@lru_cache(maxsize=None)
+def penalty_block(basis_count: int) -> np.ndarray:
     """P = D'D where D takes second differences of the coefficients.
 
     Affine coefficient sequences pay zero penalty; anything with curvature
-    pays a positive amount. Needs at least three coefficients.
+    pays a positive amount. Needs at least three coefficients. The matrix is
+    cached per size and read-only.
     """
     if basis_count < 3:
         raise ValueError(
@@ -232,4 +188,4 @@ def penalty_block(basis_count: int) -> PenaltyBlock:
     d[idx, idx + 2] = 1.0
     m = d.T @ d
     m.setflags(write=False)
-    return PenaltyBlock(m)
+    return m

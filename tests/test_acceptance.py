@@ -196,7 +196,7 @@ def test_property_battery(tmp_path):
         )
         lam = float(rng.uniform(0.0, 5.0))
         g = A.T @ A + JITTER * np.eye(p)
-        g[lead:, lead:] += lam * block.matrix
+        g[lead:, lead:] += lam * block
         npt.assert_allclose(
             penalized_least_squares(A, y, lam, [block]),
             np.linalg.inv(g) @ A.T @ y,

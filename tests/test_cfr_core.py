@@ -12,7 +12,6 @@ from splinecfr.cfr_core import (
     DepthLayer,
     FitConfig,
     LinearModel,
-    auto_depth_truncate,
     compute_offset,
     deserialize,
     first_worsening_depth,
@@ -271,8 +270,7 @@ class TestDepthControl:
         rmses = training_rmse_by_depth(full, ds_X, ds_y)
         stop = first_worsening_depth(rmses)
         expected_depth = full.depth if stop is None else stop
-        truncated = auto_depth_truncate(full, ds_X, ds_y)
-        assert truncated.depth == expected_depth
+        truncated = full.truncated(expected_depth)
         auto = fit(ds_X, ds_y, FitConfig(max_depth=6, norm=1.0, lam=0.1, auto_depth=True))
         assert auto.depth == expected_depth
         npt.assert_allclose(auto.predict(ds_X), truncated.predict(ds_X), atol=1e-12)
@@ -341,10 +339,34 @@ class TestSerialization:
         X, y = toy_data(n=30)
         import json
 
-        doc = json.loads(serialize(fit(X, y, FitConfig(max_depth=1))))
-        doc["layers"][1]["coefficients"] = doc["layers"][1]["coefficients"][:-1]
-        with pytest.raises(ModelFormatError, match="expected"):
-            deserialize(json.dumps(doc))
+        text = serialize(fit(X, y, FitConfig(max_depth=1)))
+
+        def spline_var(doc):
+            return doc["layers"][1]["variables"][0]
+
+        cases = [
+            (
+                lambda d: d["layers"][1]["coefficients"].pop(),
+                r"model\.layers\[1\]\.coefficients: expected",
+            ),
+            (
+                lambda d: d["layers"][0]["coefficients"].append(0.5),
+                r"model\.layers\[0\]\.coefficients: expected 4 ",
+            ),
+            (
+                lambda d: spline_var(d).update(id=3),
+                r"model\.layers\[1\]\.variables\[0\]\.id: .*got 3",
+            ),
+            (
+                lambda d: spline_var(d).update(id=-1),
+                r"model\.layers\[1\]\.variables\[0\]\.id: .*got -1",
+            ),
+        ]
+        for corrupt, message in cases:
+            doc = json.loads(text)
+            corrupt(doc)
+            with pytest.raises(ModelFormatError, match=message):
+                deserialize(json.dumps(doc))
 
 
 class TestFitConfigValidation:

@@ -151,6 +151,36 @@ class TestExitCodes:
         assert code == 2
         assert "invalid model document" in capsys.readouterr().err
 
+    def test_inconsistent_model_layers_are_named(self, tmp_path, toy_csv, capsys):
+        fit_dir = tmp_path / "fitted"
+        assert main([
+            "fit", "--data", toy_csv, "--target", "y", "--out-dir", str(fit_dir),
+            "--max-depth", "1",
+        ]) == 0
+        capsys.readouterr()
+        text = (fit_dir / "model.json").read_text()
+
+        def spline_var(doc):
+            return doc["layers"][1]["variables"][0]
+
+        edits = [
+            ("model.layers[1].variables[0].id", lambda d: spline_var(d).update(id=2)),
+            ("model.layers[1].variables[0].id", lambda d: spline_var(d).update(id=-1)),
+            ("model.layers[0].coefficients", lambda d: d["layers"][0]["coefficients"].append(0.5)),
+        ]
+        for field, corrupt in edits:
+            bad = json.loads(text)
+            corrupt(bad)
+            path = tmp_path / "bad.json"
+            path.write_text(json.dumps(bad))
+            code = main([
+                "predict", "--model", str(path), "--data", toy_csv,
+                "--out", str(tmp_path / "p.csv"),
+            ])
+            assert code == 2, field
+            assert field in capsys.readouterr().err
+        assert not (tmp_path / "p.csv").exists()
+
     def test_no_subcommand_is_a_usage_error(self, capsys):
         assert main([]) == 2
         capsys.readouterr()

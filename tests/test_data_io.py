@@ -1,4 +1,4 @@
-"""CSV ingestion, splits, normalization, synthetic generators."""
+"""CSV ingestion, splits, synthetic generators."""
 
 import math
 
@@ -11,8 +11,6 @@ from splinecfr.data_io import (
     gen_gamma,
     gen_sinc,
     load_csv,
-    minmax_apply,
-    minmax_fit,
     split_out_of_domain,
     split_out_of_sample,
 )
@@ -168,33 +166,6 @@ class TestOutOfDomain:
             y = np.round(rng.normal(size=200), 1)  # plenty of ties
             pair = split_out_of_domain(make_dataset(y), quantile=0.9, seed=seed)
             assert pair.train.target.max() < pair.test.target.min()
-
-
-class TestMinMax:
-    def test_maps_training_range_to_unit(self):
-        ds = make_dataset(np.zeros(3), X=np.array([[0.0], [5.0], [10.0]]))
-        params = minmax_fit(ds)
-        out = minmax_apply(params, ds)
-        npt.assert_allclose(out.features[:, 0], [0.0, 0.5, 1.0])
-
-    def test_no_clamping_outside(self):
-        train = make_dataset(np.zeros(2), X=np.array([[0.0], [10.0]]))
-        params = minmax_fit(train)
-        test = make_dataset(np.zeros(2), X=np.array([[-5.0], [20.0]]))
-        out = minmax_apply(params, test)
-        npt.assert_allclose(out.features[:, 0], [-0.5, 2.0])
-
-    def test_constant_column_maps_to_zero(self):
-        train = make_dataset(np.zeros(2), X=np.full((2, 1), 7.0))
-        params = minmax_fit(train)
-        test = make_dataset(np.zeros(2), X=np.array([[7.0], [9.0]]))
-        out = minmax_apply(params, test)
-        npt.assert_array_equal(out.features[:, 0], [0.0, 0.0])
-
-    def test_shape_check(self):
-        ds = make_dataset(np.zeros(2), X=np.zeros((2, 2)))
-        with pytest.raises(ValueError, match="shape"):
-            minmax_apply(np.zeros((1, 2)), ds)
 
 
 class TestGenerators:

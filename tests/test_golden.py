@@ -1,0 +1,78 @@
+"""Golden fixture: a fixed fit and its predictions must not change.
+
+``tests/golden/model.json`` and ``tests/golden/predictions.txt`` hold the
+model fitted on a seeded synthetic table and the ``repr`` of its predictions
+on a batch that is half inside the training box and half pushed out of it.
+A change that is meant to keep outputs must leave both byte-identical.
+
+To regenerate after a change that is meant to move outputs (and says so in
+CHANGES.md): ``PYTHONPATH=src python tests/test_golden.py``.
+"""
+
+from pathlib import Path
+
+import numpy as np
+
+from splinecfr.cfr_core import FitConfig, deserialize, fit, serialize
+
+GOLDEN = Path(__file__).parent / "golden"
+CONFIG = FitConfig(max_depth=3)
+
+
+def golden_table():
+    """300 rows, 3 features: continuous, discrete grid (ties), skewed."""
+    rng = np.random.default_rng(20201206)
+    n = 300
+    X = np.column_stack(
+        [
+            rng.uniform(-2.0, 3.0, n),
+            rng.integers(0, 8, n).astype(float),
+            rng.gamma(2.0, 1.5, n),
+        ]
+    )
+    y = (
+        40.0
+        + 12.0 * np.sin(1.3 * X[:, 0])
+        + 3.0 * X[:, 1] ** 1.5
+        + 8.0 * np.log1p(X[:, 2])
+        + rng.normal(0.0, 1.0, n)
+    )
+    return X, y
+
+
+def golden_batch(X):
+    """The first 60 rows, then the same rows pushed out of the box on every
+    feature, alternating below and above, by 10% to 60% of the range."""
+    rng = np.random.default_rng(7)
+    rows = X[:60]
+    lo, hi = X.min(axis=0), X.max(axis=0)
+    side = np.where(np.arange(rows.shape[0]) % 2 == 0, -1.0, 1.0)[:, None]
+    push = (hi - lo) * (1.0 + rng.uniform(0.1, 0.6, (rows.shape[0], 1)))
+    return np.vstack([rows, rows + side * push])
+
+
+def predictions_text(pred):
+    return "".join(f"{float(v)!r}\n" for v in pred)
+
+
+def test_model_document_unchanged():
+    X, y = golden_table()
+    expected = (GOLDEN / "model.json").read_text(encoding="utf-8")
+    assert serialize(fit(X, y, CONFIG)) == expected
+
+
+def test_predictions_unchanged():
+    X, _ = golden_table()
+    model = deserialize((GOLDEN / "model.json").read_text(encoding="utf-8"))
+    expected = (GOLDEN / "predictions.txt").read_text(encoding="utf-8")
+    assert predictions_text(model.predict(golden_batch(X))) == expected
+
+
+if __name__ == "__main__":
+    X, y = golden_table()
+    model = fit(X, y, CONFIG)
+    GOLDEN.mkdir(exist_ok=True)
+    (GOLDEN / "model.json").write_text(serialize(model), encoding="utf-8")
+    (GOLDEN / "predictions.txt").write_text(
+        predictions_text(model.predict(golden_batch(X))), encoding="utf-8"
+    )

@@ -5,7 +5,7 @@ import numpy.testing as npt
 import pytest
 
 from splinecfr.solver import JITTER, least_squares, penalized_least_squares
-from splinecfr.spline_basis import PenaltyBlock, penalty_block
+from splinecfr.spline_basis import penalty_block
 
 
 def oracle_solution(A, y, lam=0.0, penalties=(), lead=None):
@@ -15,11 +15,11 @@ def oracle_solution(A, y, lam=0.0, penalties=(), lead=None):
     p = A.shape[1]
     m = A.T @ A + JITTER * np.eye(p)
     if lead is None:
-        lead = p - sum(pb.matrix.shape[0] for pb in penalties)
+        lead = p - sum(pen.shape[0] for pen in penalties)
     col = lead
-    for pb in penalties:
-        k = pb.matrix.shape[0]
-        m[col : col + k, col : col + k] += lam * pb.matrix
+    for pen in penalties:
+        k = pen.shape[0]
+        m[col : col + k, col : col + k] += lam * pen
         col += k
     return np.linalg.inv(m) @ (A.T @ y)
 
@@ -68,12 +68,12 @@ class TestPenalizedLeastSquares:
         # Identity design, no intercept column: the penalty null space is
         # the equal-coefficient direction, and y = (0, 2) projects onto it
         # as (1, 1).
-        pens = [PenaltyBlock(np.array([[1.0, -1.0], [-1.0, 1.0]]))]
+        pens = [np.array([[1.0, -1.0], [-1.0, 1.0]])]
         beta = penalized_least_squares(np.eye(2), [0.0, 2.0], 1e9, pens)
         npt.assert_allclose(beta, [1.0, 1.0], atol=1e-6)
 
     def test_unit_ridge(self):
-        pens = [PenaltyBlock(np.eye(2))]
+        pens = [np.eye(2)]
         beta = penalized_least_squares(np.eye(2), [1.0, 1.0], 1.0, pens)
         npt.assert_allclose(beta, [0.5, 0.5], atol=1e-8)
 
@@ -101,7 +101,7 @@ class TestPenalizedLeastSquares:
         for lam in (0.0, 0.1, 1.0, 10.0):
             beta = penalized_least_squares(B, y, lam, pens)
             block = beta[1:]
-            amount = block @ pens[0].matrix @ block
+            amount = block @ pens[0] @ block
             if previous is not None:
                 assert amount <= previous + 1e-10
             previous = amount

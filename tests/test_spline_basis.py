@@ -8,12 +8,16 @@ import pytest
 
 from splinecfr.spline_basis import (
     KnotVector,
+    _boundary_extension,
     build_knot_vector,
     design_matrix,
-    eval_basis,
     eval_basis_matrix,
     penalty_block,
 )
+
+
+def basis_row(kv, x):
+    return eval_basis_matrix(kv, np.array([float(x)]))[0]
 
 
 def bernstein_row(x):
@@ -68,17 +72,17 @@ class TestBuildKnotVector:
 class TestEvalBasis:
     def test_bernstein_midpoint(self):
         kv = build_knot_vector([], 0.0, 1.0)
-        npt.assert_allclose(eval_basis(kv, 0.5), [0.125, 0.375, 0.375, 0.125], atol=1e-12)
+        npt.assert_allclose(basis_row(kv, 0.5), [0.125, 0.375, 0.375, 0.125], atol=1e-12)
 
     def test_bernstein_everywhere(self):
         kv = build_knot_vector([], 0.0, 1.0)
         for x in np.linspace(0, 1, 23):
-            npt.assert_allclose(eval_basis(kv, x), bernstein_row(x), atol=1e-12)
+            npt.assert_allclose(basis_row(kv, x), bernstein_row(x), atol=1e-12)
 
     def test_clamped_ends(self):
         kv = build_knot_vector([0.3, 0.7], 0.0, 1.0)
-        row_lo = eval_basis(kv, 0.0)
-        row_hi = eval_basis(kv, 1.0)
+        row_lo = basis_row(kv, 0.0)
+        row_hi = basis_row(kv, 1.0)
         npt.assert_allclose(row_lo, [1, 0, 0, 0, 0, 0], atol=1e-12)
         npt.assert_allclose(row_hi, [0, 0, 0, 0, 0, 1], atol=1e-12)
 
@@ -87,7 +91,7 @@ class TestEvalBasis:
         for _ in range(1000):
             kv = random_knot_vector(rng)
             x = rng.uniform(kv.lo, kv.hi)
-            row = eval_basis(kv, x)
+            row = basis_row(kv, x)
             assert (row >= -1e-12).all()
             assert abs(row.sum() - 1.0) < 1e-9
 
@@ -97,7 +101,7 @@ class TestEvalBasis:
         t = kv.augmented
         for _ in range(200):
             x = rng.uniform(0, 1)
-            row = eval_basis(kv, x)
+            row = basis_row(kv, x)
             for k in range(kv.basis_count):
                 if not (t[k] <= x <= t[k + 4]):
                     assert row[k] == 0.0
@@ -108,38 +112,59 @@ class TestEvalBasis:
         xs = rng.uniform(-2, 6, 50)  # includes out-of-domain points
         mat = eval_basis_matrix(kv, xs)
         for i, x in enumerate(xs):
-            npt.assert_allclose(mat[i], eval_basis(kv, x), atol=1e-12)
+            npt.assert_allclose(mat[i], basis_row(kv, x), atol=1e-12)
 
 
 class TestExtrapolation:
-    @pytest.mark.parametrize("interior", [[], [0.3], [0.25, 0.5, 0.75]])
-    def test_value_and_slope_continuous_at_bounds(self, interior):
-        kv = build_knot_vector(interior, 0.0, 1.0)
+    @pytest.mark.parametrize(
+        "interior, lo, hi",
+        [
+            pytest.param([], 0.0, 1.0, id="interior0"),
+            pytest.param([0.3], 0.0, 1.0, id="interior1"),
+            pytest.param([0.25, 0.5, 0.75], 0.0, 1.0, id="interior2"),
+            # Knots on an integer grid, as a discrete feature produces them.
+            pytest.param([1.0, 2.0, 3.0, 4.0, 5.0, 6.0], 0.0, 7.0, id="integer_grid"),
+        ],
+    )
+    def test_value_and_slope_continuous_at_bounds(self, interior, lo, hi):
+        kv = build_knot_vector(interior, lo, hi)
+        t, p, n = kv.augmented, kv.degree, kv.basis_count
+        (val_lo, der_lo), (val_hi, der_hi) = _boundary_extension(kv)
+        npt.assert_array_equal(val_lo, np.eye(n)[0])
+        npt.assert_array_equal(val_hi, np.eye(n)[n - 1])
+        # Closed form of the clamped end derivatives: only the two outermost
+        # basis functions move, by -+p over the width of the end span.
+        expected_lo = np.zeros(n)
+        expected_lo[[0, 1]] = [-p / (t[p + 1] - lo), p / (t[p + 1] - lo)]
+        expected_hi = np.zeros(n)
+        expected_hi[[n - 2, n - 1]] = [-p / (hi - t[n - 1]), p / (hi - t[n - 1])]
+        npt.assert_allclose(der_lo, expected_lo, rtol=1e-12, atol=0.0)
+        npt.assert_allclose(der_hi, expected_hi, rtol=1e-12, atol=0.0)
         h = 1e-6
-        for bound in (0.0, 1.0):
-            inside = eval_basis(kv, bound)
-            outside = eval_basis(kv, bound - h if bound == 0.0 else bound + h)
+        for bound in (lo, hi):
+            inside = basis_row(kv, bound)
+            outside = basis_row(kv, bound - h if bound == lo else bound + h)
             npt.assert_allclose(outside, inside, atol=1e-4)
             # one-sided slopes on both sides of the boundary agree
-            if bound == 0.0:
-                slope_out = (inside - eval_basis(kv, -h)) / h
-                slope_in = (eval_basis(kv, h) - inside) / h
+            if bound == lo:
+                slope_out = (inside - basis_row(kv, lo - h)) / h
+                slope_in = (basis_row(kv, lo + h) - inside) / h
             else:
-                slope_out = (eval_basis(kv, 1 + h) - inside) / h
-                slope_in = (inside - eval_basis(kv, 1 - h)) / h
+                slope_out = (basis_row(kv, hi + h) - inside) / h
+                slope_in = (inside - basis_row(kv, hi - h)) / h
             npt.assert_allclose(slope_out, slope_in, atol=1e-4)
 
     def test_linear_outside(self):
         kv = build_knot_vector([0.4], 0.0, 1.0)
         for a, b in ((-3.0, -1.0), (2.0, 5.0)):
-            ra, rb = eval_basis(kv, a), eval_basis(kv, b)
-            mid = eval_basis(kv, (a + b) / 2)
+            ra, rb = basis_row(kv, a), basis_row(kv, b)
+            mid = basis_row(kv, (a + b) / 2)
             npt.assert_allclose(mid, (ra + rb) / 2, atol=1e-12)
 
     def test_partition_of_unity_survives_extension(self):
         kv = build_knot_vector([0.2, 0.9], 0.0, 1.0)
         for x in (-10.0, -0.5, 1.5, 25.0):
-            assert abs(eval_basis(kv, x).sum() - 1.0) < 1e-9
+            assert abs(basis_row(kv, x).sum() - 1.0) < 1e-9
 
 
 class TestDesignMatrix:
@@ -163,25 +188,25 @@ class TestDesignMatrix:
 class TestPenaltyBlock:
     def test_smallest_block(self):
         pb = penalty_block(3)
-        npt.assert_array_equal(pb.matrix, [[1, -2, 1], [-2, 4, -2], [1, -2, 1]])
+        npt.assert_array_equal(pb, [[1, -2, 1], [-2, 4, -2], [1, -2, 1]])
 
     def test_affine_sequences_are_free(self):
         pb = penalty_block(6)
         for seq in (np.ones(6), np.arange(6.0), 3.0 - 0.5 * np.arange(6)):
-            assert seq @ pb.matrix @ seq == pytest.approx(0.0, abs=1e-12)
+            assert seq @ pb @ seq == pytest.approx(0.0, abs=1e-12)
 
     def test_curved_sequences_pay(self):
         pb = penalty_block(5)
         seq = np.array([0.0, 0.0, 1.0, 0.0, 0.0])
-        assert seq @ pb.matrix @ seq > 0.0
+        assert seq @ pb @ seq > 0.0
 
     def test_rank(self):
-        assert np.linalg.matrix_rank(penalty_block(4).matrix) == 2
+        assert np.linalg.matrix_rank(penalty_block(4)) == 2
 
     def test_symmetric_psd(self):
         rng = np.random.default_rng(11)
         for size in (3, 4, 7, 12):
-            m = penalty_block(size).matrix
+            m = penalty_block(size)
             npt.assert_array_equal(m, m.T)
             eigs = np.linalg.eigvalsh(m)
             assert eigs.min() >= -1e-10
