@@ -42,8 +42,8 @@ class FitConfig:
     norm: the target is divided by this before fitting and predictions are
         scaled back up; keeps the inverted residual targets in a tame range.
     max_depth: number of spline layers stacked under the linear layer.
-    auto_depth: when True, truncate the fitted model at the depth where
-        training error first gets worse.
+    auto_depth: when True, stop after the first depth whose training error
+        is worse than the depth above it, and keep only the layers above it.
     offset_epsilon: slack added to each residual offset so inverted targets
         stay strictly positive and bounded by 1/offset_epsilon.
     denom_floor: denominators inside the fraction are pushed away from zero
@@ -270,36 +270,31 @@ def fit(X, y, config: FitConfig | None = None) -> CFracModel:
 
     models: list[LinearModel | AdditiveSplineModel] = [linear]
     values = [linear.evaluate(X)]
-    offsets: list[float] = []
     resid = y0 - values[0]
+    offsets = [compute_offset(resid, config.offset_epsilon)]
     knots: dict[int, list[float]] = {j: [] for j in spline_vars}
+    X_spline = X[:, spline_vars]
+    rmses = [_truncation_rmse(config, values, offsets, y)] if config.auto_depth else []
 
     for _depth in range(1, config.max_depth + 1):
-        offset = compute_offset(resid, config.offset_epsilon)
-        offsets.append(offset)
-        target = 1.0 / (resid + offset)
+        target = 1.0 / (resid + offsets[-1])
         for p in select_knots(resid, config.knots_per_depth):
             for j in spline_vars:
                 _insert_knot(knots[j], float(X[p, j]), lo[j], hi[j])
         bases = tuple(build_knot_vector(knots[j], lo[j], hi[j]) for j in spline_vars)
-        design = design_matrix(X[:, spline_vars], bases)
+        design = design_matrix(X_spline, bases)
         penalties = [penalty_block(kv.basis_count) for kv in bases]
         beta = penalized_least_squares(design, target, config.lam, penalties)
-        layer = AdditiveSplineModel(tuple(spline_vars), bases, beta)
-        models.append(layer)
+        models.append(AdditiveSplineModel(tuple(spline_vars), bases, beta))
         values.append(design @ beta)
+        # One design at a time: the next depth's is larger.
+        del design
         resid = target - values[-1]
-    offsets.append(compute_offset(resid, config.offset_epsilon))
-
-    layers = tuple(DepthLayer(mod, off) for mod, off in zip(models, offsets))
-    model = CFracModel(
-        norm=config.norm,
-        layers=layers,
-        feature_bounds=np.column_stack([lo, hi]),
-        training_target_max=float(y.max()),
-        denom_floor=config.denom_floor,
-        literal_final_offset=config.literal_final_offset,
-    )
+        offsets.append(compute_offset(resid, config.offset_epsilon))
+        if config.auto_depth:
+            rmses.append(_truncation_rmse(config, values, offsets, y))
+            if first_worsening_depth(rmses) is not None:
+                break
 
     train_pred = config.norm * _fold_fraction(
         values, offsets, config.denom_floor, config.literal_final_offset
@@ -307,25 +302,33 @@ def fit(X, y, config: FitConfig | None = None) -> CFracModel:
     if not np.isfinite(train_pred).all():
         raise ArithmeticError("training predictions are not finite")
 
-    if config.auto_depth:
-        stop = first_worsening_depth(_rmse_from_values(model, values, y))
-        if stop is not None:
-            model = model.truncated(stop)
-    return model
+    stop = first_worsening_depth(rmses)
+    layers = tuple(DepthLayer(mod, off) for mod, off in zip(models, offsets))
+    return CFracModel(
+        norm=config.norm,
+        layers=layers if stop is None else layers[: stop + 1],
+        feature_bounds=np.column_stack([lo, hi]),
+        training_target_max=float(y.max()),
+        denom_floor=config.denom_floor,
+        literal_final_offset=config.literal_final_offset,
+    )
 
 
-def _rmse_from_values(
-    model: CFracModel, values: Sequence[np.ndarray], y: np.ndarray
-) -> list[float]:
-    """Training RMSE of each truncation depth, reusing layer evaluations."""
-    offsets = [layer.offset for layer in model.layers]
-    out = []
-    for d in range(len(values)):
-        pred = model.norm * _fold_fraction(
-            values[: d + 1], offsets[: d + 1], model.denom_floor, model.literal_final_offset
-        )
-        out.append(float(np.sqrt(np.mean((y - pred) ** 2))))
-    return out
+def _truncation_rmse(
+    settings: FitConfig | CFracModel,
+    values: Sequence[np.ndarray],
+    offsets: Sequence[float],
+    y: np.ndarray,
+) -> float:
+    """RMSE against ``y`` of the fraction folded from all of ``values``.
+
+    ``settings`` supplies ``norm``, ``denom_floor`` and
+    ``literal_final_offset``; a config and the model fitted with it agree.
+    """
+    pred = settings.norm * _fold_fraction(
+        values, offsets, settings.denom_floor, settings.literal_final_offset
+    )
+    return float(np.sqrt(np.mean((y - pred) ** 2)))
 
 
 def first_worsening_depth(rmses: Sequence[float]) -> int | None:
@@ -339,7 +342,12 @@ def first_worsening_depth(rmses: Sequence[float]) -> int | None:
 def training_rmse_by_depth(model: CFracModel, X, y) -> list[float]:
     """RMSE of each truncation of ``model`` on (X, y), original target units."""
     y = np.asarray(y, dtype=float)
-    return _rmse_from_values(model, model.layer_values(X), y)
+    values = model.layer_values(X)
+    offsets = [layer.offset for layer in model.layers]
+    return [
+        _truncation_rmse(model, values[: d + 1], offsets[: d + 1], y)
+        for d in range(len(values))
+    ]
 
 
 # ---------------------------------------------------------------------------

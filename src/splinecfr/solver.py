@@ -9,6 +9,7 @@ invisible on well-posed problems. Penalties are plain square matrices (see
 
 from __future__ import annotations
 
+import warnings
 from typing import Sequence
 
 import numpy as np
@@ -78,5 +79,11 @@ def penalized_least_squares(B, y, lam: float, penalties: Sequence[np.ndarray]) -
         return np.linalg.solve(g, rhs)
     except np.linalg.LinAlgError:
         # Possible only when huge diagonal entries swallow the jitter.
+        warnings.warn(
+            f"penalized normal equations with {g.shape[0]} columns are singular; "
+            "solved by least squares instead",
+            RuntimeWarning,
+            stacklevel=2,
+        )
         beta, *_ = np.linalg.lstsq(g, rhs, rcond=None)
         return beta

@@ -5,6 +5,18 @@ Outside [lo, hi] every basis function is continued linearly from the nearest
 boundary (boundary value plus one-sided derivative), so spline terms
 extrapolate as straight lines instead of dropping to zero. The boundary
 derivative comes from the same recurrence one degree lower.
+
+Designs are assembled from local support. At any point at most degree+1 = 4
+basis functions of a variable are nonzero: those of the knot span ``mu`` that
+holds the point, columns ``mu-3 .. mu`` of the variable's block. One kernel
+(``_span_index`` and ``_span_values``) finds the span and those four values.
+``design_matrix`` allocates the final matrix once and, one block of rows at a
+time with all variables together, writes each point's four values into it.
+A point outside [lo, hi] writes the boundary values plus its distance to the
+boundary times the boundary derivative; both live on the end span, so it
+writes four values too. Every other entry stays zero, exactly as a dense
+evaluation of every basis function would leave it. ``eval_basis_matrix`` is
+the one-variable case of the same assembly.
 """
 
 from __future__ import annotations
@@ -74,56 +86,138 @@ def build_knot_vector(interior: Iterable[float], lo: float, hi: float) -> KnotVe
     return KnotVector(vals, lo, hi)
 
 
-def _rows_in_domain(t: np.ndarray, degree: int, x: np.ndarray) -> np.ndarray:
-    """Vectorized Cox-de Boor: every basis value of ``degree`` over knot
-    vector ``t``, one row per point of ``x`` inside [t[0], t[-1]]."""
-    p = degree
-    count = len(t) - p - 1
-    n = x.shape[0]
-    # Clip to the last non-empty span: a degree below the knot vector's
-    # multiplicity would otherwise land on a zero-width span at t[-1].
+def _span_index(t: np.ndarray, degree: int, x: np.ndarray) -> np.ndarray:
+    """Index mu of the knot span [t[mu], t[mu+1]] of each point of ``x``.
+
+    Points below t[0] land on the first span and points above t[-1] on the
+    last. The clip is to the last non-empty span: a degree below the knot
+    vector's multiplicity would otherwise land on a zero-width span at t[-1].
+    """
     last = int(np.searchsorted(t, t[-1], side="left")) - 1
-    mu = np.clip(np.searchsorted(t, x, side="right") - 1, p, last)
-    vals = np.zeros((n, p + 1))
-    vals[:, 0] = 1.0
-    left = np.zeros((n, p + 1))
-    right = np.zeros((n, p + 1))
+    return np.clip(np.searchsorted(t, x, side="right") - 1, degree, last)
+
+
+def _span_values(
+    t: np.ndarray, degree: int, x: np.ndarray, mu: np.ndarray
+) -> list[np.ndarray]:
+    """Vectorized Cox-de Boor: the degree+1 basis values that can be nonzero
+    at each point ``x[i]`` of span ``mu[i]`` (see :func:`_span_index`).
+
+    Entry k of the returned list holds, for every point, the value of basis
+    function ``mu - degree + k``. ``t`` may hold several knot vectors back to
+    back, with ``mu`` indexing into the whole array. Every denominator is
+    positive: it is the distance from x to a knot at or above t[mu+1] plus
+    the distance to a knot at or below t[mu], and the span is not empty.
+    """
+    p = degree
+    base = mu - p
+    vals = [np.ones(x.shape[0])]
+    left = [None]
+    right = [None]
     for j in range(1, p + 1):
-        left[:, j] = x - t[mu + 1 - j]
-        right[:, j] = t[mu + j] - x
-        saved = np.zeros(n)
+        # t[mu + 1 - j] and t[mu + j], gathered through offset views.
+        left.append(x - t[p + 1 - j :][base])
+        right.append(t[p + j :][base] - x)
+        saved = 0.0
         for r in range(j):
-            den = right[:, r + 1] + left[:, j - r]
-            temp = np.divide(vals[:, r], den, out=np.zeros(n), where=den != 0.0)
-            vals[:, r] = saved + right[:, r + 1] * temp
-            saved = left[:, j - r] * temp
-        vals[:, j] = saved
-    out = np.zeros((n, count))
-    cols = mu[:, None] - p + np.arange(p + 1)[None, :]
-    np.put_along_axis(out, cols, vals, axis=1)
-    return out
+            temp = vals[r] / (right[r + 1] + left[j - r])
+            vals[r] = saved + right[r + 1] * temp
+            saved = left[j - r] * temp
+        vals.append(saved)
+    return vals
 
 
 @lru_cache(maxsize=None)
-def _boundary_extension(kv: KnotVector):
-    """Cached (value row, derivative row) at each boundary, for extrapolation.
+def _boundary_extension(kv: KnotVector) -> tuple[np.ndarray, np.ndarray]:
+    """Cached basis values and one-sided derivatives at lo (row 0) and hi (row 1).
 
-    The derivative of basis function i is p*N_i/a - p*N_{i+1}/b over the
-    degree p-1 basis N, with a = t[i+p] - t[i] and b = t[i+p+1] - t[i+1]
-    (a term with a zero-width support drops out).
+    Each row covers the degree+1 columns of its end span (the first and the
+    last degree+1 basis functions), the only ones whose value or derivative
+    can be nonzero at that boundary. The derivative of basis function i is
+    p*N_i/a - p*N_{i+1}/b over the degree p-1 basis N, with
+    a = t[i+p] - t[i] and b = t[i+p+1] - t[i+1] (a term with a zero-width
+    support drops out).
     """
     t = kv.augmented
     p = kv.degree
     ends = np.array([kv.lo, kv.hi])
-    val = _rows_in_domain(t, p, ends)
-    lower = _rows_in_domain(t, p - 1, ends)
-    a = t[p:-1] - t[: -p - 1]
-    b = t[p + 1 :] - t[1:-p]
-    der = np.divide(p * lower[:, :-1], a, out=np.zeros_like(val), where=a > 0.0)
-    der -= np.divide(p * lower[:, 1:], b, out=np.zeros_like(val), where=b > 0.0)
+    mu = _span_index(t, p, ends)
+    val = np.column_stack(_span_values(t, p, ends, mu))
+    # Degree p-1 values of functions mu-p .. mu+1 (same spans); the outer
+    # two are zero.
+    lower = np.zeros((2, p + 2))
+    lower[:, 1:-1] = np.column_stack(_span_values(t, p - 1, ends, mu))
+    cols = mu[:, None] - p + np.arange(p + 1)
+    a = t[cols + p] - t[cols]
+    b = t[cols + p + 1] - t[cols + 1]
+    der = np.divide(p * lower[:, :-1], a, out=np.zeros((2, p + 1)), where=a > 0.0)
+    der -= np.divide(p * lower[:, 1:], b, out=np.zeros((2, p + 1)), where=b > 0.0)
     val.setflags(write=False)
     der.setflags(write=False)
-    return (val[0], der[0]), (val[1], der[1])
+    return val, der
+
+
+# Points (row, variable) per block of the design. All variables of a row
+# are written together, so the scattered writes of one block stay inside a
+# few MB of the design.
+_BLOCK_POINTS = 20480
+
+
+def _write_basis(out: np.ndarray, X: np.ndarray, bases: Sequence[KnotVector], col0: int) -> None:
+    """Write the basis values of column j of ``X`` into block j of ``out``.
+
+    Block j starts at column ``col0`` plus the basis counts of the earlier
+    blocks. ``out`` must be C-contiguous and zero over the blocks; only the
+    degree+1 entries of each point's span are written. A point outside
+    [lo, hi] writes the values at the nearest boundary plus its distance to
+    it times the boundary derivative, on that end span.
+    """
+    n, m = X.shape
+    if n == 0 or m == 0:
+        return
+    p = bases[0].degree
+    if any(kv.degree != p for kv in bases):
+        raise ValueError("all knot vectors of a design must share one degree")
+    knots = [kv.augmented for kv in bases]
+    t = np.concatenate(knots)
+    edge = np.array([(kv.lo, kv.hi) for kv in bases])
+    lo, hi = edge[:, 0], edge[:, 1]
+    # Row 2j + side of the edge tables is variable j at lo (side 0) or hi.
+    edge = edge.ravel()
+    edge_val, edge_der = (np.concatenate(ends) for ends in zip(*map(_boundary_extension, bases)))
+    block_col = col0 + np.cumsum([0] + [kv.basis_count for kv in bases[:-1]])
+    # Column of each point's first value, one row per variable. The span
+    # index of the same point into ``t`` is that column plus ``to_knot``.
+    first = np.empty((m, n), dtype=np.intp)
+    for j, tj in enumerate(knots):
+        first[j] = _span_index(tj, p, X[:, j])
+    first += (block_col - p)[:, None]
+    to_knot = np.cumsum([0] + [len(tj) for tj in knots[:-1]]) - block_col + p
+    width = out.shape[1]
+    flat = out.reshape(-1)
+    rows = max(1, _BLOCK_POINTS // m)
+    for r0 in range(0, n, rows):
+        x = X[r0 : r0 + rows]
+        col = first[:, r0 : r0 + x.shape[0]].T
+        pos = ((np.arange(r0, r0 + x.shape[0]) * width)[:, None] + col).ravel()
+        above = (x > hi).ravel()
+        outside = (x < lo).ravel() | above
+        if outside.any():
+            beyond = np.flatnonzero(outside)
+            row = 2 * (beyond % m) + above[beyond]
+            step = x.ravel()[beyond] - edge[row]
+            ext = edge_val[row] + step[:, None] * edge_der[row]
+            at = pos[beyond]
+            for k in range(p + 1):
+                flat[at + k] = ext[:, k]
+            within = np.flatnonzero(~outside)
+            pos = pos[within]
+        else:
+            within = slice(None)
+        span = (col + to_knot).ravel()[within]
+        vals = _span_values(t, p, x.ravel()[within], span)
+        for k in range(p + 1):
+            flat[pos + k] = vals[k]
 
 
 def eval_basis_matrix(kv: KnotVector, x) -> np.ndarray:
@@ -135,25 +229,16 @@ def eval_basis_matrix(kv: KnotVector, x) -> np.ndarray:
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     out = np.zeros((x.shape[0], kv.basis_count))
-    below = x < kv.lo
-    above = x > kv.hi
-    inside = ~(below | above)
-    if inside.any():
-        out[inside] = _rows_in_domain(kv.augmented, kv.degree, x[inside])
-    if below.any():
-        val, der = _boundary_extension(kv)[0]
-        out[below] = val + (x[below] - kv.lo)[:, None] * der
-    if above.any():
-        val, der = _boundary_extension(kv)[1]
-        out[above] = val + (x[above] - kv.hi)[:, None] * der
+    _write_basis(out, x[:, None], (kv,), 0)
     return out
 
 
 def design_matrix(X, bases: Sequence[KnotVector]) -> np.ndarray:
-    """Stack an intercept column and one basis block per variable.
+    """An intercept column followed by one basis block per variable.
 
     ``X`` must have exactly one column per knot vector in ``bases``. The
-    result has 1 + sum(basis_count) columns.
+    result has 1 + sum(basis_count) columns and is allocated once; each
+    point writes only the degree+1 values of its span in each block.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2:
@@ -162,11 +247,10 @@ def design_matrix(X, bases: Sequence[KnotVector]) -> np.ndarray:
         raise ValueError(
             f"feature matrix has {X.shape[1]} columns but {len(bases)} knot vectors were given"
         )
-    n = X.shape[0]
-    blocks = [np.ones((n, 1))]
-    for j, kv in enumerate(bases):
-        blocks.append(eval_basis_matrix(kv, X[:, j]))
-    return np.hstack(blocks)
+    out = np.zeros((X.shape[0], 1 + sum(kv.basis_count for kv in bases)))
+    _write_basis(out, X, bases, 1)
+    out[:, 0] = 1.0
+    return out
 
 
 @lru_cache(maxsize=None)

@@ -1,11 +1,14 @@
 """Knot selection, offsets, the fitting loop, depth control, serialization."""
 
 import math
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+from splinecfr import cfr_core
 from splinecfr.cfr_core import (
     AdditiveSplineModel,
     CFracModel,
@@ -275,6 +278,24 @@ class TestDepthControl:
         assert auto.depth == expected_depth
         npt.assert_allclose(auto.predict(ds_X), truncated.predict(ds_X), atol=1e-12)
 
+    def test_auto_depth_stops_fitting_at_first_worsening(self, monkeypatch):
+        X, y = toy_data(n=60, seed=33)
+        config = FitConfig(max_depth=6, norm=1.0, lam=0.1)
+        full = fit(X, y, config)
+        stop = first_worsening_depth(training_rmse_by_depth(full, X, y))
+        assert stop is not None and stop + 1 < config.max_depth
+        built = []
+        original = cfr_core.design_matrix
+
+        def counting(*args, **kwargs):
+            built.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cfr_core, "design_matrix", counting)
+        auto = fit(X, y, replace(config, auto_depth=True))
+        assert len(built) == stop + 1
+        assert serialize(auto) == serialize(full.truncated(stop))
+
     def test_truncation_bounds(self):
         X, y = toy_data()
         model = fit(X, y, FitConfig(max_depth=2))
@@ -384,3 +405,43 @@ class TestFitConfigValidation:
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
             FitConfig(**kwargs)
+
+
+class TestMemory:
+    """Traced peaks (numpy buffers included) against the largest design."""
+
+    @staticmethod
+    def table(n, m, seed):
+        rng = np.random.default_rng(seed)
+        X = rng.uniform(-1.0, 1.0, (n, m))
+        y = 50.0 + 10.0 * np.sin(2.0 * X).sum(axis=1) + rng.normal(0.0, 1.0, n)
+        return X, y
+
+    @staticmethod
+    def design_bytes(model, rows):
+        return rows * model.layers[-1].model.coefficients.shape[0] * 8
+
+    @staticmethod
+    def traced_peak(func, *args):
+        tracemalloc.start()
+        try:
+            result = func(*args)
+            return result, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_fit_holds_one_design_at_a_time(self):
+        X, y = self.table(4000, 40, seed=3)
+        model, peak = self.traced_peak(fit, X, y, FitConfig(max_depth=3))
+        assert model.depth == 3
+        assert peak <= 1.6 * self.design_bytes(model, X.shape[0])
+
+    def test_predict_builds_each_design_in_place(self):
+        X, y = self.table(4000, 40, seed=3)
+        model = fit(X, y, FitConfig(max_depth=3))
+        rng = np.random.default_rng(4)
+        inside = X[rng.choice(X.shape[0], 4000)]
+        batch = np.vstack([inside, inside + np.where(rng.random((4000, 1)) < 0.5, -3.0, 3.0)])
+        pred, peak = self.traced_peak(model.predict, batch)
+        assert np.isfinite(pred).all()
+        assert peak <= 1.6 * self.design_bytes(model, batch.shape[0])

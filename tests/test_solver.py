@@ -126,3 +126,18 @@ class TestPenalizedLeastSquares:
     def test_negative_lambda(self):
         with pytest.raises(ValueError, match="non-negative"):
             penalized_least_squares(np.eye(2), [1.0, 1.0], -0.5, [])
+
+    def test_singular_fallback_warns_and_solves(self, monkeypatch):
+        rng = np.random.default_rng(41)
+        B = np.hstack([np.ones((25, 1)), rng.normal(size=(25, 4))])
+        y = rng.normal(size=25)
+        pens = [penalty_block(4)]
+        expected = oracle_solution(B, y, 0.3, pens, lead=1)
+
+        def singular(*args, **kwargs):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(np.linalg, "solve", singular)
+        with pytest.warns(RuntimeWarning, match="5 columns"):
+            beta = penalized_least_squares(B, y, 0.3, pens)
+        npt.assert_allclose(beta, expected, atol=1e-8)

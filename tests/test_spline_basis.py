@@ -35,6 +35,105 @@ def random_knot_vector(rng):
     return build_knot_vector(interior, lo, hi)
 
 
+def oracle_basis(kv, x):
+    """Dense reference: every basis function at every point, boundary rows
+    continued linearly outside [lo, hi]."""
+    t, p = kv.augmented, kv.degree
+
+    def rows(degree, pts):
+        count = len(t) - degree - 1
+        n = pts.shape[0]
+        last = int(np.searchsorted(t, t[-1], side="left")) - 1
+        mu = np.clip(np.searchsorted(t, pts, side="right") - 1, degree, last)
+        vals = np.zeros((n, degree + 1))
+        vals[:, 0] = 1.0
+        left = np.zeros((n, degree + 1))
+        right = np.zeros((n, degree + 1))
+        for j in range(1, degree + 1):
+            left[:, j] = pts - t[mu + 1 - j]
+            right[:, j] = t[mu + j] - pts
+            saved = np.zeros(n)
+            for r in range(j):
+                den = right[:, r + 1] + left[:, j - r]
+                temp = np.divide(vals[:, r], den, out=np.zeros(n), where=den != 0.0)
+                vals[:, r] = saved + right[:, r + 1] * temp
+                saved = left[:, j - r] * temp
+            vals[:, j] = saved
+        out = np.zeros((n, count))
+        cols = mu[:, None] - degree + np.arange(degree + 1)[None, :]
+        np.put_along_axis(out, cols, vals, axis=1)
+        return out
+
+    ends = np.array([kv.lo, kv.hi])
+    val = rows(p, ends)
+    lower = rows(p - 1, ends)
+    a = t[p:-1] - t[: -p - 1]
+    b = t[p + 1 :] - t[1:-p]
+    der = np.divide(p * lower[:, :-1], a, out=np.zeros_like(val), where=a > 0.0)
+    der -= np.divide(p * lower[:, 1:], b, out=np.zeros_like(val), where=b > 0.0)
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    out = np.zeros((x.shape[0], kv.basis_count))
+    below = x < kv.lo
+    above = x > kv.hi
+    inside = ~(below | above)
+    if inside.any():
+        out[inside] = rows(p, x[inside])
+    if below.any():
+        out[below] = val[0] + (x[below] - kv.lo)[:, None] * der[0]
+    if above.any():
+        out[above] = val[1] + (x[above] - kv.hi)[:, None] * der[1]
+    return out
+
+
+def oracle_design(X, bases):
+    """Intercept plus one dense basis block per variable, stacked."""
+    blocks = [np.ones((X.shape[0], 1))]
+    blocks += [oracle_basis(kv, X[:, j]) for j, kv in enumerate(bases)]
+    return np.hstack(blocks)
+
+
+def oracle_cases():
+    """(knot vectors, points) pairs for the oracle comparison."""
+    rng = np.random.default_rng(20201206)
+    plain = build_knot_vector([], -1.0, 2.0)
+    grid = build_knot_vector([1.0, 2.0, 3.0, 4.0, 5.0, 6.0], 0.0, 7.0)
+    rand = random_knot_vector(rng)
+    rand2 = build_knot_vector(np.sort(rng.uniform(0.1, 9.9, 11)), 0.0, 10.0)
+
+    def spread(kv, n):
+        width = kv.hi - kv.lo
+        return rng.uniform(kv.lo - width, kv.hi + width, n)
+
+    ties = rng.integers(-2, 10, 300).astype(float)
+    knots_hit = np.concatenate([[kv.lo, kv.hi, *kv.interior] for kv in (plain, grid, rand)])
+    return {
+        "no_interior": ([plain], spread(plain, 200)[:, None]),
+        "integer_grid_ties": ([grid], ties[:, None]),
+        "random_knots": ([rand, rand2], np.column_stack([spread(rand, 300), spread(rand2, 300)])),
+        "on_bounds_and_knots": (
+            [plain, grid, rand],
+            np.column_stack([rng.choice(knots_hit, 120) for _ in range(3)]),
+        ),
+        "out_of_box_both_sides": (
+            [plain, grid, rand2],
+            np.column_stack(
+                [
+                    np.concatenate([kv.lo - rng.uniform(0, 5, 50), kv.hi + rng.uniform(0, 5, 50)])
+                    for kv in (plain, grid, rand2)
+                ]
+            ),
+        ),
+        "zero_rows": ([plain, grid], np.zeros((0, 2))),
+        "one_row": ([plain, grid, rand], np.array([[0.5, -3.0, rand.hi + 1.0]])),
+        "zero_variables": ([], np.zeros((7, 0))),
+        # More points than one block of the design, mixed in and out of box.
+        "many_rows": ([grid, rand2], np.column_stack([spread(grid, 12000), spread(rand2, 12000)])),
+    }
+
+
+ORACLE_CASES = oracle_cases()
+
+
 class TestBuildKnotVector:
     def test_augments_with_four_copies_of_each_bound(self):
         kv = build_knot_vector([0.5], 0.0, 1.0)
@@ -129,9 +228,12 @@ class TestExtrapolation:
     def test_value_and_slope_continuous_at_bounds(self, interior, lo, hi):
         kv = build_knot_vector(interior, lo, hi)
         t, p, n = kv.augmented, kv.degree, kv.basis_count
-        (val_lo, der_lo), (val_hi, der_hi) = _boundary_extension(kv)
+        val_lo, val_hi = eval_basis_matrix(kv, [lo, hi])
         npt.assert_array_equal(val_lo, np.eye(n)[0])
         npt.assert_array_equal(val_hi, np.eye(n)[n - 1])
+        # The derivative rows cover the first and the last p+1 columns.
+        der_lo, der_hi = np.zeros(n), np.zeros(n)
+        der_lo[: p + 1], der_hi[n - p - 1 :] = _boundary_extension(kv)[1]
         # Closed form of the clamped end derivatives: only the two outermost
         # basis functions move, by -+p over the width of the end span.
         expected_lo = np.zeros(n)
@@ -183,6 +285,16 @@ class TestDesignMatrix:
         kv = build_knot_vector([], 0.0, 1.0)
         with pytest.raises(ValueError, match="columns"):
             design_matrix(np.zeros((3, 2)), [kv])
+
+    @pytest.mark.parametrize("case", list(ORACLE_CASES))
+    def test_matches_dense_oracle_bit_for_bit(self, case):
+        bases, X = ORACLE_CASES[case]
+        expected = oracle_design(X, bases)
+        got = design_matrix(X, bases)
+        assert got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
+        for j, kv in enumerate(bases):
+            assert eval_basis_matrix(kv, X[:, j]).tobytes() == oracle_basis(kv, X[:, j]).tobytes()
 
 
 class TestPenaltyBlock:
