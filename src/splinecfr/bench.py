@@ -14,15 +14,23 @@ file precisely so the other outputs stay byte-for-byte reproducible.
 
 from __future__ import annotations
 
-import csv
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .cfr_core import CFracModel, FitConfig, fit
-from .data_io import Dataset, SplitPair, load_csv, split_out_of_domain, split_out_of_sample
+from .data_io import (
+    DEFAULT_TARGET,
+    Dataset,
+    SplitPair,
+    load_csv,
+    read_numeric_table,
+    split_out_of_domain,
+    split_out_of_sample,
+)
 from .errors import DataError
 from .evaluation import (
     MethodSummary,
@@ -52,7 +60,7 @@ class ExperimentConfig:
     """Everything cmd_bench needs to reproduce an experiment."""
 
     data: str
-    target: str = "critical_temp"
+    target: str = DEFAULT_TARGET
     protocol: str = "oos"
     runs: int = 100
     base_seed: int = 0
@@ -66,55 +74,29 @@ class ExperimentConfig:
             raise ValueError(f"protocol must be 'oos' or 'ood', got {self.protocol!r}")
         if self.runs < 1:
             raise ValueError(f"runs must be at least 1, got {self.runs}")
+        if self.base_seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.base_seed}")
         if not 0.0 < self.quantile < 1.0:
             raise ValueError(f"quantile must be inside (0, 1), got {self.quantile}")
 
 
-def load_prediction_file(path: str, method_name: str | None = None) -> dict[int, PredictionSet]:
+def load_prediction_file(path: str) -> dict[int, PredictionSet]:
     """Parse run_id,row_id,y_true,y_pred rows into per-run prediction sets.
 
-    Rows within a run are ordered by row_id. The method name defaults to the
-    file name without its extension.
+    Rows within a run are ordered by row_id. The method name is the file
+    name without its extension.
     """
-    name = method_name or Path(path).stem
-    try:
-        fh = open(path, newline="", encoding="utf-8")
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc.strerror or exc}") from exc
-    with fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise DataError(f"{path}: empty file")
-        expected = ["run_id", "row_id", "y_true", "y_pred"]
-        if [h.strip() for h in header] != expected:
-            raise DataError(f"{path}: expected header {','.join(expected)}")
-        runs: dict[int, list[tuple[int, float, float]]] = {}
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 4:
-                raise DataError(f"{path} line {lineno}: expected 4 cells, got {len(row)}")
-            try:
-                rid = int(row[0])
-                row_id = int(row[1])
-                y_true = float(row[2])
-                y_pred = float(row[3])
-            except ValueError as exc:
-                raise DataError(f"{path} line {lineno}: {exc}") from exc
-            runs.setdefault(rid, []).append((row_id, y_true, y_pred))
-    if not runs:
-        raise DataError(f"{path}: no data rows")
-    out: dict[int, PredictionSet] = {}
-    for rid, triples in runs.items():
-        triples.sort(key=lambda t: t[0])
-        out[rid] = PredictionSet(
-            method_name=name,
-            y_true=np.array([t[1] for t in triples]),
-            y_pred=np.array([t[2] for t in triples]),
-            run_id=rid,
-        )
-    return out
+    expected = ["run_id", "row_id", "y_true", "y_pred"]
+    names, data = read_numeric_table(path, integer_columns=expected[:2])
+    if names != expected:
+        raise DataError(f"{path}: expected header {','.join(expected)}")
+    # Stable: by run, then by row_id within a run, ties in file order.
+    data = data[np.lexsort((data[:, 1], data[:, 0]))]
+    run_ids, starts = np.unique(data[:, 0], return_index=True)
+    return {
+        int(rid): PredictionSet(Path(path).stem, rows[:, 2], rows[:, 3])
+        for rid, rows in zip(run_ids, np.split(data, starts[1:]))
+    }
 
 
 def load_prediction_files(
@@ -132,6 +114,14 @@ def load_prediction_files(
             raise DataError(f"duplicate method name {name!r} among prediction files")
         out[name] = sets
     return out
+
+
+def same_y_true(a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether two y_true vectors describe the same rows (to 1e-8 absolute)."""
+    return a.shape == b.shape and np.allclose(a, b, atol=1e-8, rtol=0.0)
+
+
+KAPPA_HEADER = ["rater_1", "rater_2", "kappa", "agreement"]
 
 
 def pairwise_kappa(labels: dict[str, np.ndarray]) -> list[tuple[str, str, float, str]]:
@@ -252,9 +242,7 @@ def _one_run(
         if run_id not in sets:
             raise DataError(f"prediction file for {name!r} has no rows for this run")
         pset = sets[run_id]
-        if pset.y_true.shape[0] != y_test.shape[0] or not np.allclose(
-            pset.y_true, y_test, atol=1e-8, rtol=0.0
-        ):
+        if not same_y_true(pset.y_true, y_test):
             raise DataError(
                 f"prediction file for {name!r} disagrees with the split's y_true; "
                 "was it generated with the same protocol and seed?"
@@ -267,11 +255,21 @@ def _one_run(
     return out
 
 
+def write_tables(
+    out_dir: str | Path, tables: dict[str, tuple[Sequence[str], Iterable[Sequence]]]
+) -> list[Path]:
+    """Write each ``name: (header, rows)`` as the CSV file ``out_dir/name``;
+    returns the written paths."""
+    written = []
+    for name, (header, rows) in tables.items():
+        path = Path(out_dir) / name
+        atomic_write_text(path, csv_text(header, rows))
+        written.append(path)
+    return written
+
+
 def write_bench_outputs(result: BenchResult, out_dir: str | Path, protocol: str) -> list[Path]:
     """Write the report tables; returns the written paths."""
-    out_dir = Path(out_dir)
-    written = []
-
     header = ["method", "run_id", "seed", "rmse", "mean_relative_error"]
     if protocol == "ood":
         header += ["p_count", "n_count", "beyond_training_max", "threshold"]
@@ -281,51 +279,21 @@ def write_bench_outputs(result: BenchResult, out_dir: str | Path, protocol: str)
         if protocol == "ood":
             row += [rep.p_count, rep.n_count, rep.beyond_training_max, rep.threshold]
         rows.append(row)
-    path = out_dir / "run_reports.csv"
-    atomic_write_text(path, csv_text(header, rows))
-    written.append(path)
-
-    path = out_dir / "aggregate.csv"
-    atomic_write_text(
-        path,
-        csv_text(
+    tables = {
+        "run_reports.csv": (header, rows),
+        "aggregate.csv": (
             ["method", "median_rmse", "std_rmse", "runs"],
-            [
-                (s.method_name, s.median_rmse, s.std_rmse, s.run_count)
-                for s in result.summaries
-            ],
+            [(s.method_name, s.median_rmse, s.std_rmse, s.run_count) for s in result.summaries],
         ),
-    )
-    written.append(path)
-
-    path = out_dir / "rank_matrix.csv"
-    atomic_write_text(
-        path,
-        csv_text(
+        "rank_matrix.csv": (
             ["run_id", *result.rank_methods],
-            [
-                [rid, *result.ranks[i]]
-                for i, rid in enumerate(result.rank_run_ids)
-            ],
+            [[rid, *result.ranks[i]] for i, rid in enumerate(result.rank_run_ids)],
         ),
-    )
-    written.append(path)
-
+    }
     if protocol == "ood":
-        path = out_dir / "kappa.csv"
-        atomic_write_text(
-            path,
-            csv_text(["rater_1", "rater_2", "kappa", "agreement"], result.kappa_rows),
-        )
-        written.append(path)
-
-    path = out_dir / "timings.csv"
-    atomic_write_text(
-        path,
-        csv_text(
-            ["method", "run_id", "fit_seconds"],
-            [(r.method_name, r.run_id, r.fit_seconds) for r in result.reports],
-        ),
+        tables["kappa.csv"] = (KAPPA_HEADER, result.kappa_rows)
+    tables["timings.csv"] = (
+        ["method", "run_id", "fit_seconds"],
+        [(r.method_name, r.run_id, r.fit_seconds) for r in result.reports],
     )
-    written.append(path)
-    return written
+    return write_tables(out_dir, tables)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import bisect
 import json
+import math
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -408,7 +409,19 @@ class _DocReader:
     def number(self) -> float:
         if not isinstance(self.doc, (int, float)) or isinstance(self.doc, bool):
             raise ModelFormatError(f"{self.path}: expected a number")
-        return float(self.doc)
+        try:
+            value = float(self.doc)
+        except OverflowError:  # an integer beyond the float range
+            value = math.inf
+        if not math.isfinite(value):
+            raise ModelFormatError(f"{self.path}: expected a finite number, got {value}")
+        return value
+
+    def positive(self) -> float:
+        value = self.number()
+        if value <= 0:
+            raise ModelFormatError(f"{self.path}: expected a positive number, got {value}")
+        return value
 
     def integer(self) -> int:
         if not isinstance(self.doc, int) or isinstance(self.doc, bool):
@@ -507,11 +520,11 @@ def deserialize(text: str) -> CFracModel:
     if not isinstance(layers[0].model, LinearModel):
         raise ModelFormatError("model.layers[0]: the first layer must be linear")
     return CFracModel(
-        norm=root.child("norm").number(),
+        norm=root.child("norm").positive(),
         layers=layers,
         feature_bounds=bounds,
         training_target_max=root.child("training_target_max").number(),
-        denom_floor=root.child("denom_floor").number(),
+        denom_floor=root.child("denom_floor").positive(),
         literal_final_offset=root.child("literal_final_offset").boolean(),
         feature_names=feature_names,
         target_name=target_name,

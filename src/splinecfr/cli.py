@@ -11,17 +11,20 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from .bench import (
+    KAPPA_HEADER,
     ExperimentConfig,
     load_prediction_files,
     pairwise_kappa,
     run_benchmark,
+    same_y_true,
     write_bench_outputs,
+    write_tables,
 )
 from .cfr_core import (
     FitConfig,
@@ -30,16 +33,14 @@ from .cfr_core import (
     serialize,
     training_rmse_by_depth,
 )
-from .data_io import gen_gamma, gen_sinc, load_csv, read_numeric_table
+from .data_io import DEFAULT_TARGET, gen_gamma, gen_sinc, load_csv, read_numeric_table
 from .errors import DataError, SplineCfrError
 from .evaluation import PredictionSet, threshold_counts, top_k_table
 from .fileio import atomic_write_text, csv_text, format_cell
 
-_UNSET = object()
-
-# name -> (config-file key, parser)
 _BOOL_TRUE = {"1", "true", "yes", "on"}
 _BOOL_FALSE = {"0", "false", "no", "off"}
+_FIT_FIELDS = {f.name for f in fields(FitConfig)}
 
 
 def _parse_bool(text: str) -> bool:
@@ -48,7 +49,7 @@ def _parse_bool(text: str) -> bool:
         return True
     if lowered in _BOOL_FALSE:
         return False
-    raise DataError(f"expected a boolean, got {text!r}")
+    raise ValueError(f"expected a boolean, got {text!r}")
 
 
 def _load_config_file(path: str) -> dict[str, str]:
@@ -65,8 +66,6 @@ def _load_config_file(path: str) -> dict[str, str]:
             raise DataError(f"{path} line {lineno}: expected key = value")
         key, value = line.split("=", 1)
         key = key.strip().replace("-", "_")
-        if key == "lambda":  # the flag is --lambda; internally the field is lam
-            key = "lam"
         if not key:
             raise DataError(f"{path} line {lineno}: empty key")
         if key in out:
@@ -75,80 +74,76 @@ def _load_config_file(path: str) -> dict[str, str]:
     return out
 
 
-class _Settings:
-    """Flag values with config-file fallback and hard defaults."""
+def _config_keys(actions: list[argparse.Action]) -> dict[str, argparse.Action]:
+    """Config-file key (the flag name, dashes as underscores) -> its action."""
+    return {a.option_strings[0].lstrip("-").replace("-", "_"): a for a in actions}
 
-    def __init__(self, args: argparse.Namespace):
-        self.args = args
-        self.config = _load_config_file(args.config) if getattr(args, "config", None) else {}
-        self.known_keys: set[str] = set()
 
-    def get(self, name: str, default, parse):
-        self.known_keys.add(name)
-        flag_value = getattr(self.args, name, _UNSET)
-        if flag_value is not _UNSET and flag_value is not None:
-            return flag_value
-        if name in self.config:
-            raw = self.config[name]
+def _parse_config_value(action: argparse.Action, text: str):
+    """Parse a config value the way argparse parses the flag's arguments."""
+    if action.nargs == 0:  # store_true
+        return _parse_bool(text)
+    if action.nargs == "*":
+        return text.split()
+    return action.type(text) if action.type else text
+
+
+def _given_settings(args: argparse.Namespace) -> dict[str, object]:
+    """The values set by a flag or, failing that, by the --config file, by dest.
+
+    Settings given by neither are left out, so their defaults come from the
+    config dataclasses.
+    """
+    config = _load_config_file(args.config) if args.config else {}
+    given = {}
+    for key, action in args.config_keys.items():
+        value = getattr(args, action.dest)
+        if value is None and key in config:
             try:
-                return parse(raw)
-            except (ValueError, TypeError) as exc:
-                raise DataError(f"config key {name!r}: {exc}") from exc
-        return default
-
-    def reject_unknown_keys(self) -> None:
-        unknown = set(self.config) - self.known_keys
-        if unknown:
-            raise DataError(f"unknown config keys: {', '.join(sorted(unknown))}")
-
-
-def _add_fit_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--lambda", dest="lam", type=float, default=None,
-                        help="roughness penalty weight (default 0.5)")
-    parser.add_argument("--knots", type=int, default=None,
-                        help="new knot sites per depth per variable (default 5)")
-    parser.add_argument("--norm", type=float, default=None,
-                        help="target scale divisor (default 1000)")
-    parser.add_argument("--max-depth", dest="max_depth", type=int, default=None,
-                        help="number of spline layers (default 5)")
-    parser.add_argument("--auto-depth", dest="auto_depth", action="store_true", default=None,
-                        help="truncate at the depth where training error first worsens")
-    parser.add_argument("--offset-epsilon", dest="offset_epsilon", type=float, default=None,
-                        help="slack added to residual offsets (default 1e-3)")
-    parser.add_argument("--denom-floor", dest="denom_floor", type=float, default=None,
-                        help="minimum denominator magnitude during evaluation (default 1e-6)")
-    parser.add_argument("--literal-final-offset", dest="literal_final_offset",
-                        action="store_true", default=None,
-                        help="subtract the deepest layer's offset too")
-    parser.add_argument("--config", default=None, help="key = value file supplying defaults")
+                value = _parse_config_value(action, config[key])
+            except ValueError as exc:
+                raise DataError(f"config key {key!r}: {exc}") from exc
+        if value is not None:
+            given[action.dest] = tuple(value) if action.nargs == "*" else value
+    unknown = set(config) - set(args.config_keys)
+    if unknown:
+        raise DataError(f"unknown config keys: {', '.join(sorted(unknown))}")
+    return given
 
 
-def _fit_config(settings: _Settings) -> FitConfig:
-    defaults = FitConfig()
+def _build(cls, kwargs: dict):
+    """``cls(**kwargs)``, with a rejected value reported as a usage error."""
     try:
-        return FitConfig(
-            lam=settings.get("lam", defaults.lam, float),
-            knots_per_depth=settings.get("knots", defaults.knots_per_depth, int),
-            norm=settings.get("norm", defaults.norm, float),
-            max_depth=settings.get("max_depth", defaults.max_depth, int),
-            auto_depth=settings.get("auto_depth", defaults.auto_depth, _parse_bool),
-            offset_epsilon=settings.get("offset_epsilon", defaults.offset_epsilon, float),
-            denom_floor=settings.get("denom_floor", defaults.denom_floor, float),
-            literal_final_offset=settings.get(
-                "literal_final_offset", defaults.literal_final_offset, _parse_bool
-            ),
-        )
+        return cls(**kwargs)
     except ValueError as exc:
         raise DataError(str(exc)) from exc
 
 
+def _add_fit_flags(parser: argparse.ArgumentParser) -> list[argparse.Action]:
+    add = parser.add_argument
+    return [
+        add("--lambda", dest="lam", type=float, help="roughness penalty weight (default 0.5)"),
+        add("--knots", dest="knots_per_depth", metavar="KNOTS", type=int,
+            help="new knot sites per depth per variable (default 5)"),
+        add("--norm", type=float, help="target scale divisor (default 1000)"),
+        add("--max-depth", type=int, help="number of spline layers (default 5)"),
+        add("--auto-depth", action="store_true", default=None,
+            help="truncate at the depth where training error first worsens"),
+        add("--offset-epsilon", type=float,
+            help="slack added to residual offsets (default 1e-3)"),
+        add("--denom-floor", type=float,
+            help="minimum denominator magnitude during evaluation (default 1e-6)"),
+        add("--literal-final-offset", action="store_true", default=None,
+            help="subtract the deepest layer's offset too"),
+    ]
+
+
 def cmd_fit(args: argparse.Namespace) -> int:
-    settings = _Settings(args)
-    data = settings.get("data", None, str)
-    target = settings.get("target", "critical_temp", str)
-    out_dir = Path(settings.get("out_dir", ".", str))
-    config = _fit_config(settings)
-    settings.reject_unknown_keys()
+    settings = _given_settings(args)
+    data = settings.pop("data", None)
+    target = settings.pop("target", DEFAULT_TARGET)
+    out_dir = Path(settings.pop("out_dir", "."))
+    config = _build(FitConfig, settings)
     if not data:
         raise DataError("--data is required")
 
@@ -217,27 +212,11 @@ def cmd_predict(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    settings = _Settings(args)
-    data = settings.get("data", None, str)
-    cfg_kwargs = dict(
-        target=settings.get("target", "critical_temp", str),
-        protocol=settings.get("protocol", "oos", str),
-        runs=settings.get("runs", 100, int),
-        base_seed=settings.get("seed", 0, int),
-        quantile=settings.get("quantile", 0.9, float),
-        out_dir=settings.get("out_dir", "bench_out", str),
-        fit=_fit_config(settings),
-        predictions=tuple(
-            settings.get("predictions", (), lambda s: tuple(s.split()))
-        ),
-    )
-    settings.reject_unknown_keys()
-    if not data:
+    settings = _given_settings(args)
+    fit_config = _build(FitConfig, {k: settings.pop(k) for k in _FIT_FIELDS & set(settings)})
+    if not settings.get("data"):
         raise DataError("--data is required")
-    try:
-        cfg = ExperimentConfig(data=data, **cfg_kwargs)
-    except ValueError as exc:
-        raise DataError(str(exc)) from exc
+    cfg = _build(ExperimentConfig, dict(settings, fit=fit_config))
     result = run_benchmark(cfg)
     written = write_bench_outputs(result, cfg.out_dir, cfg.protocol)
     for summary in result.summaries:
@@ -270,7 +249,6 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    out_dir = Path(args.out_dir)
     per_method = load_prediction_files(args.predictions)
 
     # Pool runs (or take the one selected); check y_true consistency per run.
@@ -284,12 +262,8 @@ def cmd_report(args: argparse.Namespace) -> int:
                 raise DataError(f"method {name!r} has no rows for run {run_filter}")
             run_ids = [run_filter]
         for rid in run_ids:
-            seen = reference.get(rid)
-            if seen is None:
-                reference[rid] = sets[rid].y_true
-            elif seen.shape != sets[rid].y_true.shape or not np.allclose(
-                seen, sets[rid].y_true, atol=1e-8, rtol=0.0
-            ):
+            seen = reference.setdefault(rid, sets[rid].y_true)
+            if not same_y_true(seen, sets[rid].y_true):
                 raise DataError(
                     f"inconsistent y_true across prediction files for run {rid}"
                 )
@@ -313,35 +287,22 @@ def cmd_report(args: argparse.Namespace) -> int:
         summary_rows.append(
             (name, table.mean_true, table.mean_pred, table.mean_relative_error, table.rmse)
         )
-    atomic_write_text(
-        out_dir / "top_k.csv",
-        csv_text(["method", "rank", "row_id", "y_true", "y_pred"], topk_rows),
-    )
-    atomic_write_text(
-        out_dir / "top_k_summary.csv",
-        csv_text(
-            ["method", "mean_true", "mean_pred", "mean_relative_error", "rmse"],
-            summary_rows,
-        ),
-    )
-
-    pn_rows = []
-    for name, pset in pooled.items():
-        p, n_neg = threshold_counts(pset.y_pred, args.threshold)
-        pn_rows.append((name, p, n_neg))
-    atomic_write_text(
-        out_dir / "pn_counts.csv", csv_text(["method", "p_count", "n_count"], pn_rows)
-    )
-
+    pn_rows = [(name, *threshold_counts(pset.y_pred, args.threshold))
+               for name, pset in pooled.items()]
     kappa_rows = pairwise_kappa(
         {name: pset.y_pred >= args.threshold for name, pset in pooled.items()}
     )
-    atomic_write_text(
-        out_dir / "kappa.csv",
-        csv_text(["rater_1", "rater_2", "kappa", "agreement"], kappa_rows),
-    )
-    for name in ("top_k.csv", "top_k_summary.csv", "pn_counts.csv", "kappa.csv"):
-        print(f"wrote {out_dir / name}")
+    written = write_tables(args.out_dir, {
+        "top_k.csv": (["method", "rank", "row_id", "y_true", "y_pred"], topk_rows),
+        "top_k_summary.csv": (
+            ["method", "mean_true", "mean_pred", "mean_relative_error", "rmse"],
+            summary_rows,
+        ),
+        "pn_counts.csv": (["method", "p_count", "n_count"], pn_rows),
+        "kappa.csv": (KAPPA_HEADER, kappa_rows),
+    })
+    for path in written:
+        print(f"wrote {path}")
     return 0
 
 
@@ -353,12 +314,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("fit", help="fit a model on a CSV and save it")
-    p.add_argument("--data", default=None, help="training CSV")
-    p.add_argument("--target", default=None, help="target column name (default critical_temp)")
-    p.add_argument("--out-dir", dest="out_dir", default=None,
-                   help="where model.json and fit_log.txt go (default .)")
-    _add_fit_flags(p)
-    p.set_defaults(func=cmd_fit)
+    settings = [
+        p.add_argument("--data", help="training CSV"),
+        p.add_argument("--target", help="target column name (default critical_temp)"),
+        p.add_argument("--out-dir", help="where model.json and fit_log.txt go (default .)"),
+        *_add_fit_flags(p),
+    ]
+    p.add_argument("--config", help="key = value file supplying defaults")
+    p.set_defaults(func=cmd_fit, config_keys=_config_keys(settings))
 
     p = sub.add_parser("predict", help="apply a saved model to a CSV")
     p.add_argument("--model", required=True, help="model.json path")
@@ -367,19 +330,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("bench", help="multi-run benchmark against an OLS baseline")
-    p.add_argument("--data", default=None, help="dataset CSV")
-    p.add_argument("--target", default=None, help="target column name (default critical_temp)")
-    p.add_argument("--protocol", choices=("oos", "ood"), default=None,
-                   help="out-of-sample (shuffled 2/3-1/3) or out-of-domain (low train, high test)")
-    p.add_argument("--runs", type=int, default=None, help="number of runs (default 100)")
-    p.add_argument("--seed", type=int, default=None, help="base seed; run r uses seed+r")
-    p.add_argument("--quantile", type=float, default=None,
-                   help="ood train-pool share (default 0.9)")
-    p.add_argument("--out-dir", dest="out_dir", default=None, help="report directory")
-    p.add_argument("--predictions", nargs="*", default=None,
-                   help="external prediction CSVs (run_id,row_id,y_true,y_pred)")
-    _add_fit_flags(p)
-    p.set_defaults(func=cmd_bench)
+    settings = [
+        p.add_argument("--data", help="dataset CSV"),
+        p.add_argument("--target", help="target column name (default critical_temp)"),
+        p.add_argument("--protocol", choices=("oos", "ood"),
+                       help="out-of-sample (shuffled 2/3-1/3) or out-of-domain "
+                       "(low train, high test)"),
+        p.add_argument("--runs", type=int, help="number of runs (default 100)"),
+        p.add_argument("--seed", dest="base_seed", metavar="SEED", type=int,
+                       help="base seed; run r uses seed+r"),
+        p.add_argument("--quantile", type=float, help="ood train-pool share (default 0.9)"),
+        p.add_argument("--out-dir", help="report directory"),
+        p.add_argument("--predictions", nargs="*",
+                       help="external prediction CSVs (run_id,row_id,y_true,y_pred)"),
+        *_add_fit_flags(p),
+    ]
+    p.add_argument("--config", help="key = value file supplying defaults")
+    p.set_defaults(func=cmd_bench, config_keys=_config_keys(settings))
 
     p = sub.add_parser("synth", help="generate a synthetic dataset CSV")
     p.add_argument("kind", choices=("gamma", "sinc"))

@@ -16,6 +16,11 @@ import numpy as np
 
 from .errors import DataError
 
+DEFAULT_TARGET = "critical_temp"
+
+# Share of each out-of-domain pool that a split keeps.
+_OOD_SUBSAMPLE = 0.5
+
 
 @dataclass(frozen=True, eq=False)
 class Dataset:
@@ -59,15 +64,17 @@ class SplitPair:
     train: Dataset
     test: Dataset
     protocol: str
-    seed: int
     threshold: float | None = None
 
 
-def read_numeric_table(path: str) -> tuple[list[str], np.ndarray]:
+def read_numeric_table(
+    path: str, integer_columns: Sequence[str] = ()
+) -> tuple[list[str], np.ndarray]:
     """Read a CSV with a header row into column names and a float matrix.
 
-    Every cell must parse as a finite number; failures are reported with the
-    line number and column name.
+    Every cell must parse as a finite number, and every cell of a column
+    named in ``integer_columns`` as a whole number; failures are reported
+    with the line number and column name.
     """
     try:
         fh = open(path, newline="", encoding="utf-8")
@@ -111,10 +118,17 @@ def read_numeric_table(path: str) -> tuple[list[str], np.ndarray]:
         raise DataError(
             f"{path} line {rows[i][0]}, column {names[j]!r}: non-finite value"
         )
+    for j in [names.index(nm) for nm in integer_columns if nm in names]:
+        fractional = np.flatnonzero(data[:, j] != np.floor(data[:, j]))
+        if fractional.size:
+            lineno, row = rows[fractional[0]]
+            raise DataError(
+                f"{path} line {lineno}, column {names[j]!r}: expected an integer, got {row[j]!r}"
+            )
     return names, data
 
 
-def load_csv(path: str, target_column: str = "critical_temp") -> Dataset:
+def load_csv(path: str, target_column: str = DEFAULT_TARGET) -> Dataset:
     """Load a numeric CSV, splitting off ``target_column`` as the target."""
     names, data = read_numeric_table(path)
     if target_column not in names:
@@ -142,26 +156,21 @@ def split_out_of_sample(ds: Dataset, seed: int) -> SplitPair:
         train=ds.take(perm[:cut]),
         test=ds.take(perm[cut:]),
         protocol="out_of_sample",
-        seed=seed,
     )
 
 
-def split_out_of_domain(
-    ds: Dataset, quantile: float = 0.9, seed: int = 0, subsample: float = 0.5
-) -> SplitPair:
+def split_out_of_domain(ds: Dataset, quantile: float = 0.9, seed: int = 0) -> SplitPair:
     """Train on low targets, test strictly above them.
 
     Rows are sorted by target (stable, so ties keep their original order);
     the top ``1 - quantile`` share becomes the test pool and everything
     below it the train pool. Rows tied with the train pool's maximum join
     the train pool so that every test target is strictly above every train
-    target. A seed-determined ``subsample`` share of each pool is returned;
+    target. A seed-determined half of each pool is returned;
     the threshold is the smallest test-pool target.
     """
     if not 0.0 < quantile < 1.0:
         raise ValueError(f"quantile must be inside (0, 1), got {quantile}")
-    if not 0.0 < subsample <= 1.0:
-        raise ValueError(f"subsample must be inside (0, 1], got {subsample}")
     if np.unique(ds.target).size < 2:
         raise ValueError("target is constant; an out-of-domain split needs distinct values")
     order = np.argsort(ds.target, kind="stable")
@@ -182,15 +191,14 @@ def split_out_of_domain(
     test_pool = order[cut:]
     threshold = float(sorted_targets[cut])
     rng = np.random.default_rng(seed)
-    n_train = max(1, int(math.floor(len(train_pool) * subsample + 1e-9)))
-    n_test = max(1, int(math.floor(len(test_pool) * subsample + 1e-9)))
+    n_train = max(1, int(math.floor(len(train_pool) * _OOD_SUBSAMPLE + 1e-9)))
+    n_test = max(1, int(math.floor(len(test_pool) * _OOD_SUBSAMPLE + 1e-9)))
     train_idx = rng.permutation(train_pool)[:n_train]
     test_idx = rng.permutation(test_pool)[:n_test]
     return SplitPair(
         train=ds.take(train_idx),
         test=ds.take(test_idx),
         protocol="out_of_domain",
-        seed=seed,
         threshold=threshold,
     )
 

@@ -15,8 +15,6 @@ class PredictionSet:
     method_name: str
     y_true: np.ndarray
     y_pred: np.ndarray
-    run_id: int = 0
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.y_true.ndim != 1 or self.y_pred.ndim != 1:
@@ -61,7 +59,6 @@ class MethodSummary:
 class TopKTable:
     """The k samples a method is most confident are large, plus summaries."""
 
-    method_name: str
     row_indices: np.ndarray
     y_true: np.ndarray
     y_pred: np.ndarray
@@ -164,7 +161,6 @@ def top_k_table(predictions: PredictionSet, k: int = 20) -> TopKTable:
     t = predictions.y_true[order]
     p = predictions.y_pred[order]
     return TopKTable(
-        method_name=predictions.method_name,
         row_indices=order,
         y_true=t,
         y_pred=p,

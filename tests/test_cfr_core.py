@@ -382,6 +382,17 @@ class TestSerialization:
                 lambda d: spline_var(d).update(id=-1),
                 r"model\.layers\[1\]\.variables\[0\]\.id: .*got -1",
             ),
+            (lambda d: d.update(norm=float("nan")), r"model\.norm: expected a finite number"),
+            (lambda d: d.update(norm=-1000.0), r"model\.norm: expected a positive number"),
+            (lambda d: d.update(denom_floor=0.0), r"model\.denom_floor: expected a positive"),
+            (
+                lambda d: d.update(training_target_max=10**400),
+                r"model\.training_target_max: expected a finite number",
+            ),
+            (
+                lambda d: d["layers"][1]["coefficients"].__setitem__(0, float("inf")),
+                r"model\.layers\[1\]\.coefficients\[0\]: expected a finite number",
+            ),
         ]
         for corrupt, message in cases:
             doc = json.loads(text)

@@ -1,14 +1,16 @@
 """End-to-end runs of the command-line interface through main()."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+from splinecfr import cli
 from splinecfr.cli import main
-from splinecfr.cfr_core import deserialize
-from splinecfr.data_io import load_csv, split_out_of_sample
+from splinecfr.cfr_core import deserialize, fit
+from splinecfr.data_io import gen_sinc, load_csv, split_out_of_sample
 from splinecfr.fileio import csv_text
 
 
@@ -167,6 +169,9 @@ class TestExitCodes:
             ("model.layers[1].variables[0].id", lambda d: spline_var(d).update(id=2)),
             ("model.layers[1].variables[0].id", lambda d: spline_var(d).update(id=-1)),
             ("model.layers[0].coefficients", lambda d: d["layers"][0]["coefficients"].append(0.5)),
+            ("model.norm", lambda d: d.update(norm=float("nan"))),
+            ("model.norm", lambda d: d.update(norm=-1000.0)),
+            ("model.denom_floor", lambda d: d.update(denom_floor=0.0)),
         ]
         for field, corrupt in edits:
             bad = json.loads(text)
@@ -180,6 +185,15 @@ class TestExitCodes:
             assert code == 2, field
             assert field in capsys.readouterr().err
         assert not (tmp_path / "p.csv").exists()
+
+    def test_negative_bench_seed_is_a_usage_error(self, tmp_path, toy_csv, capsys):
+        code = main([
+            "bench", "--data", toy_csv, "--target", "y", "--seed", "-1",
+            "--out-dir", str(tmp_path / "b"),
+        ])
+        assert code == 2
+        assert "seed must be non-negative" in capsys.readouterr().err
+        assert not (tmp_path / "b").exists()
 
     def test_no_subcommand_is_a_usage_error(self, capsys):
         assert main([]) == 2
@@ -196,7 +210,87 @@ class TestExitCodes:
         assert "unknown config keys: mystery" in capsys.readouterr().err
 
 
+class _Captured(Exception):
+    """Raised by the stand-in run_benchmark once it has seen the config."""
+
+
+def built_settings(monkeypatch, argv):
+    """What a fit or bench command hands on for these arguments.
+
+    fit: the load_csv arguments, the FitConfig and the output directories
+    (nothing is read or written). bench: the ExperimentConfig.
+    """
+    seen = []
+    tiny = gen_sinc(30)
+
+    def capture_run(cfg):
+        seen.append(cfg)
+        raise _Captured
+
+    monkeypatch.setattr(cli, "load_csv", lambda path, target: seen.append((path, target)) or tiny)
+    monkeypatch.setattr(cli, "fit", lambda X, y, cfg: seen.append(cfg) or fit(X, y, cfg))
+    monkeypatch.setattr(cli, "atomic_write_text", lambda path, text: seen.append(Path(path).parent))
+    monkeypatch.setattr(cli, "run_benchmark", capture_run)
+    try:
+        assert main(argv) == 0
+    except _Captured:
+        pass
+    return seen
+
+
+# flag name -> (a value, another value); the first is never the default.
+FIT_OPTIONS = {
+    "data": ("a.csv", "b.csv"),
+    "target": ("t1", "t2"),
+    "out-dir": ("dir_a", "dir_b"),
+    "lambda": ("0.25", "0.125"),
+    "knots": ("3", "2"),
+    "norm": ("2.5", "4"),
+    "max-depth": ("2", "1"),
+    "auto-depth": ("true", "no"),
+    "offset-epsilon": ("0.01", "0.02"),
+    "denom-floor": ("0.0001", "0.001"),
+    "literal-final-offset": ("yes", "0"),
+}
+BENCH_OPTIONS = {
+    **FIT_OPTIONS,
+    "protocol": ("ood", "oos"),
+    "runs": ("3", "4"),
+    "seed": ("5", "6"),
+    "quantile": ("0.8", "0.7"),
+    "predictions": ("p.csv q.csv", "r.csv"),
+}
+
+
+def flag_argv(key, value):
+    if key in ("auto-depth", "literal-final-offset"):
+        return [f"--{key}"]  # switches; value is a true spelling in FIT_OPTIONS
+    return [f"--{key}", *value.split()]
+
+
 class TestConfigFile:
+    @pytest.mark.parametrize(
+        "command, key",
+        [("fit", k) for k in FIT_OPTIONS] + [("bench", k) for k in BENCH_OPTIONS],
+    )
+    def test_every_key_matches_its_flag(self, tmp_path, monkeypatch, command, key):
+        value, other = BENCH_OPTIONS[key]
+        base = [command] if key == "data" else [command, "--data", "d.csv"]
+        cfg = tmp_path / "run.cfg"
+        from_flag = built_settings(monkeypatch, [*base, *flag_argv(key, value)])
+        if key != "data":  # --data has no default
+            assert from_flag != built_settings(monkeypatch, base)
+
+        cfg.write_text(f"{key} = {value}\n")
+        assert built_settings(monkeypatch, [*base, "--config", str(cfg)]) == from_flag
+
+        # The underscore spelling is the same key, and an explicit flag wins.
+        cfg.write_text(f"{key.replace('-', '_')} = {other}\n")
+        flag_wins = built_settings(
+            monkeypatch, [*base, "--config", str(cfg), *flag_argv(key, value)]
+        )
+        assert flag_wins == from_flag
+
     def test_config_supplies_defaults_and_flags_win(self, tmp_path, toy_csv):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(
@@ -366,6 +460,27 @@ class TestReport:
         _, topk = read_rows(out / "top_k.csv")
         assert [r[4] for r in topk] == ["9.0"]
 
+    def test_row_order_in_the_file_does_not_matter(self, tmp_path):
+        rows = [(r, i, 10.0 * (i + 1), 30.0 * r + i) for r in (0, 1) for i in range(4)]
+        shuffled = [rows[k] for k in (5, 2, 7, 0, 3, 6, 1, 4)]
+        outputs = []
+        for name, content in (("sorted", rows), ("shuffled", shuffled)):
+            path = tmp_path / name / "m.csv"
+            path.parent.mkdir()
+            path.write_text(csv_text(["run_id", "row_id", "y_true", "y_pred"], content))
+            out = tmp_path / name / "rep"
+            assert main(["report", "--predictions", str(path), "--top-k", "8",
+                         "--out-dir", str(out)]) == 0
+            outputs.append((out / "top_k.csv").read_text())
+        assert outputs[0] == outputs[1]
+        # Runs pool in run order, rows within a run in row_id order.
+        ranked = [line.split(",")[2:] for line in outputs[0].splitlines()[1:]]
+        assert [r[0] for r in ranked] == ["7", "6", "5", "4", "3", "2", "1", "0"]
+        assert [r[2] for r in ranked] == [
+            "33.0", "32.0", "31.0", "30.0", "3.0", "2.0", "1.0", "0.0"
+        ]
+        assert [r[1] for r in ranked] == ["40.0", "30.0", "20.0", "10.0"] * 2
+
     def test_inconsistent_y_true_across_files(self, tmp_path, capsys):
         a = self.write_predictions(tmp_path / "a.csv", [1.0, 2.0, 3.0, 4.0])
         b = self.write_predictions(
@@ -374,6 +489,32 @@ class TestReport:
         code = main(["report", "--predictions", a, b, "--out-dir", str(tmp_path / "r")])
         assert code == 2
         assert "inconsistent y_true" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ([(0, 0, 10.0, 1.0), (0, 1, 20.0, "nan")], "line 3, column 'y_pred': non-finite"),
+            ([(0.5, 0, 10.0, 1.0)], "line 2, column 'run_id': expected an integer"),
+            ([(0, 1.25, 10.0, 1.0)], "line 2, column 'row_id': expected an integer"),
+        ],
+    )
+    def test_bad_prediction_cells_are_usage_errors(self, tmp_path, capsys, rows, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(csv_text(["run_id", "row_id", "y_true", "y_pred"], rows))
+        code = main(["report", "--predictions", str(path), "--out-dir", str(tmp_path / "r")])
+        assert code == 2
+        assert message in capsys.readouterr().err
+
+    def test_failed_report_writes_nothing(self, tmp_path, capsys):
+        a = self.write_predictions(tmp_path / "a.csv", [1.0, 2.0, 3.0, 4.0])
+        b = self.write_predictions(
+            tmp_path / "b.csv", [1.0, 2.0, 3.0], y_true=[10.0, 20.0, 30.0], run_id=1
+        )
+        out = tmp_path / "r"
+        code = main(["report", "--predictions", a, b, "--top-k", "1", "--out-dir", str(out)])
+        assert code == 2
+        assert "cover different rows" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
 
     def test_duplicate_method_names(self, tmp_path, capsys):
         sub = tmp_path / "sub"
