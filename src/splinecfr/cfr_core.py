@@ -16,12 +16,13 @@ from __future__ import annotations
 import bisect
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .errors import ModelFormatError
+from .evaluation import rmse
 from .solver import least_squares, penalized_least_squares
 from .spline_basis import (
     KNOT_DEDUP_TOL,
@@ -119,6 +120,12 @@ class CFracModel:
     ``feature_bounds`` records the training min/max of every feature column
     (constant columns included). ``feature_names``/``target_name`` are
     optional metadata used by the CLI to match CSV columns.
+
+    ``training_rmse`` is the fit's own record: entry d is the RMSE on the
+    training rows of the fraction cut back to ``layers[: d + 1]``, in
+    original target units, one entry per layer. :func:`fit` fills it; it is
+    not part of the model document, so a model read by :func:`deserialize`
+    has an empty record.
     """
 
     norm: float
@@ -129,6 +136,7 @@ class CFracModel:
     literal_final_offset: bool = False
     feature_names: tuple[str, ...] | None = None
     target_name: str | None = None
+    training_rmse: tuple[float, ...] = ()
 
     @property
     def depth(self) -> int:
@@ -149,17 +157,14 @@ class CFracModel:
         return [layer.model.evaluate(X) for layer in self.layers]
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        values = self.layer_values(X)
-        offsets = [layer.offset for layer in self.layers]
+        return self._fold(self.layer_values(X))
+
+    def _fold(self, values: Sequence[np.ndarray]) -> np.ndarray:
+        """Predictions of the fraction cut back to the first len(values) layers."""
+        offsets = [layer.offset for layer in self.layers[: len(values)]]
         return self.norm * _fold_fraction(
             values, offsets, self.denom_floor, self.literal_final_offset
         )
-
-    def truncated(self, depth: int) -> "CFracModel":
-        """The same model cut back to the given depth (0 = linear only)."""
-        if not 0 <= depth <= self.depth:
-            raise ValueError(f"depth must be in [0, {self.depth}], got {depth}")
-        return replace(self, layers=self.layers[: depth + 1])
 
 
 def _floor_denominator(den: np.ndarray, floor: float) -> np.ndarray:
@@ -275,9 +280,16 @@ def fit(X, y, config: FitConfig | None = None) -> CFracModel:
     offsets = [compute_offset(resid, config.offset_epsilon)]
     knots: dict[int, list[float]] = {j: [] for j in spline_vars}
     X_spline = X[:, spline_vars]
-    rmses = [_truncation_rmse(config, values, offsets, y)] if config.auto_depth else []
 
-    for _depth in range(1, config.max_depth + 1):
+    def fold() -> np.ndarray:
+        return config.norm * _fold_fraction(
+            values, offsets, config.denom_floor, config.literal_final_offset
+        )
+
+    train_pred = fold()
+    rmses = [rmse(y, train_pred)]
+    kept = config.max_depth + 1
+    for depth in range(1, config.max_depth + 1):
         target = 1.0 / (resid + offsets[-1])
         for p in select_knots(resid, config.knots_per_depth):
             for j in spline_vars:
@@ -292,44 +304,24 @@ def fit(X, y, config: FitConfig | None = None) -> CFracModel:
         del design
         resid = target - values[-1]
         offsets.append(compute_offset(resid, config.offset_epsilon))
-        if config.auto_depth:
-            rmses.append(_truncation_rmse(config, values, offsets, y))
-            if first_worsening_depth(rmses) is not None:
-                break
+        train_pred = fold()
+        rmses.append(rmse(y, train_pred))
+        if config.auto_depth and first_worsening_depth(rmses) is not None:
+            kept = depth  # this depth is the first worse than the one above it
+            break
 
-    train_pred = config.norm * _fold_fraction(
-        values, offsets, config.denom_floor, config.literal_final_offset
-    )
     if not np.isfinite(train_pred).all():
         raise ArithmeticError("training predictions are not finite")
 
-    stop = first_worsening_depth(rmses)
-    layers = tuple(DepthLayer(mod, off) for mod, off in zip(models, offsets))
     return CFracModel(
         norm=config.norm,
-        layers=layers if stop is None else layers[: stop + 1],
+        layers=tuple(DepthLayer(mod, off) for mod, off in zip(models[:kept], offsets)),
         feature_bounds=np.column_stack([lo, hi]),
         training_target_max=float(y.max()),
         denom_floor=config.denom_floor,
         literal_final_offset=config.literal_final_offset,
+        training_rmse=tuple(rmses[:kept]),
     )
-
-
-def _truncation_rmse(
-    settings: FitConfig | CFracModel,
-    values: Sequence[np.ndarray],
-    offsets: Sequence[float],
-    y: np.ndarray,
-) -> float:
-    """RMSE against ``y`` of the fraction folded from all of ``values``.
-
-    ``settings`` supplies ``norm``, ``denom_floor`` and
-    ``literal_final_offset``; a config and the model fitted with it agree.
-    """
-    pred = settings.norm * _fold_fraction(
-        values, offsets, settings.denom_floor, settings.literal_final_offset
-    )
-    return float(np.sqrt(np.mean((y - pred) ** 2)))
 
 
 def first_worsening_depth(rmses: Sequence[float]) -> int | None:
@@ -341,14 +333,12 @@ def first_worsening_depth(rmses: Sequence[float]) -> int | None:
 
 
 def training_rmse_by_depth(model: CFracModel, X, y) -> list[float]:
-    """RMSE of each truncation of ``model`` on (X, y), original target units."""
-    y = np.asarray(y, dtype=float)
+    """RMSE of each truncation of ``model`` on (X, y), original target units.
+
+    On the training rows this recomputes ``model.training_rmse``.
+    """
     values = model.layer_values(X)
-    offsets = [layer.offset for layer in model.layers]
-    return [
-        _truncation_rmse(model, values[: d + 1], offsets[: d + 1], y)
-        for d in range(len(values))
-    ]
+    return [rmse(y, model._fold(values[: d + 1])) for d in range(len(values))]
 
 
 # ---------------------------------------------------------------------------
@@ -511,8 +501,19 @@ def deserialize(text: str) -> CFracModel:
         if names_reader.doc is None
         else tuple(item.string() for item in names_reader.array())
     )
+    if feature_names is not None:
+        if len(feature_names) != bounds.shape[0]:
+            raise ModelFormatError(
+                f"{names_reader.path}: expected one name per feature_bounds row "
+                f"({bounds.shape[0]}), got {len(feature_names)}"
+            )
+        repeated = sorted({nm for nm in feature_names if feature_names.count(nm) > 1})
+        if repeated:
+            raise ModelFormatError(f"{names_reader.path}: repeated names {repeated}")
     target_reader = root.child("target_name")
     target_name = None if target_reader.doc is None else target_reader.string()
+    if target_name is not None and target_name in (feature_names or ()):
+        raise ModelFormatError(f"{target_reader.path}: {target_name!r} is also a feature name")
     layer_readers = root.child("layers").array()
     if not layer_readers:
         raise ModelFormatError("model.layers: expected at least one layer")

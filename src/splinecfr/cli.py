@@ -26,13 +26,7 @@ from .bench import (
     write_bench_outputs,
     write_tables,
 )
-from .cfr_core import (
-    FitConfig,
-    deserialize,
-    fit,
-    serialize,
-    training_rmse_by_depth,
-)
+from .cfr_core import FitConfig, deserialize, fit, serialize
 from .data_io import DEFAULT_TARGET, gen_gamma, gen_sinc, load_csv, read_numeric_table
 from .errors import DataError, SplineCfrError
 from .evaluation import PredictionSet, threshold_counts, top_k_table
@@ -154,13 +148,12 @@ def cmd_fit(args: argparse.Namespace) -> int:
     model = replace(model, feature_names=ds.feature_names, target_name=ds.target_name)
     atomic_write_text(out_dir / "model.json", serialize(model))
 
-    rmses = training_rmse_by_depth(model, ds.features, ds.target)
     lines = ["depth,train_rmse,interior_knots,offset"]
-    for d, layer in enumerate(model.layers):
+    for d, (layer, train_rmse) in enumerate(zip(model.layers, model.training_rmse)):
         knots = 0
         if hasattr(layer.model, "bases"):
             knots = sum(len(kv.interior) for kv in layer.model.bases)
-        lines.append(f"{d},{format_cell(rmses[d])},{knots},{format_cell(layer.offset)}")
+        lines.append(f"{d},{format_cell(train_rmse)},{knots},{format_cell(layer.offset)}")
     lines.append(f"fitted_depth,{model.depth}")
     lines.append(f"auto_depth,{format_cell(config.auto_depth)}")
     lines.append(f"wall_seconds,{format_cell(seconds)}")

@@ -1,9 +1,10 @@
 """Atomic file writing and CSV formatting helpers.
 
 Output files are written next to their final path and renamed into place,
-so a crash mid-write never leaves a partial artifact. Floats are rendered
-with ``repr`` (shortest round-trip form), which keeps byte-identical output
-for byte-identical computations.
+so a crash mid-write never leaves a partial artifact. Floats, numpy
+scalars included, are rendered as plain Python floats with ``repr``
+(shortest round-trip form), which keeps byte-identical output for
+byte-identical computations under any numpy version.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ def format_cell(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
-        return repr(value)
+        return repr(float(value))
     return str(value)
 
 

@@ -44,21 +44,20 @@ class KnotVector:
     interior: tuple[float, ...]
     lo: float
     hi: float
-    degree: int = DEGREE
 
     @property
     def augmented(self) -> np.ndarray:
-        """Full knot vector with degree+1 copies of each boundary."""
+        """Full knot vector with DEGREE+1 copies of each boundary."""
         return _augmented(self)
 
     @property
     def basis_count(self) -> int:
-        return len(self.interior) + self.degree + 1
+        return len(self.interior) + DEGREE + 1
 
 
 @lru_cache(maxsize=None)
 def _augmented(kv: KnotVector) -> np.ndarray:
-    ends = kv.degree + 1
+    ends = DEGREE + 1
     t = np.array((kv.lo,) * ends + kv.interior + (kv.hi,) * ends, dtype=float)
     t.setflags(write=False)
     return t
@@ -139,7 +138,7 @@ def _boundary_extension(kv: KnotVector) -> tuple[np.ndarray, np.ndarray]:
     support drops out).
     """
     t = kv.augmented
-    p = kv.degree
+    p = DEGREE
     ends = np.array([kv.lo, kv.hi])
     mu = _span_index(t, p, ends)
     val = np.column_stack(_span_values(t, p, ends, mu))
@@ -175,9 +174,7 @@ def _write_basis(out: np.ndarray, X: np.ndarray, bases: Sequence[KnotVector], co
     n, m = X.shape
     if n == 0 or m == 0:
         return
-    p = bases[0].degree
-    if any(kv.degree != p for kv in bases):
-        raise ValueError("all knot vectors of a design must share one degree")
+    p = DEGREE
     knots = [kv.augmented for kv in bases]
     t = np.concatenate(knots)
     edge = np.array([(kv.lo, kv.hi) for kv in bases])

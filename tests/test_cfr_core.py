@@ -273,9 +273,10 @@ class TestDepthControl:
         rmses = training_rmse_by_depth(full, ds_X, ds_y)
         stop = first_worsening_depth(rmses)
         expected_depth = full.depth if stop is None else stop
-        truncated = full.truncated(expected_depth)
+        truncated = replace(full, layers=full.layers[: expected_depth + 1])
         auto = fit(ds_X, ds_y, FitConfig(max_depth=6, norm=1.0, lam=0.1, auto_depth=True))
         assert auto.depth == expected_depth
+        assert auto.training_rmse == full.training_rmse[: expected_depth + 1]
         npt.assert_allclose(auto.predict(ds_X), truncated.predict(ds_X), atol=1e-12)
 
     def test_auto_depth_stops_fitting_at_first_worsening(self, monkeypatch):
@@ -294,14 +295,26 @@ class TestDepthControl:
         monkeypatch.setattr(cfr_core, "design_matrix", counting)
         auto = fit(X, y, replace(config, auto_depth=True))
         assert len(built) == stop + 1
-        assert serialize(auto) == serialize(full.truncated(stop))
+        assert serialize(auto) == serialize(replace(full, layers=full.layers[: stop + 1]))
+        assert auto.training_rmse == full.training_rmse[: stop + 1]
 
-    def test_truncation_bounds(self):
-        X, y = toy_data()
-        model = fit(X, y, FitConfig(max_depth=2))
-        with pytest.raises(ValueError, match="depth"):
-            model.truncated(3)
-        assert model.truncated(0).depth == 0
+    @pytest.mark.parametrize(
+        "config",
+        [
+            FitConfig(max_depth=4, norm=1.0, lam=0.1),
+            FitConfig(max_depth=6, norm=1.0, lam=0.1, auto_depth=True),
+            FitConfig(max_depth=3, norm=1.0, literal_final_offset=True),
+            FitConfig(max_depth=0),
+        ],
+        ids=["fixed", "auto", "literal-final-offset", "depth-zero"],
+    )
+    def test_training_rmse_is_recorded_per_kept_depth(self, config):
+        X, y = toy_data(n=60, seed=33)
+        model = fit(X, y, config)
+        assert len(model.training_rmse) == model.depth + 1
+        assert all(type(r) is float for r in model.training_rmse)
+        assert list(model.training_rmse) == training_rmse_by_depth(model, X, y)
+        assert deserialize(serialize(model)).training_rmse == ()
 
     def test_deeper_fits_train_tighter_on_gamma(self):
         from splinecfr.data_io import gen_gamma

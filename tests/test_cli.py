@@ -7,9 +7,9 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from splinecfr import cli
+from splinecfr import cfr_core, cli
 from splinecfr.cli import main
-from splinecfr.cfr_core import deserialize, fit
+from splinecfr.cfr_core import deserialize, fit, training_rmse_by_depth
 from splinecfr.data_io import gen_sinc, load_csv, split_out_of_sample
 from splinecfr.fileio import csv_text
 
@@ -70,6 +70,30 @@ class TestSynthFitPredict:
         expected = model.predict(ds.features)
         got = np.array([float(r[1]) for r in rows])
         npt.assert_allclose(got, expected, rtol=0.0, atol=0.0)
+
+    def test_fit_builds_each_design_once(self, tmp_path, toy_csv, monkeypatch):
+        built = []
+        original = cfr_core.design_matrix
+
+        def counting(*args, **kwargs):
+            built.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cfr_core, "design_matrix", counting)
+        fit_dir = tmp_path / "m"
+        assert main([
+            "fit", "--data", toy_csv, "--target", "y", "--out-dir", str(fit_dir),
+            "--max-depth", "2",
+        ]) == 0
+        assert len(built) == 2
+        # The log's train_rmse column comes from the fit's record and equals
+        # a fresh evaluation of the saved model.
+        ds = load_csv(toy_csv, "y")
+        model = deserialize((fit_dir / "model.json").read_text())
+        _, rows = read_rows(fit_dir / "fit_log.txt")
+        assert [float(r[1]) for r in rows[:3]] == training_rmse_by_depth(
+            model, ds.features, ds.target
+        )
 
     def test_predict_matches_columns_by_name(self, tmp_path, toy_csv):
         fit_dir = tmp_path / "m"
@@ -172,6 +196,10 @@ class TestExitCodes:
             ("model.norm", lambda d: d.update(norm=float("nan"))),
             ("model.norm", lambda d: d.update(norm=-1000.0)),
             ("model.denom_floor", lambda d: d.update(denom_floor=0.0)),
+            ("model.feature_names", lambda d: d.update(feature_names=["x0"])),
+            ("model.feature_names", lambda d: d.update(feature_names=["x0", "x1", "x2"])),
+            ("model.feature_names", lambda d: d.update(feature_names=["x0", "x0"])),
+            ("model.target_name", lambda d: d.update(target_name="x1")),
         ]
         for field, corrupt in edits:
             bad = json.loads(text)
@@ -336,6 +364,10 @@ class TestBench:
         assert len(rows) == 6  # 2 methods x 3 runs
         assert {r[0] for r in rows} == {"spline_cfr", "ols"}
         assert [r[2] for r in rows if r[0] == "spline_cfr"] == ["5", "6", "7"]
+        _, rows = read_rows(out / "rank_matrix.csv")
+        for row in rows:
+            for cell in row[1:]:
+                float(cell)  # plain numbers, not np.float64(...) reprs
 
         stdout = capsys.readouterr().out
         assert "spline_cfr: median rmse" in stdout

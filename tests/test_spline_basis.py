@@ -7,6 +7,7 @@ import numpy.testing as npt
 import pytest
 
 from splinecfr.spline_basis import (
+    DEGREE,
     KnotVector,
     _boundary_extension,
     build_knot_vector,
@@ -38,7 +39,7 @@ def random_knot_vector(rng):
 def oracle_basis(kv, x):
     """Dense reference: every basis function at every point, boundary rows
     continued linearly outside [lo, hi]."""
-    t, p = kv.augmented, kv.degree
+    t, p = kv.augmented, DEGREE
 
     def rows(degree, pts):
         count = len(t) - degree - 1
@@ -227,7 +228,7 @@ class TestExtrapolation:
     )
     def test_value_and_slope_continuous_at_bounds(self, interior, lo, hi):
         kv = build_knot_vector(interior, lo, hi)
-        t, p, n = kv.augmented, kv.degree, kv.basis_count
+        t, p, n = kv.augmented, DEGREE, kv.basis_count
         val_lo, val_hi = eval_basis_matrix(kv, [lo, hi])
         npt.assert_array_equal(val_lo, np.eye(n)[0])
         npt.assert_array_equal(val_hi, np.eye(n)[n - 1])
