@@ -306,7 +306,7 @@ def fit(X, y, config: FitConfig | None = None) -> CFracModel:
         offsets.append(compute_offset(resid, config.offset_epsilon))
         train_pred = fold()
         rmses.append(rmse(y, train_pred))
-        if config.auto_depth and first_worsening_depth(rmses) is not None:
+        if config.auto_depth and rmses[-1] > rmses[-2]:
             kept = depth  # this depth is the first worse than the one above it
             break
 
@@ -322,14 +322,6 @@ def fit(X, y, config: FitConfig | None = None) -> CFracModel:
         literal_final_offset=config.literal_final_offset,
         training_rmse=tuple(rmses[:kept]),
     )
-
-
-def first_worsening_depth(rmses: Sequence[float]) -> int | None:
-    """Smallest d with rmse[d+1] > rmse[d], or None if never worsening."""
-    for d in range(len(rmses) - 1):
-        if rmses[d + 1] > rmses[d]:
-            return d
-    return None
 
 
 def training_rmse_by_depth(model: CFracModel, X, y) -> list[float]:

@@ -88,7 +88,8 @@ def read_numeric_table(
         names = [h.strip() for h in header]
         if len(set(names)) != len(names):
             raise DataError(f"{path}: duplicate column names in header")
-        rows: list[tuple[int, list[str]]] = []
+        linenos: list[int] = []
+        rows: list[list[str]] = []
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue  # tolerate trailing blank lines
@@ -96,14 +97,15 @@ def read_numeric_table(
                 raise DataError(
                     f"{path} line {lineno}: expected {len(names)} cells, got {len(row)}"
                 )
-            rows.append((lineno, row))
+            linenos.append(lineno)
+            rows.append(row)
     if not rows:
         raise DataError(f"{path}: no data rows")
-    data = np.empty((len(rows), len(names)))
-    for i, (lineno, row) in enumerate(rows):
-        try:
-            data[i] = [float(cell) for cell in row]
-        except ValueError:
+    try:
+        # numpy parses each cell as float() does.
+        data = np.array(rows, dtype=float)
+    except ValueError:
+        for lineno, row in zip(linenos, rows):
             for j, cell in enumerate(row):
                 try:
                     float(cell)
@@ -112,18 +114,19 @@ def read_numeric_table(
                     raise DataError(
                         f"{path} line {lineno}, column {names[j]!r}: {what}"
                     ) from None
-            raise
+        raise
     if not np.isfinite(data).all():
         i, j = np.argwhere(~np.isfinite(data))[0]
         raise DataError(
-            f"{path} line {rows[i][0]}, column {names[j]!r}: non-finite value"
+            f"{path} line {linenos[i]}, column {names[j]!r}: non-finite value"
         )
     for j in [names.index(nm) for nm in integer_columns if nm in names]:
         fractional = np.flatnonzero(data[:, j] != np.floor(data[:, j]))
         if fractional.size:
-            lineno, row = rows[fractional[0]]
+            i = fractional[0]
             raise DataError(
-                f"{path} line {lineno}, column {names[j]!r}: expected an integer, got {row[j]!r}"
+                f"{path} line {linenos[i]}, column {names[j]!r}: "
+                f"expected an integer, got {rows[i][j]!r}"
             )
     return names, data
 

@@ -1,14 +1,16 @@
 """Atomic file writing and CSV formatting helpers.
 
 Output files are written next to their final path and renamed into place,
-so a crash mid-write never leaves a partial artifact. Floats, numpy
-scalars included, are rendered as plain Python floats with ``repr``
-(shortest round-trip form), which keeps byte-identical output for
-byte-identical computations under any numpy version.
+so a crash mid-write never leaves a partial artifact, and a failed write or
+rename removes its temporary file. Floats, numpy scalars included, are
+rendered as plain Python floats with ``repr`` (shortest round-trip form),
+which keeps byte-identical output for byte-identical computations under any
+numpy version.
 """
 
 from __future__ import annotations
 
+import contextlib
 import os
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -18,8 +20,13 @@ def atomic_write_text(path: str | Path, text: str) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
+    try:
+        tmp.write_text(text, encoding="utf-8")
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            tmp.unlink()
+        raise
 
 
 def format_cell(value) -> str:

@@ -15,8 +15,12 @@ time with all variables together, writes each point's four values into it.
 A point outside [lo, hi] writes the boundary values plus its distance to the
 boundary times the boundary derivative; both live on the end span, so it
 writes four values too. Every other entry stays zero, exactly as a dense
-evaluation of every basis function would leave it. ``eval_basis_matrix`` is
-the one-variable case of the same assembly.
+evaluation of every basis function would leave it.
+
+The module keeps no state between calls except the read-only penalty
+matrices, cached per size. Each ``design_matrix`` call computes the boundary
+values and derivatives of all its variables in one pass of the same kernel,
+so nothing keyed on a knot vector outlives the models that use it.
 """
 
 from __future__ import annotations
@@ -48,19 +52,12 @@ class KnotVector:
     @property
     def augmented(self) -> np.ndarray:
         """Full knot vector with DEGREE+1 copies of each boundary."""
-        return _augmented(self)
+        ends = DEGREE + 1
+        return np.array((self.lo,) * ends + self.interior + (self.hi,) * ends)
 
     @property
     def basis_count(self) -> int:
         return len(self.interior) + DEGREE + 1
-
-
-@lru_cache(maxsize=None)
-def _augmented(kv: KnotVector) -> np.ndarray:
-    ends = DEGREE + 1
-    t = np.array((kv.lo,) * ends + kv.interior + (kv.hi,) * ends, dtype=float)
-    t.setflags(write=False)
-    return t
 
 
 def build_knot_vector(interior: Iterable[float], lo: float, hi: float) -> KnotVector:
@@ -126,33 +123,30 @@ def _span_values(
     return vals
 
 
-@lru_cache(maxsize=None)
-def _boundary_extension(kv: KnotVector) -> tuple[np.ndarray, np.ndarray]:
-    """Cached basis values and one-sided derivatives at lo (row 0) and hi (row 1).
+def _span_values_and_slopes(
+    t: np.ndarray, x: np.ndarray, mu: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Basis values and derivatives at each point ``x[i]`` of span ``mu[i]``.
 
-    Each row covers the degree+1 columns of its end span (the first and the
-    last degree+1 basis functions), the only ones whose value or derivative
-    can be nonzero at that boundary. The derivative of basis function i is
-    p*N_i/a - p*N_{i+1}/b over the degree p-1 basis N, with
-    a = t[i+p] - t[i] and b = t[i+p+1] - t[i+1] (a term with a zero-width
-    support drops out).
+    Row i of each result covers the degree+1 columns of span ``mu[i]``, the
+    only ones whose value or derivative can be nonzero there; ``t`` may hold
+    several knot vectors back to back, as for :func:`_span_values`. At lo
+    and hi this is the one-sided derivative from inside [lo, hi]. The
+    derivative of basis function i is p*N_i/a - p*N_{i+1}/b over the degree
+    p-1 basis N, with a = t[i+p] - t[i] and b = t[i+p+1] - t[i+1] (a term
+    with a zero-width support drops out).
     """
-    t = kv.augmented
     p = DEGREE
-    ends = np.array([kv.lo, kv.hi])
-    mu = _span_index(t, p, ends)
-    val = np.column_stack(_span_values(t, p, ends, mu))
+    val = np.column_stack(_span_values(t, p, x, mu))
     # Degree p-1 values of functions mu-p .. mu+1 (same spans); the outer
     # two are zero.
-    lower = np.zeros((2, p + 2))
-    lower[:, 1:-1] = np.column_stack(_span_values(t, p - 1, ends, mu))
+    lower = np.zeros((x.shape[0], p + 2))
+    lower[:, 1:-1] = np.column_stack(_span_values(t, p - 1, x, mu))
     cols = mu[:, None] - p + np.arange(p + 1)
     a = t[cols + p] - t[cols]
     b = t[cols + p + 1] - t[cols + 1]
-    der = np.divide(p * lower[:, :-1], a, out=np.zeros((2, p + 1)), where=a > 0.0)
-    der -= np.divide(p * lower[:, 1:], b, out=np.zeros((2, p + 1)), where=b > 0.0)
-    val.setflags(write=False)
-    der.setflags(write=False)
+    der = np.divide(p * lower[:, :-1], a, out=np.zeros_like(val), where=a > 0.0)
+    der -= np.divide(p * lower[:, 1:], b, out=np.zeros_like(val), where=b > 0.0)
     return val, der
 
 
@@ -162,34 +156,48 @@ def _boundary_extension(kv: KnotVector) -> tuple[np.ndarray, np.ndarray]:
 _BLOCK_POINTS = 20480
 
 
-def _write_basis(out: np.ndarray, X: np.ndarray, bases: Sequence[KnotVector], col0: int) -> None:
-    """Write the basis values of column j of ``X`` into block j of ``out``.
+def design_matrix(X, bases: Sequence[KnotVector]) -> np.ndarray:
+    """An intercept column followed by one basis block per variable.
 
-    Block j starts at column ``col0`` plus the basis counts of the earlier
-    blocks. ``out`` must be C-contiguous and zero over the blocks; only the
-    degree+1 entries of each point's span are written. A point outside
-    [lo, hi] writes the values at the nearest boundary plus its distance to
-    it times the boundary derivative, on that end span.
+    ``X`` must have exactly one column per knot vector in ``bases``. The
+    result has 1 + sum(basis_count) columns and is allocated once; each
+    point writes only the degree+1 values of its span in each block. A point
+    outside [lo, hi] writes the values at the nearest boundary plus its
+    distance to it times the boundary derivative, on that end span.
     """
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2:
+        raise ValueError(f"expected a 2-D feature matrix, got ndim={X.ndim}")
+    if X.shape[1] != len(bases):
+        raise ValueError(
+            f"feature matrix has {X.shape[1]} columns but {len(bases)} knot vectors were given"
+        )
     n, m = X.shape
+    out = np.zeros((n, 1 + sum(kv.basis_count for kv in bases)))
+    out[:, 0] = 1.0
     if n == 0 or m == 0:
-        return
+        return out
     p = DEGREE
     knots = [kv.augmented for kv in bases]
     t = np.concatenate(knots)
     edge = np.array([(kv.lo, kv.hi) for kv in bases])
     lo, hi = edge[:, 0], edge[:, 1]
-    # Row 2j + side of the edge tables is variable j at lo (side 0) or hi.
-    edge = edge.ravel()
-    edge_val, edge_der = (np.concatenate(ends) for ends in zip(*map(_boundary_extension, bases)))
-    block_col = col0 + np.cumsum([0] + [kv.basis_count for kv in bases[:-1]])
-    # Column of each point's first value, one row per variable. The span
-    # index of the same point into ``t`` is that column plus ``to_knot``.
+    block_col = 1 + np.cumsum([0] + [kv.basis_count for kv in bases[:-1]])
+    knot_start = np.cumsum([0] + [len(tj) for tj in knots[:-1]])
+    # Column of each point's first value, one row per variable, and the
+    # spans of each variable's lo and hi in ``t``. The span index of a point
+    # into ``t`` is its column plus ``to_knot``.
     first = np.empty((m, n), dtype=np.intp)
+    edge_span = np.empty((m, 2), dtype=np.intp)
     for j, tj in enumerate(knots):
         first[j] = _span_index(tj, p, X[:, j])
+        edge_span[j] = _span_index(tj, p, edge[j])
     first += (block_col - p)[:, None]
-    to_knot = np.cumsum([0] + [len(tj) for tj in knots[:-1]]) - block_col + p
+    edge_span += knot_start[:, None]
+    to_knot = knot_start - block_col + p
+    # Row 2j + side of the edge tables is variable j at lo (side 0) or hi.
+    edge = edge.ravel()
+    edge_val, edge_der = _span_values_and_slopes(t, edge, edge_span.ravel())
     width = out.shape[1]
     flat = out.reshape(-1)
     rows = max(1, _BLOCK_POINTS // m)
@@ -215,38 +223,6 @@ def _write_basis(out: np.ndarray, X: np.ndarray, bases: Sequence[KnotVector], co
         vals = _span_values(t, p, x.ravel()[within], span)
         for k in range(p + 1):
             flat[pos + k] = vals[k]
-
-
-def eval_basis_matrix(kv: KnotVector, x) -> np.ndarray:
-    """Basis values for an array of points, one row per point.
-
-    Inside [lo, hi] rows are non-negative and sum to one. Outside, each basis
-    function continues linearly from the nearest boundary; the rows still sum
-    to one because the boundary derivatives sum to zero.
-    """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    out = np.zeros((x.shape[0], kv.basis_count))
-    _write_basis(out, x[:, None], (kv,), 0)
-    return out
-
-
-def design_matrix(X, bases: Sequence[KnotVector]) -> np.ndarray:
-    """An intercept column followed by one basis block per variable.
-
-    ``X`` must have exactly one column per knot vector in ``bases``. The
-    result has 1 + sum(basis_count) columns and is allocated once; each
-    point writes only the degree+1 values of its span in each block.
-    """
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2:
-        raise ValueError(f"expected a 2-D feature matrix, got ndim={X.ndim}")
-    if X.shape[1] != len(bases):
-        raise ValueError(
-            f"feature matrix has {X.shape[1]} columns but {len(bases)} knot vectors were given"
-        )
-    out = np.zeros((X.shape[0], 1 + sum(kv.basis_count for kv in bases)))
-    _write_basis(out, X, bases, 1)
-    out[:, 0] = 1.0
     return out
 
 

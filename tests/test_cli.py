@@ -214,6 +214,20 @@ class TestExitCodes:
             assert field in capsys.readouterr().err
         assert not (tmp_path / "p.csv").exists()
 
+    def test_failed_write_leaves_no_temporary_file(self, tmp_path, toy_csv, capsys):
+        fit_dir = tmp_path / "m"
+        assert main(["fit", "--data", toy_csv, "--target", "y", "--out-dir", str(fit_dir)]) == 0
+        taken = tmp_path / "taken"
+        taken.mkdir()
+        code = main([
+            "predict", "--model", str(fit_dir / "model.json"), "--data", toy_csv,
+            "--out", str(taken),
+        ])
+        assert code == 1
+        assert "error:" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["m", "taken", "toy.csv"]
+        assert list(taken.iterdir()) == []
+
     def test_negative_bench_seed_is_a_usage_error(self, tmp_path, toy_csv, capsys):
         code = main([
             "bench", "--data", toy_csv, "--target", "y", "--seed", "-1",

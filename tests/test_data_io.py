@@ -11,6 +11,7 @@ from splinecfr.data_io import (
     gen_gamma,
     gen_sinc,
     load_csv,
+    read_numeric_table,
     split_out_of_domain,
     split_out_of_sample,
 )
@@ -59,6 +60,18 @@ class TestLoadCsv:
         path = write(tmp_path, "a,y\n1,2\ninf,4\n")
         with pytest.raises(DataError, match=r"line 3, column 'a': non-finite"):
             load_csv(path, "y")
+
+    def test_odd_cells_parse_as_float_does(self, tmp_path):
+        # Underscores, Arabic-Indic digits, Unicode spaces, signs, exponents.
+        good = ["1_000", "\u0661\u0662\u0663", "\u20031.5\u2003", " 2 ", "+.5", "-0", "1.5E3"]
+        path = tmp_path / "odd.csv"
+        path.write_text("a\n" + "\n".join(good) + "\n", encoding="utf-8")
+        _, data = read_numeric_table(str(path))
+        assert data[:, 0].tobytes() == np.array([float(c) for c in good]).tobytes()
+        for bad, what in (("0x10", "non-numeric value '0x10'"), (" ", "empty cell")):
+            path.write_text(f"a,b\n1_000,2\n3,{bad}\n", encoding="utf-8")
+            with pytest.raises(DataError, match=f"line 3, column 'b': {what}"):
+                read_numeric_table(str(path))
 
     def test_missing_target_column(self, tmp_path):
         path = write(tmp_path, "a,b\n1,2\n")

@@ -9,12 +9,18 @@ import pytest
 from splinecfr.spline_basis import (
     DEGREE,
     KnotVector,
-    _boundary_extension,
+    _span_index,
+    _span_values_and_slopes,
     build_knot_vector,
     design_matrix,
-    eval_basis_matrix,
     penalty_block,
 )
+
+
+def eval_basis_matrix(kv, x):
+    """One variable's basis block, one row per point."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    return design_matrix(x[:, None], [kv])[:, 1:]
 
 
 def basis_row(kv, x):
@@ -234,7 +240,10 @@ class TestExtrapolation:
         npt.assert_array_equal(val_hi, np.eye(n)[n - 1])
         # The derivative rows cover the first and the last p+1 columns.
         der_lo, der_hi = np.zeros(n), np.zeros(n)
-        der_lo[: p + 1], der_hi[n - p - 1 :] = _boundary_extension(kv)[1]
+        ends = np.array([lo, hi])
+        der_lo[: p + 1], der_hi[n - p - 1 :] = _span_values_and_slopes(
+            t, ends, _span_index(t, p, ends)
+        )[1]
         # Closed form of the clamped end derivatives: only the two outermost
         # basis functions move, by -+p over the width of the end span.
         expected_lo = np.zeros(n)
