@@ -16,6 +16,7 @@ from __future__ import annotations
 import bisect
 import json
 import math
+import warnings
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -248,7 +249,8 @@ def fit(X, y, config: FitConfig | None = None) -> CFracModel:
     inverted, offset residuals of the previous layer. Knot sites accumulate
     across depths: every depth keeps all earlier knots and adds up to
     ``knots_per_depth`` new sites chosen from the residuals. The procedure
-    is deterministic.
+    is deterministic. Each kept depth whose training RMSE is above the one
+    before it raises a RuntimeWarning.
     """
     if config is None:
         config = FitConfig()
@@ -312,6 +314,15 @@ def fit(X, y, config: FitConfig | None = None) -> CFracModel:
 
     if not np.isfinite(train_pred).all():
         raise ArithmeticError("training predictions are not finite")
+    # Auto depth never keeps a worse depth, so only fixed-depth fits warn.
+    for depth in range(1, kept):
+        if rmses[depth] > rmses[depth - 1]:
+            warnings.warn(
+                f"depth {depth} raises the training RMSE from {rmses[depth - 1]:.6g} "
+                f"to {rmses[depth]:.6g}; auto depth keeps only the depths above it",
+                RuntimeWarning,
+                stacklevel=2,
+            )
 
     return CFracModel(
         norm=config.norm,

@@ -9,8 +9,9 @@ from __future__ import annotations
 
 import csv
 import math
+import warnings
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -72,9 +73,18 @@ def read_numeric_table(
 ) -> tuple[list[str], np.ndarray]:
     """Read a CSV with a header row into column names and a float matrix.
 
-    Every cell must parse as a finite number, and every cell of a column
-    named in ``integer_columns`` as a whole number; failures are reported
-    with the line number and column name.
+    Cells are separated by commas only, there are no comment lines, blank
+    lines are skipped, and every cell parses exactly as Python's ``float()``
+    parses it. Every cell must be a finite number, and every cell of a
+    column named in ``integer_columns`` a whole number; failures are
+    reported with the line number and column name.
+
+    The body is first read in one ``np.loadtxt`` pass, which keeps no
+    per-cell strings, so the reader needs about as much memory as the
+    returned matrix. That pass returns only a table that meets every rule
+    above; otherwise the body is read again cell by cell with ``float()``,
+    which gives the same values or names the first bad cell. A pipe cannot
+    be read twice, so it is read cell by cell from the start.
     """
     try:
         fh = open(path, newline="", encoding="utf-8")
@@ -88,8 +98,63 @@ def read_numeric_table(
         names = [h.strip() for h in header]
         if len(set(names)) != len(names):
             raise DataError(f"{path}: duplicate column names in header")
-        linenos: list[int] = []
-        rows: list[list[str]] = []
+        integer_cols = [names.index(nm) for nm in integer_columns if nm in names]
+        # A pipe cannot be read twice, so only a seekable file tries numpy first.
+        if fh.seekable():
+            data = _loadtxt_body(fh, len(names), integer_cols)
+            if data is not None:
+                return names, data
+            fh.seek(0)
+            reader = csv.reader(fh)
+            next(reader)  # the header, already checked
+        return names, _float_body(path, reader, names, integer_cols)
+
+
+def _float_lines(lines: Iterable[str]) -> Iterator[str]:
+    """Pass ``lines`` through, raising ValueError at the first line holding
+    a character that numpy's float parser skips as whitespace but
+    ``float()`` rejects (the ASCII separators U+001C to U+001F)."""
+    for line in lines:
+        if "\x1c" in line or "\x1d" in line or "\x1e" in line or "\x1f" in line:
+            raise ValueError("ASCII separator character")
+        yield line
+
+
+def _loadtxt_body(fh: TextIO, width: int, integer_cols: list[int]) -> np.ndarray | None:
+    """The rest of ``fh`` parsed by ``np.loadtxt``, or None when that pass
+    fails or its table breaks a rule of :func:`read_numeric_table`.
+
+    numpy parses an ASCII decimal with the correctly rounded routine that
+    ``float()`` uses. Apart from the separators that :func:`_float_lines`
+    screens out, every cell it would read differently (underscores,
+    non-ASCII digits, quotes) makes it raise.
+    """
+    try:
+        with warnings.catch_warnings():
+            # An empty body only warns; any warning means the exact reader decides.
+            warnings.simplefilter("error")
+            data = np.loadtxt(
+                _float_lines(fh), delimiter=",", comments=None, ndmin=2, dtype=float
+            )
+    except (ValueError, Warning):
+        return None
+    if data.shape[1] != width or not np.isfinite(data).all():
+        return None
+    if any((data[:, j] != np.floor(data[:, j])).any() for j in integer_cols):
+        return None
+    return data
+
+
+def _float_body(
+    path: str, reader: Iterator[list[str]], names: list[str], integer_cols: list[int]
+) -> np.ndarray:
+    """The rows left in ``reader`` parsed cell by cell with ``float()``;
+    raises DataError naming the line and column of the first cell that
+    breaks a rule of :func:`read_numeric_table`."""
+    linenos: list[int] = []
+    rows: list[list[str]] = []
+    lineno = 1
+    try:
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue  # tolerate trailing blank lines
@@ -99,6 +164,8 @@ def read_numeric_table(
                 )
             linenos.append(lineno)
             rows.append(row)
+    except csv.Error as exc:  # e.g. a NUL byte before Python 3.11
+        raise DataError(f"{path} line {lineno + 1}: {exc}") from None
     if not rows:
         raise DataError(f"{path}: no data rows")
     try:
@@ -120,7 +187,7 @@ def read_numeric_table(
         raise DataError(
             f"{path} line {linenos[i]}, column {names[j]!r}: non-finite value"
         )
-    for j in [names.index(nm) for nm in integer_columns if nm in names]:
+    for j in integer_cols:
         fractional = np.flatnonzero(data[:, j] != np.floor(data[:, j]))
         if fractional.size:
             i = fractional[0]
@@ -128,7 +195,7 @@ def read_numeric_table(
                 f"{path} line {linenos[i]}, column {names[j]!r}: "
                 f"expected an integer, got {rows[i][j]!r}"
             )
-    return names, data
+    return data
 
 
 def load_csv(path: str, target_column: str = DEFAULT_TARGET) -> Dataset:

@@ -3,6 +3,7 @@
 import gc
 import math
 import tracemalloc
+import warnings
 import weakref
 from dataclasses import replace
 
@@ -324,6 +325,24 @@ class TestDepthControl:
         assert all(type(r) is float for r in model.training_rmse)
         assert list(model.training_rmse) == training_rmse_by_depth(model, X, y)
         assert deserialize(serialize(model)).training_rmse == ()
+
+    def test_fixed_depth_warns_for_each_depth_that_raises_training_rmse(self):
+        from splinecfr.data_io import gen_sinc
+
+        # The README quick start: training RMSE [0.362, 0.652, 3.007, 1.151].
+        ds = gen_sinc(200, seed=0)
+        config = FitConfig(max_depth=3, knots_per_depth=3, norm=1.0)
+        with pytest.warns(RuntimeWarning) as record:
+            model = fit(ds.features, ds.target, config)
+        r = model.training_rmse
+        assert [str(w.message).split(";")[0] for w in record] == [
+            f"depth {d} raises the training RMSE from {r[d - 1]:.6g} to {r[d]:.6g}"
+            for d in (1, 2)
+        ]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            auto = fit(ds.features, ds.target, replace(config, auto_depth=True))
+        assert auto.training_rmse == r[:1]
 
     def test_deeper_fits_train_tighter_on_gamma(self):
         from splinecfr.data_io import gen_gamma

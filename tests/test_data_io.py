@@ -1,6 +1,9 @@
 """CSV ingestion, splits, synthetic generators."""
 
 import math
+import os
+import threading
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -72,6 +75,103 @@ class TestLoadCsv:
             path.write_text(f"a,b\n1_000,2\n3,{bad}\n", encoding="utf-8")
             with pytest.raises(DataError, match=f"line 3, column 'b': {what}"):
                 read_numeric_table(str(path))
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("a,b\n1,2\n#3,4\n", r"line 3, column 'a': non-numeric value '#3'"),
+            ("a,b\n1,2 #x\n", r"line 2, column 'b': non-numeric value '2 #x'"),
+            ("a,b\n1,2\n \n3,4\n", r"line 3: expected 2 cells, got 1"),
+            ("a\n1\n \n3\n", r"line 3, column 'a': empty cell"),
+            ("a,b\n", r"no data rows"),
+            ("a,b\n\n\n", r"no data rows"),
+            ("a,b\n1,2,\n3,4,\n", r"line 2: expected 2 cells, got 3"),
+            ("a,b\n1,2,3\n4,5,6\n", r"line 2: expected 2 cells, got 3"),
+            ("a,b\n1,2\n1\x00,2\n", r"line 3"),
+            ("a,b\n1,2\n3,nan\n", r"line 3, column 'b': non-finite value"),
+            ("a,b\n1,2\n3,-INF\n", r"line 3, column 'b': non-finite value"),
+            ("a,b\n1,2\n3,4\nInfinity,5\n", r"line 4, column 'a': non-finite value"),
+            ("a,b\n1,2\n3,1e999\n", r"line 3, column 'b': non-finite value"),
+            # float() rejects the ASCII separators that numpy skips as spaces.
+            ("a,b\n1,2\n\x1c3,4\n", r"line 3, column 'a': non-numeric value '\\x1c3'"),
+            ("a,b\n1,2\n3,4\x1f\n", r"line 3, column 'b': non-numeric value '4\\x1f'"),
+        ],
+        ids=[
+            "comment-line", "comment-in-cell", "blank-line", "blank-line-one-column",
+            "header-only", "header-and-blank-lines", "trailing-comma", "wide-rows",
+            "nul", "nan", "minus-inf", "infinity", "overflow", "file-separator",
+            "unit-separator",
+        ],
+    )
+    def test_bad_tables_name_the_first_bad_line(self, tmp_path, text, message):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(text.encode("utf-8"))
+        with pytest.raises(DataError, match=message):
+            read_numeric_table(str(path))
+
+    def test_csv_module_errors_name_the_line(self, tmp_path):
+        # The csv module refuses a cell over its field size limit (and, before
+        # Python 3.11, a NUL byte); that is an input error, not a crash.
+        path = tmp_path / "huge.csv"
+        path.write_text("a,b\n1,2\n3," + "9" * 200_000 + "\n", encoding="utf-8")
+        with pytest.raises(DataError, match="line 3: field larger than field limit"):
+            read_numeric_table(str(path))
+
+    @pytest.mark.parametrize(
+        "text, names",
+        [
+            ("a,b\r\n1,2.5\r\n\r\n3,4\r\n", ["a", "b"]),
+            ("a,b\r1,2.5\r3,4", ["a", "b"]),
+            ('a,"b"\n"1",2.5\n3,"4"\n', ["a", "b"]),
+            ("\ufeffa,b\n1,2.5\n3,4\n", ["\ufeffa", "b"]),
+        ],
+        ids=["crlf", "bare-cr", "quoted", "bom"],
+    )
+    def test_line_endings_quotes_and_bom(self, tmp_path, text, names):
+        path = tmp_path / "ok.csv"
+        path.write_bytes(text.encode("utf-8"))
+        got, data = read_numeric_table(str(path))
+        assert got == names
+        assert data.tobytes() == np.array([[1.0, 2.5], [3.0, 4.0]]).tobytes()
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    @pytest.mark.parametrize(
+        "text, message",
+        [("a,b\n1_000,2\n3,4\n", None), ("a,b\n1,2\n3,x\n", "line 3, column 'b'")],
+    )
+    def test_pipe_is_read_in_one_pass(self, tmp_path, text, message):
+        # A pipe cannot seek back for the exact reader's second pass.
+        pipe = tmp_path / "pipe.csv"
+        os.mkfifo(pipe)
+        writer = threading.Thread(target=pipe.write_text, args=(text,), daemon=True)
+        writer.start()
+        try:
+            if message is None:
+                _, data = read_numeric_table(str(pipe))
+                assert data.tolist() == [[1000.0, 2.0], [3.0, 4.0]]
+            else:
+                with pytest.raises(DataError, match=message):
+                    read_numeric_table(str(pipe))
+        finally:
+            writer.join(timeout=10)
+        assert not writer.is_alive()
+
+    def test_reader_memory_is_about_the_table(self, tmp_path):
+        rng = np.random.default_rng(7)
+        table = rng.normal(size=(3000, 82)) * 10.0 ** rng.integers(-3, 4, size=(3000, 82))
+        path = tmp_path / "wide.csv"
+        lines = [",".join(f"c{j}" for j in range(82))]
+        lines += [",".join(map(repr, row)) for row in table.tolist()]
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        del lines
+        tracemalloc.start()
+        try:
+            _, data = read_numeric_table(str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert data.tobytes() == table.tobytes()
+        assert peak < 3 * data.nbytes
 
     def test_missing_target_column(self, tmp_path):
         path = write(tmp_path, "a,b\n1,2\n")
