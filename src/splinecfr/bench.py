@@ -166,7 +166,6 @@ def _score(
     y_pred: np.ndarray,
     fit_seconds: float,
     split: SplitPair,
-    training_target_max: float | None,
 ) -> RunReport:
     report = RunReport(
         method_name=method,
@@ -176,19 +175,16 @@ def _score(
         mean_relative_error=mean_relative_error(y_true, y_pred),
         fit_seconds=fit_seconds,
     )
-    if split.protocol == "out_of_domain":
-        p, n_neg = threshold_counts(y_pred, split.threshold)
-        beyond = None
-        if training_target_max is not None:
-            beyond = count_beyond_training_max(y_pred, training_target_max)
-        report = replace(
-            report,
-            p_count=p,
-            n_count=n_neg,
-            beyond_training_max=beyond,
-            threshold=split.threshold,
-        )
-    return report
+    if split.threshold is None:
+        return report
+    p, n_neg = threshold_counts(y_pred, split.threshold)
+    return replace(
+        report,
+        p_count=p,
+        n_count=n_neg,
+        beyond_training_max=count_beyond_training_max(y_pred, split.train.target.max()),
+        threshold=split.threshold,
+    )
 
 
 def run_benchmark(cfg: ExperimentConfig) -> BenchResult:
@@ -208,9 +204,8 @@ def run_benchmark(cfg: ExperimentConfig) -> BenchResult:
 
     summaries = aggregate(reports)
     methods, run_ids, ranks = rank_matrix(reports)
-    kappa_rows: list[tuple[str, str, float, str]] = []
-    if cfg.protocol == "ood":
-        kappa_rows = pairwise_kappa({m: np.concatenate(c) for m, c in labels.items()})
+    # Only ood runs label predictions; with no labels there are no pairs.
+    kappa_rows = pairwise_kappa({m: np.concatenate(c) for m, c in labels.items()})
     return BenchResult(reports, summaries, methods, run_ids, ranks, kappa_rows)
 
 
@@ -224,20 +219,13 @@ def _one_run(
 ) -> list[RunReport]:
     split = _split(ds, cfg, seed)
     y_test = split.test.target
-    out: list[RunReport] = []
+    # (method, y_true, y_pred, fit_seconds), in report order.
+    scored: list[tuple[str, np.ndarray, np.ndarray, float]] = []
     for method, fit_cfg in ((SPLINE_METHOD, cfg.fit), (BASELINE_METHOD, _BASELINE_CONFIG)):
         start = time.perf_counter()
         model = fit(split.train.features, split.train.target, fit_cfg)
         seconds = time.perf_counter() - start
-        pred = model.predict(split.test.features)
-        out.append(
-            _score(
-                method, run_id, seed, y_test, pred, seconds, split, model.training_target_max
-            )
-        )
-        if split.protocol == "out_of_domain":
-            labels.setdefault(method, []).append(pred >= split.threshold)
-    train_max = float(split.train.target.max())
+        scored.append((method, y_test, model.predict(split.test.features), seconds))
     for name, sets in external.items():
         if run_id not in sets:
             raise DataError(f"prediction file for {name!r} has no rows for this run")
@@ -247,11 +235,12 @@ def _one_run(
                 f"prediction file for {name!r} disagrees with the split's y_true; "
                 "was it generated with the same protocol and seed?"
             )
-        out.append(
-            _score(name, run_id, seed, pset.y_true, pset.y_pred, 0.0, split, train_max)
-        )
-        if split.protocol == "out_of_domain":
-            labels.setdefault(name, []).append(pset.y_pred >= split.threshold)
+        scored.append((name, pset.y_true, pset.y_pred, 0.0))
+    out = []
+    for method, y_true, y_pred, seconds in scored:
+        out.append(_score(method, run_id, seed, y_true, y_pred, seconds, split))
+        if split.threshold is not None:
+            labels.setdefault(method, []).append(y_pred >= split.threshold)
     return out
 
 

@@ -30,7 +30,7 @@ from .cfr_core import FitConfig, deserialize, fit, serialize
 from .data_io import DEFAULT_TARGET, gen_gamma, gen_sinc, load_csv, read_numeric_table
 from .errors import DataError, SplineCfrError
 from .evaluation import PredictionSet, threshold_counts, top_k_table
-from .fileio import atomic_write_text, csv_text, format_cell
+from .fileio import atomic_write_text, csv_text
 
 _BOOL_TRUE = {"1", "true", "yes", "on"}
 _BOOL_FALSE = {"0", "false", "no", "off"}
@@ -114,19 +114,22 @@ def _build(cls, kwargs: dict):
 
 
 def _add_fit_flags(parser: argparse.ArgumentParser) -> list[argparse.Action]:
-    add = parser.add_argument
+    add, default = parser.add_argument, FitConfig
     return [
-        add("--lambda", dest="lam", type=float, help="roughness penalty weight (default 0.5)"),
+        add("--lambda", dest="lam", type=float,
+            help=f"roughness penalty weight (default {default.lam:g})"),
         add("--knots", dest="knots_per_depth", metavar="KNOTS", type=int,
-            help="new knot sites per depth per variable (default 5)"),
-        add("--norm", type=float, help="target scale divisor (default 1000)"),
-        add("--max-depth", type=int, help="number of spline layers (default 5)"),
+            help=f"new knot sites per depth per variable (default {default.knots_per_depth:g})"),
+        add("--norm", type=float, help=f"target scale divisor (default {default.norm:g})"),
+        add("--max-depth", type=int,
+            help=f"number of spline layers (default {default.max_depth:g})"),
         add("--auto-depth", action="store_true", default=None,
             help="truncate at the depth where training error first worsens"),
         add("--offset-epsilon", type=float,
-            help="slack added to residual offsets (default 1e-3)"),
+            help=f"slack added to residual offsets (default {default.offset_epsilon:g})"),
         add("--denom-floor", type=float,
-            help="minimum denominator magnitude during evaluation (default 1e-6)"),
+            help="minimum denominator magnitude during evaluation "
+            f"(default {default.denom_floor:g})"),
         add("--literal-final-offset", action="store_true", default=None,
             help="subtract the deepest layer's offset too"),
     ]
@@ -148,16 +151,17 @@ def cmd_fit(args: argparse.Namespace) -> int:
     model = replace(model, feature_names=ds.feature_names, target_name=ds.target_name)
     atomic_write_text(out_dir / "model.json", serialize(model))
 
-    lines = ["depth,train_rmse,interior_knots,offset"]
+    rows: list[tuple] = []
     for d, (layer, train_rmse) in enumerate(zip(model.layers, model.training_rmse)):
-        knots = 0
-        if hasattr(layer.model, "bases"):
-            knots = sum(len(kv.interior) for kv in layer.model.bases)
-        lines.append(f"{d},{format_cell(train_rmse)},{knots},{format_cell(layer.offset)}")
-    lines.append(f"fitted_depth,{model.depth}")
-    lines.append(f"auto_depth,{format_cell(config.auto_depth)}")
-    lines.append(f"wall_seconds,{format_cell(seconds)}")
-    atomic_write_text(out_dir / "fit_log.txt", "\n".join(lines) + "\n")
+        knots = sum(len(kv.interior) for kv in getattr(layer.model, "bases", ()))
+        rows.append((d, train_rmse, knots, layer.offset))
+    rows += [
+        ("fitted_depth", model.depth),
+        ("auto_depth", config.auto_depth),
+        ("wall_seconds", seconds),
+    ]
+    header = ["depth", "train_rmse", "interior_knots", "offset"]
+    atomic_write_text(out_dir / "fit_log.txt", csv_text(header, rows))
     print(f"wrote {out_dir / 'model.json'} (depth {model.depth}, {seconds:.3f}s)")
     return 0
 
@@ -176,9 +180,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
         raise DataError(
             f"{args.data}: missing feature columns: {', '.join(missing)}"
         )
-    known = set(model.feature_names)
-    if model.target_name is not None:
-        known.add(model.target_name)
+    known = {*model.feature_names, model.target_name}
     extra = [nm for nm in names if nm not in known]
     if extra:
         print(
@@ -188,18 +190,11 @@ def cmd_predict(args: argparse.Namespace) -> int:
     columns = {nm: data[:, i] for i, nm in enumerate(names)}
     X = np.column_stack([columns[nm] for nm in model.feature_names])
     pred = model.predict(X)
-    header = ["row_id", "y_pred"]
-    y_true = None
-    if model.target_name is not None and model.target_name in columns:
+    header, cols = ["row_id", "y_pred"], [range(pred.shape[0]), pred.tolist()]
+    if model.target_name in columns:
         header.append("y_true")
-        y_true = columns[model.target_name]
-    rows = []
-    for i in range(pred.shape[0]):
-        row = [i, float(pred[i])]
-        if y_true is not None:
-            row.append(float(y_true[i]))
-        rows.append(row)
-    atomic_write_text(args.out, csv_text(header, rows))
+        cols.append(columns[model.target_name].tolist())
+    atomic_write_text(args.out, csv_text(header, zip(*cols)))
     print(f"wrote {args.out} ({pred.shape[0]} rows)")
     return 0
 
@@ -235,7 +230,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
         ds = gen(args.n, seed=args.seed, **kwargs)
     except ValueError as exc:
         raise DataError(str(exc)) from exc
-    rows = [(float(ds.features[i, 0]), float(ds.target[i])) for i in range(ds.n)]
+    rows = zip(ds.features[:, 0].tolist(), ds.target.tolist())
     atomic_write_text(args.out, csv_text(["x", "y"], rows))
     print(f"wrote {args.out} ({ds.n} rows)")
     return 0
@@ -309,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fit", help="fit a model on a CSV and save it")
     settings = [
         p.add_argument("--data", help="training CSV"),
-        p.add_argument("--target", help="target column name (default critical_temp)"),
+        p.add_argument("--target", help=f"target column name (default {DEFAULT_TARGET})"),
         p.add_argument("--out-dir", help="where model.json and fit_log.txt go (default .)"),
         *_add_fit_flags(p),
     ]
@@ -325,14 +320,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="multi-run benchmark against an OLS baseline")
     settings = [
         p.add_argument("--data", help="dataset CSV"),
-        p.add_argument("--target", help="target column name (default critical_temp)"),
+        p.add_argument("--target", help=f"target column name (default {DEFAULT_TARGET})"),
         p.add_argument("--protocol", choices=("oos", "ood"),
                        help="out-of-sample (shuffled 2/3-1/3) or out-of-domain "
                        "(low train, high test)"),
-        p.add_argument("--runs", type=int, help="number of runs (default 100)"),
+        p.add_argument("--runs", type=int,
+                       help=f"number of runs (default {ExperimentConfig.runs:g})"),
         p.add_argument("--seed", dest="base_seed", metavar="SEED", type=int,
                        help="base seed; run r uses seed+r"),
-        p.add_argument("--quantile", type=float, help="ood train-pool share (default 0.9)"),
+        p.add_argument("--quantile", type=float,
+                       help=f"ood train-pool share (default {ExperimentConfig.quantile:g})"),
         p.add_argument("--out-dir", help="report directory"),
         p.add_argument("--predictions", nargs="*",
                        help="external prediction CSVs (run_id,row_id,y_true,y_pred)"),
@@ -377,10 +374,7 @@ def main(argv: list[str] | None = None) -> int:
     except DataError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except SplineCfrError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (RuntimeError, ValueError, ArithmeticError, OSError) as exc:
+    except (SplineCfrError, RuntimeError, ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -62,9 +62,11 @@ class Dataset:
 
 @dataclass(frozen=True, eq=False)
 class SplitPair:
+    """Train and test rows of one split. Only the out-of-domain split sets
+    ``threshold``, the smallest target of its test pool."""
+
     train: Dataset
     test: Dataset
-    protocol: str
     threshold: float | None = None
 
 
@@ -77,7 +79,8 @@ def read_numeric_table(
     lines are skipped, and every cell parses exactly as Python's ``float()``
     parses it. Every cell must be a finite number, and every cell of a
     column named in ``integer_columns`` a whole number; failures are
-    reported with the line number and column name.
+    reported with the column name and the physical line on which the
+    row's record ends (a quoted cell may span lines).
 
     The body is first read in one ``np.loadtxt`` pass, which keeps no
     per-cell strings, so the reader needs about as much memory as the
@@ -148,24 +151,24 @@ def _loadtxt_body(fh: TextIO, width: int, integer_cols: list[int]) -> np.ndarray
 def _float_body(
     path: str, reader: Iterator[list[str]], names: list[str], integer_cols: list[int]
 ) -> np.ndarray:
-    """The rows left in ``reader`` parsed cell by cell with ``float()``;
-    raises DataError naming the line and column of the first cell that
-    breaks a rule of :func:`read_numeric_table`."""
+    """The rows left in the ``csv.reader`` ``reader`` parsed cell by cell
+    with ``float()``; raises DataError naming the line and column of the
+    first cell that breaks a rule of :func:`read_numeric_table`."""
     linenos: list[int] = []
     rows: list[list[str]] = []
-    lineno = 1
     try:
-        for lineno, row in enumerate(reader, start=2):
+        for row in reader:
             if not row:
                 continue  # tolerate trailing blank lines
             if len(row) != len(names):
                 raise DataError(
-                    f"{path} line {lineno}: expected {len(names)} cells, got {len(row)}"
+                    f"{path} line {reader.line_num}: "
+                    f"expected {len(names)} cells, got {len(row)}"
                 )
-            linenos.append(lineno)
+            linenos.append(reader.line_num)
             rows.append(row)
     except csv.Error as exc:  # e.g. a NUL byte before Python 3.11
-        raise DataError(f"{path} line {lineno + 1}: {exc}") from None
+        raise DataError(f"{path} line {reader.line_num}: {exc}") from None
     if not rows:
         raise DataError(f"{path}: no data rows")
     try:
@@ -222,11 +225,7 @@ def split_out_of_sample(ds: Dataset, seed: int) -> SplitPair:
         raise ValueError(f"need at least 3 rows to split, got {ds.n}")
     perm = np.random.default_rng(seed).permutation(ds.n)
     cut = (2 * ds.n) // 3
-    return SplitPair(
-        train=ds.take(perm[:cut]),
-        test=ds.take(perm[cut:]),
-        protocol="out_of_sample",
-    )
+    return SplitPair(train=ds.take(perm[:cut]), test=ds.take(perm[cut:]))
 
 
 def split_out_of_domain(ds: Dataset, quantile: float = 0.9, seed: int = 0) -> SplitPair:
@@ -265,12 +264,7 @@ def split_out_of_domain(ds: Dataset, quantile: float = 0.9, seed: int = 0) -> Sp
     n_test = max(1, int(math.floor(len(test_pool) * _OOD_SUBSAMPLE + 1e-9)))
     train_idx = rng.permutation(train_pool)[:n_train]
     test_idx = rng.permutation(test_pool)[:n_test]
-    return SplitPair(
-        train=ds.take(train_idx),
-        test=ds.take(test_idx),
-        protocol="out_of_domain",
-        threshold=threshold,
-    )
+    return SplitPair(train=ds.take(train_idx), test=ds.take(test_idx), threshold=threshold)
 
 
 def _validated_range(x_range: Sequence[float]) -> tuple[float, float]:

@@ -1,6 +1,7 @@
 """End-to-end runs of the command-line interface through main()."""
 
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -9,8 +10,15 @@ import pytest
 
 from splinecfr import cfr_core, cli
 from splinecfr.cli import main
-from splinecfr.cfr_core import deserialize, fit, training_rmse_by_depth
-from splinecfr.data_io import gen_sinc, load_csv, split_out_of_sample
+from splinecfr.bench import ExperimentConfig
+from splinecfr.cfr_core import FitConfig, deserialize, fit, training_rmse_by_depth
+from splinecfr.data_io import (
+    DEFAULT_TARGET,
+    gen_sinc,
+    load_csv,
+    split_out_of_domain,
+    split_out_of_sample,
+)
 from splinecfr.fileio import csv_text
 
 
@@ -439,6 +447,49 @@ class TestBench:
         assert len(perfect) == 2
         assert all(float(r[3]) == 0.0 for r in perfect)
 
+    def test_ood_external_predictions_get_the_ood_columns(self, tmp_path, toy_csv):
+        ds = load_csv(toy_csv, "y")
+        rng = np.random.default_rng(11)
+        splits, preds, rows = [], [], []
+        for run_id, seed in enumerate((5, 6)):
+            split = split_out_of_domain(ds, quantile=0.8, seed=seed)
+            y_pred = split.test.target + rng.normal(0.0, 3.0, split.test.n)
+            splits.append(split)
+            preds.append(y_pred)
+            rows += [
+                (run_id, row_id, float(t), float(p))
+                for row_id, (t, p) in enumerate(zip(split.test.target, y_pred))
+            ]
+        ext = tmp_path / "noisy.csv"
+        ext.write_text(csv_text(["run_id", "row_id", "y_true", "y_pred"], rows))
+
+        out = tmp_path / "bench_ood_ext"
+        code = main([
+            "bench", "--data", toy_csv, "--target", "y", "--protocol", "ood",
+            "--quantile", "0.8", "--out-dir", str(out), "--runs", "2", "--seed", "5",
+            "--max-depth", "1", "--knots", "2", "--predictions", str(ext),
+        ])
+        assert code == 0
+        header, report_rows = read_rows(out / "run_reports.csv")
+        col = {name: i for i, name in enumerate(header)}
+        noisy = [r for r in report_rows if r[0] == "noisy"]
+        assert [int(r[col["run_id"]]) for r in noisy] == [0, 1]
+        beyond = []
+        for r, split, y_pred in zip(noisy, splits, preds):
+            p, n = int(r[col["p_count"]]), int(r[col["n_count"]])
+            assert p + n == split.test.n
+            assert p == np.count_nonzero(y_pred >= split.threshold)
+            assert float(r[col["threshold"]]) == split.threshold
+            beyond.append(int(r[col["beyond_training_max"]]))
+            assert beyond[-1] == np.count_nonzero(y_pred > split.train.target.max())
+        # The noise puts some predictions on each side of the training maximum.
+        assert 0 < sum(beyond) < sum(split.test.n for split in splits)
+
+        _, kappa_rows = read_rows(out / "kappa.csv")
+        assert [r[:2] for r in kappa_rows] == [
+            ["spline_cfr", "ols"], ["spline_cfr", "noisy"], ["ols", "noisy"],
+        ]
+
     def test_misaligned_external_predictions_fail(self, tmp_path, toy_csv, capsys):
         ds = load_csv(toy_csv, "y")
         split = split_out_of_sample(ds, 5)
@@ -456,6 +507,45 @@ class TestBench:
         assert code == 2
         err = capsys.readouterr().err
         assert "same protocol and seed" in err
+
+
+class TestHelp:
+    @pytest.mark.parametrize(
+        "command, expected",
+        [
+            ("fit", {"--target": DEFAULT_TARGET, "--out-dir": "."}),
+            ("bench", {
+                "--target": DEFAULT_TARGET,
+                "--runs": ExperimentConfig.runs,
+                "--quantile": ExperimentConfig.quantile,
+            }),
+        ],
+    )
+    def test_defaults_come_from_the_config_dataclasses(
+        self, command, expected, capsys, monkeypatch
+    ):
+        expected = dict(expected, **{
+            "--lambda": FitConfig.lam,
+            "--knots": FitConfig.knots_per_depth,
+            "--norm": FitConfig.norm,
+            "--max-depth": FitConfig.max_depth,
+            "--offset-epsilon": FitConfig.offset_epsilon,
+            "--denom-floor": FitConfig.denom_floor,
+        })
+        monkeypatch.setenv("COLUMNS", "1000")  # no help text wraps inside a word
+        assert main([command, "--help"]) == 0
+        found = {}
+        # One block per option: its flag line plus any continuation lines.
+        for block in re.split(r"\n  (?=-)", capsys.readouterr().out)[1:]:
+            match = re.search(r"\(default ([^)]*)\)", " ".join(block.split()))
+            if match:
+                found[block.split()[0]] = match.group(1)
+        assert found.keys() == expected.keys()
+        for flag, value in expected.items():
+            if isinstance(value, str):
+                assert found[flag] == value, flag
+            else:
+                assert float(found[flag]) == value, flag
 
 
 class TestReport:

@@ -95,12 +95,15 @@ class TestLoadCsv:
             # float() rejects the ASCII separators that numpy skips as spaces.
             ("a,b\n1,2\n\x1c3,4\n", r"line 3, column 'a': non-numeric value '\\x1c3'"),
             ("a,b\n1,2\n3,4\x1f\n", r"line 3, column 'b': non-numeric value '4\\x1f'"),
+            # Lines are physical lines, not records: a quoted cell spans two.
+            ('a,b\n"1\n",2\n3,x\n', r"line 4, column 'b': non-numeric value 'x'"),
+            ("a,b\n1,2\n\n3,x\n", r"line 4, column 'b': non-numeric value 'x'"),
         ],
         ids=[
             "comment-line", "comment-in-cell", "blank-line", "blank-line-one-column",
             "header-only", "header-and-blank-lines", "trailing-comma", "wide-rows",
             "nul", "nan", "minus-inf", "infinity", "overflow", "file-separator",
-            "unit-separator",
+            "unit-separator", "quoted-newline", "blank-line-before-bad-cell",
         ],
     )
     def test_bad_tables_name_the_first_bad_line(self, tmp_path, text, message):
