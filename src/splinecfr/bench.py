@@ -15,6 +15,8 @@ file precisely so the other outputs stay byte-for-byte reproducible.
 from __future__ import annotations
 
 import time
+import warnings
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -31,7 +33,7 @@ from .data_io import (
     split_out_of_domain,
     split_out_of_sample,
 )
-from .errors import DataError
+from .errors import DataError, TrainingRmseWarning
 from .evaluation import (
     MethodSummary,
     PredictionSet,
@@ -193,20 +195,38 @@ def run_benchmark(cfg: ExperimentConfig) -> BenchResult:
 
     reports: list[RunReport] = []
     labels: dict[str, list[np.ndarray]] = {}
+    training_rmse: list[tuple[float, ...]] = []
     for run_id in range(cfg.runs):
         seed = cfg.base_seed + run_id
         try:
-            reports.extend(_one_run(cfg, ds, run_id, seed, external, labels))
+            reports.extend(_one_run(cfg, ds, run_id, seed, external, labels, training_rmse))
         except DataError as exc:
             raise DataError(f"run {run_id} (seed {seed}): {exc}") from exc
         except Exception as exc:
             raise RuntimeError(f"run {run_id} (seed {seed}) failed: {exc}") from exc
+    _warn_worse_depths(training_rmse)
 
     summaries = aggregate(reports)
     methods, run_ids, ranks = rank_matrix(reports)
     # Only ood runs label predictions; with no labels there are no pairs.
     kappa_rows = pairwise_kappa({m: np.concatenate(c) for m, c in labels.items()})
     return BenchResult(reports, summaries, methods, run_ids, ranks, kappa_rows)
+
+
+def _warn_worse_depths(training_rmse: list[tuple[float, ...]]) -> None:
+    """One TrainingRmseWarning for the whole bench, counting the runs whose
+    spline fit has a depth worse than the depth before it."""
+    firsts = [next((d for d in range(1, len(r)) if r[d] > r[d - 1]), 0) for r in training_rmse]
+    first_worse = Counter(d for d in firsts if d)
+    if first_worse:
+        named = ", ".join(f"depth {d}: {c}" for d, c in sorted(first_worse.items()))
+        warnings.warn(
+            f"in {first_worse.total()} of {len(training_rmse)} runs a depth raises the "
+            f"training RMSE (runs by first such depth: {named}); auto depth keeps only "
+            "the depths above it",
+            TrainingRmseWarning,
+            stacklevel=3,
+        )
 
 
 def _one_run(
@@ -216,6 +236,7 @@ def _one_run(
     seed: int,
     external: dict[str, dict[int, PredictionSet]],
     labels: dict[str, list[np.ndarray]],
+    training_rmse: list[tuple[float, ...]],
 ) -> list[RunReport]:
     split = _split(ds, cfg, seed)
     y_test = split.test.target
@@ -223,8 +244,13 @@ def _one_run(
     scored: list[tuple[str, np.ndarray, np.ndarray, float]] = []
     for method, fit_cfg in ((SPLINE_METHOD, cfg.fit), (BASELINE_METHOD, _BASELINE_CONFIG)):
         start = time.perf_counter()
-        model = fit(split.train.features, split.train.target, fit_cfg)
+        with warnings.catch_warnings():
+            # run_benchmark sums these up in one warning after the runs.
+            warnings.simplefilter("ignore", TrainingRmseWarning)
+            model = fit(split.train.features, split.train.target, fit_cfg)
         seconds = time.perf_counter() - start
+        if method == SPLINE_METHOD:
+            training_rmse.append(model.training_rmse)
         scored.append((method, y_test, model.predict(split.test.features), seconds))
     for name, sets in external.items():
         if run_id not in sets:

@@ -8,7 +8,9 @@ where g_0 is linear in the features and every deeper g_i is an additive
 cubic-spline model. Layers are fit one depth at a time: after fitting g_i,
 its residuals are shifted positive by an offset C_i and inverted to become
 the next layer's training target. The deepest layer's offset is dropped at
-evaluation time (see ``literal_final_offset`` to keep it).
+evaluation time (see ``literal_final_offset`` to keep it). ``fit`` grows the
+model it returns one layer per depth and scores each depth with that model's
+``_fold``, the one fold for training values and predictions alike.
 """
 
 from __future__ import annotations
@@ -17,12 +19,12 @@ import bisect
 import json
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
-from .errors import ModelFormatError
+from .errors import ModelFormatError, TrainingRmseWarning
 from .evaluation import rmse
 from .solver import least_squares, penalized_least_squares
 from .spline_basis import (
@@ -162,35 +164,16 @@ class CFracModel:
 
     def _fold(self, values: Sequence[np.ndarray]) -> np.ndarray:
         """Predictions of the fraction cut back to the first len(values) layers."""
-        offsets = [layer.offset for layer in self.layers[: len(values)]]
-        return self.norm * _fold_fraction(
-            values, offsets, self.denom_floor, self.literal_final_offset
-        )
-
-
-def _floor_denominator(den: np.ndarray, floor: float) -> np.ndarray:
-    """Push |den| below ``floor`` out to +-floor; zero counts as positive."""
-    small = np.abs(den) < floor
-    if not small.any():
-        return den
-    sign = np.where(den < 0.0, -1.0, 1.0)
-    return np.where(small, sign * floor, den)
-
-
-def _fold_fraction(
-    values: Sequence[np.ndarray],
-    offsets: Sequence[float],
-    denom_floor: float,
-    literal_final_offset: bool,
-) -> np.ndarray:
-    """Collapse per-layer values into the continued fraction, deepest first."""
-    acc = np.array(values[-1], dtype=float, copy=True)
-    if literal_final_offset:
-        acc -= offsets[-1]
-    for g, c in zip(values[-2::-1], offsets[-2::-1]):
-        acc = _floor_denominator(acc, denom_floor)
-        acc = g - c + 1.0 / acc
-    return acc
+        layers = self.layers[: len(values)]
+        acc = values[-1]
+        if self.literal_final_offset:
+            acc = acc - layers[-1].offset
+        floor = self.denom_floor
+        for g, layer in zip(values[-2::-1], layers[-2::-1]):
+            # |den| below the floor goes out to +-floor; zero counts as positive.
+            acc = np.where(np.abs(acc) < floor, np.where(acc < 0.0, -floor, floor), acc)
+            acc = g - layer.offset + 1.0 / acc
+        return self.norm * acc
 
 
 def select_knots(residuals, k: int) -> list[int]:
@@ -207,16 +190,10 @@ def select_knots(residuals, k: int) -> list[int]:
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k}")
     order = np.argsort(-np.abs(r), kind="stable")
-    picked: list[int] = []
-    last_sign = 0
-    for i in order:
-        if len(picked) >= k:
-            break
-        sign = 1 if r[i] >= 0.0 else -1
-        if sign != last_sign:
-            picked.append(int(i))
-            last_sign = sign
-    return picked
+    # A sample differs in sign from the last one taken exactly when it
+    # differs from the one just before it in this order.
+    pos = r[order] >= 0.0
+    return order[np.flatnonzero(np.r_[True, pos[1:] != pos[:-1]])[:k]].tolist()
 
 
 def compute_offset(residuals, offset_epsilon: float) -> float:
@@ -250,7 +227,7 @@ def fit(X, y, config: FitConfig | None = None) -> CFracModel:
     across depths: every depth keeps all earlier knots and adds up to
     ``knots_per_depth`` new sites chosen from the residuals. The procedure
     is deterministic. Each kept depth whose training RMSE is above the one
-    before it raises a RuntimeWarning.
+    before it raises a TrainingRmseWarning.
     """
     if config is None:
         config = FitConfig()
@@ -273,26 +250,24 @@ def fit(X, y, config: FitConfig | None = None) -> CFracModel:
     spline_vars = [j for j in range(m) if hi[j] - lo[j] > KNOT_DEDUP_TOL]
 
     y0 = y / config.norm
-    design0 = np.hstack([np.ones((n, 1)), X])
-    linear = LinearModel(least_squares(design0, y0))
-
-    models: list[LinearModel | AdditiveSplineModel] = [linear]
+    linear = LinearModel(least_squares(np.hstack([np.ones((n, 1)), X]), y0))
     values = [linear.evaluate(X)]
     resid = y0 - values[0]
-    offsets = [compute_offset(resid, config.offset_epsilon)]
+    model = CFracModel(
+        norm=config.norm,
+        layers=(DepthLayer(linear, compute_offset(resid, config.offset_epsilon)),),
+        feature_bounds=np.column_stack([lo, hi]),
+        training_target_max=float(y.max()),
+        denom_floor=config.denom_floor,
+        literal_final_offset=config.literal_final_offset,
+    )
     knots: dict[int, list[float]] = {j: [] for j in spline_vars}
     X_spline = X[:, spline_vars]
 
-    def fold() -> np.ndarray:
-        return config.norm * _fold_fraction(
-            values, offsets, config.denom_floor, config.literal_final_offset
-        )
-
-    train_pred = fold()
+    train_pred = model._fold(values)
     rmses = [rmse(y, train_pred)]
-    kept = config.max_depth + 1
     for depth in range(1, config.max_depth + 1):
-        target = 1.0 / (resid + offsets[-1])
+        target = 1.0 / (resid + model.layers[-1].offset)
         for p in select_knots(resid, config.knots_per_depth):
             for j in spline_vars:
                 _insert_knot(knots[j], float(X[p, j]), lo[j], hi[j])
@@ -300,39 +275,30 @@ def fit(X, y, config: FitConfig | None = None) -> CFracModel:
         design = design_matrix(X_spline, bases)
         penalties = [penalty_block(kv.basis_count) for kv in bases]
         beta = penalized_least_squares(design, target, config.lam, penalties)
-        models.append(AdditiveSplineModel(tuple(spline_vars), bases, beta))
         values.append(design @ beta)
         # One design at a time: the next depth's is larger.
         del design
         resid = target - values[-1]
-        offsets.append(compute_offset(resid, config.offset_epsilon))
-        train_pred = fold()
-        rmses.append(rmse(y, train_pred))
-        if config.auto_depth and rmses[-1] > rmses[-2]:
-            kept = depth  # this depth is the first worse than the one above it
-            break
+        offset = compute_offset(resid, config.offset_epsilon)
+        layer = DepthLayer(AdditiveSplineModel(tuple(spline_vars), bases, beta), offset)
+        deeper = replace(model, layers=model.layers + (layer,))
+        train_pred = deeper._fold(values)
+        depth_rmse = rmse(y, train_pred)
+        if depth_rmse > rmses[-1]:
+            if config.auto_depth:
+                break  # keep only the depths above the first worse one
+            warnings.warn(
+                f"depth {depth} raises the training RMSE from {rmses[-1]:.6g} "
+                f"to {depth_rmse:.6g}; auto depth keeps only the depths above it",
+                TrainingRmseWarning,
+                stacklevel=2,
+            )
+        model = deeper
+        rmses.append(depth_rmse)
 
     if not np.isfinite(train_pred).all():
         raise ArithmeticError("training predictions are not finite")
-    # Auto depth never keeps a worse depth, so only fixed-depth fits warn.
-    for depth in range(1, kept):
-        if rmses[depth] > rmses[depth - 1]:
-            warnings.warn(
-                f"depth {depth} raises the training RMSE from {rmses[depth - 1]:.6g} "
-                f"to {rmses[depth]:.6g}; auto depth keeps only the depths above it",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-
-    return CFracModel(
-        norm=config.norm,
-        layers=tuple(DepthLayer(mod, off) for mod, off in zip(models[:kept], offsets)),
-        feature_bounds=np.column_stack([lo, hi]),
-        training_target_max=float(y.max()),
-        denom_floor=config.denom_floor,
-        literal_final_offset=config.literal_final_offset,
-        training_rmse=tuple(rmses[:kept]),
-    )
+    return replace(model, training_rmse=tuple(rmses))
 
 
 def training_rmse_by_depth(model: CFracModel, X, y) -> list[float]:
@@ -352,21 +318,18 @@ def training_rmse_by_depth(model: CFracModel, X, y) -> list[float]:
 
 def _layer_to_doc(layer: DepthLayer) -> dict:
     model = layer.model
-    if isinstance(model, LinearModel):
-        return {
-            "kind": "linear",
-            "offset": layer.offset,
-            "coefficients": model.coefficients.tolist(),
-        }
-    return {
-        "kind": "additive_spline",
+    linear = isinstance(model, LinearModel)
+    doc = {
+        "kind": "linear" if linear else "additive_spline",
         "offset": layer.offset,
         "coefficients": model.coefficients.tolist(),
-        "variables": [
+    }
+    if not linear:
+        doc["variables"] = [
             {"id": vid, "lo": kv.lo, "hi": kv.hi, "interior": list(kv.interior)}
             for vid, kv in zip(model.variable_ids, model.bases)
-        ],
-    }
+        ]
+    return doc
 
 
 def serialize(model: CFracModel) -> str:

@@ -14,3 +14,7 @@ class DataError(SplineCfrError):
 
 class ModelFormatError(DataError):
     """A model document failed to parse or violated the schema."""
+
+
+class TrainingRmseWarning(RuntimeWarning):
+    """A fitted depth raised the training RMSE above the depth before it."""

@@ -25,7 +25,7 @@ from splinecfr.cfr_core import (
     serialize,
     training_rmse_by_depth,
 )
-from splinecfr.errors import ModelFormatError
+from splinecfr.errors import ModelFormatError, TrainingRmseWarning
 from splinecfr.solver import least_squares
 from splinecfr.spline_basis import build_knot_vector
 
@@ -332,9 +332,10 @@ class TestDepthControl:
         # The README quick start: training RMSE [0.362, 0.652, 3.007, 1.151].
         ds = gen_sinc(200, seed=0)
         config = FitConfig(max_depth=3, knots_per_depth=3, norm=1.0)
-        with pytest.warns(RuntimeWarning) as record:
+        with pytest.warns(TrainingRmseWarning) as record:
             model = fit(ds.features, ds.target, config)
         r = model.training_rmse
+        assert all(w.category is TrainingRmseWarning for w in record)
         assert [str(w.message).split(";")[0] for w in record] == [
             f"depth {d} raises the training RMSE from {r[d - 1]:.6g} to {r[d]:.6g}"
             for d in (1, 2)

@@ -2,6 +2,7 @@
 
 import json
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +20,7 @@ from splinecfr.data_io import (
     split_out_of_domain,
     split_out_of_sample,
 )
+from splinecfr.errors import TrainingRmseWarning
 from splinecfr.fileio import csv_text
 
 
@@ -489,6 +491,26 @@ class TestBench:
         assert [r[:2] for r in kappa_rows] == [
             ["spline_cfr", "ols"], ["spline_cfr", "noisy"], ["ols", "noisy"],
         ]
+
+    @pytest.mark.parametrize("auto_depth", [False, True], ids=["fixed", "auto"])
+    def test_worse_depths_give_one_summary_warning(self, tmp_path, auto_depth):
+        data = tmp_path / "sinc.csv"
+        assert main(["synth", "sinc", "--n", "200", "--out", str(data)]) == 0
+        args = [
+            "bench", "--data", str(data), "--target", "y", "--out-dir", str(tmp_path / "b"),
+            "--runs", "5", "--max-depth", "3", "--knots", "3", "--norm", "1",
+        ] + (["--auto-depth"] if auto_depth else [])
+        with warnings.catch_warnings(record=True) as record:
+            warnings.simplefilter("always")
+            assert main(args) == 0
+        if auto_depth:
+            assert record == []
+            return
+        # One per run and worse depth would be 11 warnings here.
+        assert [w.category for w in record] == [TrainingRmseWarning]
+        assert str(record[0].message).startswith(
+            "in 5 of 5 runs a depth raises the training RMSE (runs by first such depth: depth 1: 5)"
+        )
 
     def test_misaligned_external_predictions_fail(self, tmp_path, toy_csv, capsys):
         ds = load_csv(toy_csv, "y")

@@ -12,8 +12,10 @@ CHANGES.md): ``PYTHONPATH=src python tests/test_golden.py``.
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from splinecfr.cfr_core import FitConfig, deserialize, fit, serialize
+from splinecfr.errors import TrainingRmseWarning
 
 GOLDEN = Path(__file__).parent / "golden"
 CONFIG = FitConfig(max_depth=3)
@@ -66,6 +68,18 @@ def test_predictions_unchanged():
     model = deserialize((GOLDEN / "model.json").read_text(encoding="utf-8"))
     expected = (GOLDEN / "predictions.txt").read_text(encoding="utf-8")
     assert predictions_text(model.predict(golden_batch(X))) == expected
+
+
+def test_fit_reports_the_pinned_collapse():
+    # The pinned fraction collapses at depth 1; a regeneration must not pin
+    # a collapse without this warning saying so.
+    X, y = golden_table()
+    with pytest.warns(TrainingRmseWarning) as record:
+        model = fit(X, y, CONFIG)
+    assert [str(w.message).split(";")[0] for w in record] == [
+        "depth 1 raises the training RMSE from 7.66727 to 75.7486"
+    ]
+    assert model.training_rmse[1] > model.training_rmse[0]
 
 
 if __name__ == "__main__":

@@ -1,0 +1,73 @@
+"""Property tests of the out-of-domain split and of fitted models."""
+
+import warnings
+
+import numpy as np
+import pytest
+
+from splinecfr.cfr_core import FitConfig, deserialize, fit, serialize
+from splinecfr.data_io import Dataset, split_out_of_domain
+from splinecfr.errors import TrainingRmseWarning
+
+hypothesis = pytest.importorskip("hypothesis")
+st = hypothesis.strategies
+
+# The ValueErrors split_out_of_domain documents for a valid quantile.
+SPLIT_REFUSALS = ("target is constant", "leaves an empty pool", "no targets strictly above")
+
+
+@hypothesis.settings(deadline=None)
+@hypothesis.given(
+    # Few distinct values, so ties sit on the pool boundary.
+    targets=st.lists(st.integers(0, 5).map(float), min_size=1, max_size=40),
+    quantile=st.floats(0.01, 0.99),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_ood_split_separates_or_refuses(targets, quantile, seed):
+    y = np.array(targets)
+    ds = Dataset(np.zeros((y.size, 1)), y, ("x",), "y")
+    try:
+        split = split_out_of_domain(ds, quantile=quantile, seed=seed)
+    except ValueError as exc:
+        assert any(reason in str(exc) for reason in SPLIT_REFUSALS), str(exc)
+        return
+    assert split.train.target.max() < split.threshold <= split.test.target.min()
+
+
+@st.composite
+def fit_problems(draw):
+    n = draw(st.integers(4, 30))
+    m = draw(st.integers(1, 3))
+    cells = st.floats(-50.0, 50.0, allow_nan=False, allow_infinity=False)
+    X = np.array(draw(st.lists(cells, min_size=n * m, max_size=n * m))).reshape(n, m)
+    y = np.array(draw(st.lists(cells, min_size=n, max_size=n)))
+    config = FitConfig(
+        lam=draw(st.sampled_from([0.0, 0.1, 0.5])),
+        knots_per_depth=draw(st.integers(1, 4)),
+        norm=draw(st.sampled_from([1.0, 10.0, 1000.0])),
+        max_depth=draw(st.integers(0, 2)),
+        auto_depth=draw(st.booleans()),
+        literal_final_offset=draw(st.booleans()),
+    )
+    # Every row pushed out of the box on every feature, below or above.
+    side = np.where(np.arange(n) % 2 == 0, -1.0, 1.0)[:, None]
+    push = draw(st.floats(0.1, 3.0))
+    lo, hi = X.min(axis=0), X.max(axis=0)
+    outside = X + side * ((hi - lo) * (1.0 + push) + 1.0)
+    return X, y, config, outside
+
+
+@hypothesis.settings(deadline=None, max_examples=60)
+@hypothesis.given(fit_problems())
+def test_small_fits_round_trip_and_extrapolate_finitely(problem):
+    X, y, config, outside = problem
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TrainingRmseWarning)
+        model = fit(X, y, config)
+    text = serialize(model)
+    loaded = deserialize(text)
+    assert serialize(loaded) == text
+    batch = np.vstack([X, outside])
+    assert loaded.predict(batch).tobytes() == model.predict(batch).tobytes()
+    assert np.isfinite(model.predict(outside)).all()
+
