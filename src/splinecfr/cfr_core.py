@@ -37,6 +37,32 @@ from .spline_basis import (
 
 MODEL_FORMAT = "spline-cfr-model/1"
 
+# Design cells (rows x columns) multiplied per block of rows: 16 MB, below
+# glibc's 32 MB ceiling for its mmap threshold, so a freed block's memory is
+# reused by the next one instead of being mapped and faulted in again.
+_BLOCK_CELLS = 2**21
+# Blocks hold a multiple of this many rows, which BLAS's matrix-vector
+# kernels take in groups. With one OpenBLAS 0.3.31 thread (Haswell kernels),
+# blocks of 3104 rows of a 21262-row design gave the bits of one product
+# over all rows; blocks of 3111 rows moved 13 values in the last bit.
+_BLOCK_ROW_MULTIPLE = 8
+
+
+def _by_row_blocks(design_of, n: int, coefficients: np.ndarray) -> np.ndarray:
+    """``design_of(rows) @ coefficients`` for n rows, one block of rows at a time.
+
+    ``fit`` and ``predict`` both take a spline layer's values here, so the
+    training values ``fit`` scores are the ones ``predict`` recomputes bit
+    for bit.
+    """
+    out = np.empty(n)
+    step = max(1, _BLOCK_CELLS // coefficients.shape[0] // _BLOCK_ROW_MULTIPLE)
+    step *= _BLOCK_ROW_MULTIPLE
+    for r0 in range(0, n, step):
+        rows = slice(r0, r0 + step)
+        out[rows] = design_of(rows) @ coefficients
+    return out
+
 
 @dataclass(frozen=True)
 class FitConfig:
@@ -105,8 +131,13 @@ class AdditiveSplineModel:
     coefficients: np.ndarray
 
     def evaluate(self, X: np.ndarray) -> np.ndarray:
-        cols = np.asarray(X, dtype=float)[:, list(self.variable_ids)]
-        return design_matrix(cols, self.bases) @ self.coefficients
+        X = np.asarray(X, dtype=float)
+        ids = list(self.variable_ids)
+        return _by_row_blocks(
+            lambda rows: design_matrix(X[rows][:, ids], self.bases),
+            X.shape[0],
+            self.coefficients,
+        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -275,7 +306,7 @@ def fit(X, y, config: FitConfig | None = None) -> CFracModel:
         design = design_matrix(X_spline, bases)
         penalties = [penalty_block(kv.basis_count) for kv in bases]
         beta = penalized_least_squares(design, target, config.lam, penalties)
-        values.append(design @ beta)
+        values.append(_by_row_blocks(lambda rows: design[rows], n, beta))
         # One design at a time: the next depth's is larger.
         del design
         resid = target - values[-1]

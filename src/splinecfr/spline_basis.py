@@ -195,9 +195,12 @@ def design_matrix(X, bases: Sequence[KnotVector]) -> np.ndarray:
     first += (block_col - p)[:, None]
     edge_span += knot_start[:, None]
     to_knot = knot_start - block_col + p
-    # Row 2j + side of the edge tables is variable j at lo (side 0) or hi.
+    # Entry 2j + side of the edge tables is variable j at lo (side 0) or hi;
+    # table k holds the value or slope of each edge span's k-th function.
     edge = edge.ravel()
-    edge_val, edge_der = _span_values_and_slopes(t, edge, edge_span.ravel())
+    edge_val, edge_der = (
+        np.ascontiguousarray(a.T) for a in _span_values_and_slopes(t, edge, edge_span.ravel())
+    )
     width = out.shape[1]
     flat = out.reshape(-1)
     rows = max(1, _BLOCK_POINTS // m)
@@ -211,10 +214,9 @@ def design_matrix(X, bases: Sequence[KnotVector]) -> np.ndarray:
             beyond = np.flatnonzero(outside)
             row = 2 * (beyond % m) + above[beyond]
             step = x.ravel()[beyond] - edge[row]
-            ext = edge_val[row] + step[:, None] * edge_der[row]
             at = pos[beyond]
             for k in range(p + 1):
-                flat[at + k] = ext[:, k]
+                flat[at + k] = edge_val[k][row] + step * edge_der[k][row]
             within = np.flatnonzero(~outside)
             pos = pos[within]
         else:

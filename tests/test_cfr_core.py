@@ -27,7 +27,7 @@ from splinecfr.cfr_core import (
 )
 from splinecfr.errors import ModelFormatError, TrainingRmseWarning
 from splinecfr.solver import least_squares
-from splinecfr.spline_basis import build_knot_vector
+from splinecfr.spline_basis import build_knot_vector, design_matrix
 
 
 def sign_walk_oracle(residuals, k):
@@ -458,6 +458,70 @@ class TestFitConfigValidation:
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
             FitConfig(**kwargs)
+
+
+class TestRowBlocks:
+    """fit and predict over several blocks of rows (the block size is shrunk)."""
+
+    BLOCK_CELLS = 400
+
+    @pytest.fixture
+    def blocked(self, monkeypatch):
+        monkeypatch.setattr(cfr_core, "_BLOCK_CELLS", self.BLOCK_CELLS)
+        X, y = toy_data(n=90, seed=21)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", TrainingRmseWarning)
+            model = fit(X, y, FitConfig(max_depth=3, norm=1.0, lam=0.1))
+        return X, y, model
+
+    @staticmethod
+    def block_rows(width):
+        multiple = cfr_core._BLOCK_ROW_MULTIPLE
+        return max(multiple, TestRowBlocks.BLOCK_CELLS // width // multiple * multiple)
+
+    def test_fit_spans_at_least_three_blocks(self, blocked):
+        X, _, model = blocked
+        for layer in model.layers[1:]:
+            assert X.shape[0] > 2 * self.block_rows(layer.model.coefficients.shape[0])
+
+    def test_training_rmse_is_recomputed_bit_for_bit(self, blocked):
+        X, y, model = blocked
+        assert model.depth == 3
+        assert model.training_rmse == tuple(training_rmse_by_depth(model, X, y))
+
+    def test_layers_match_the_one_shot_design(self, blocked):
+        X, _, model = blocked
+        batch = np.vstack([X, X + 5.0, X - 5.0])
+        for layer in model.layers[1:]:
+            spline = layer.model
+            one_shot = design_matrix(batch[:, list(spline.variable_ids)], spline.bases)
+            expected = one_shot @ spline.coefficients
+            # Only the summation order of the dot products may differ.
+            npt.assert_allclose(
+                spline.evaluate(batch), expected, rtol=0.0,
+                atol=1e-13 * np.abs(expected).max(),
+            )
+
+    def test_predict_builds_one_block_at_a_time(self, blocked, monkeypatch):
+        X, _, model = blocked
+        rows_seen = []
+        original = cfr_core.design_matrix
+
+        def spy(cols, bases):
+            rows_seen.append((cols.shape[0], 1 + sum(kv.basis_count for kv in bases)))
+            return original(cols, bases)
+
+        monkeypatch.setattr(cfr_core, "design_matrix", spy)
+        pred = model.predict(np.vstack([X, X + 5.0]))
+        assert np.isfinite(pred).all()
+        assert len(rows_seen) >= 3 * model.depth
+        assert all(rows <= self.block_rows(width) for rows, width in rows_seen)
+        assert sum(rows for rows, _ in rows_seen) == 2 * X.shape[0] * model.depth
+
+    def test_zero_rows(self, blocked):
+        X, _, model = blocked
+        pred = model.predict(np.empty((0, X.shape[1])))
+        assert pred.shape == (0,)
 
 
 class TestMemory:

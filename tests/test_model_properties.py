@@ -5,9 +5,10 @@ import warnings
 import numpy as np
 import pytest
 
-from splinecfr.cfr_core import FitConfig, deserialize, fit, serialize
+from splinecfr.cfr_core import FitConfig, LinearModel, deserialize, fit, serialize
 from splinecfr.data_io import Dataset, split_out_of_domain
 from splinecfr.errors import TrainingRmseWarning
+from splinecfr.spline_basis import design_matrix
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -71,3 +72,34 @@ def test_small_fits_round_trip_and_extrapolate_finitely(problem):
     assert loaded.predict(batch).tobytes() == model.predict(batch).tobytes()
     assert np.isfinite(model.predict(outside)).all()
 
+
+
+@hypothesis.settings(deadline=None, max_examples=60)
+@hypothesis.given(fit_problems(), st.floats(0.01, 2.0))
+def test_layers_are_linear_outside_the_box(problem, stride):
+    X, y, config, outside = problem
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TrainingRmseWarning)
+        model = fit(X, y, config)
+    # A step that takes every row further out on the side it already lies.
+    lo, hi = X.min(axis=0), X.max(axis=0)
+    step = np.where(outside > hi, 1.0, -1.0) * ((hi - lo) + 1.0) * stride
+    points = [outside + k * step for k in range(3)]
+    v0, v1, v2 = (np.array(model.layer_values(x)) for x in points)
+    # Rounding grows with the terms summed, not with their (possibly much
+    # smaller) sum: an unpenalized fit can cancel large coefficients.
+    scale = np.maximum.reduce([term_sizes(model, x) for x in points])
+    assert (np.abs(v2 - 2.0 * v1 + v0) <= 1e-10 * scale).all()
+
+
+def term_sizes(model, X):
+    """Per layer and row, the sum of |coefficient * column| over all terms."""
+    sizes = []
+    for layer in model.layers:
+        g = layer.model
+        if isinstance(g, LinearModel):
+            design = np.hstack([np.ones((X.shape[0], 1)), X])
+        else:
+            design = design_matrix(X[:, list(g.variable_ids)], g.bases)
+        sizes.append(np.abs(design) @ np.abs(g.coefficients))
+    return np.array(sizes)
