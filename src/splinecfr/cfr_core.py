@@ -237,6 +237,26 @@ def compute_offset(residuals, offset_epsilon: float) -> float:
     return abs(float(r.min())) + offset_epsilon
 
 
+def _distinct_rows(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The distinct rows of X: each one's first row index, each row's group, and counts.
+
+    Rows are keyed by their bytes, which equal bytes always give equal design
+    rows (-0.0 and 0.0 stay apart). Groups are numbered in order of first
+    occurrence. A matrix with no columns has one group.
+    """
+    n = X.shape[0]
+    if X.shape[1] == 0:
+        return np.zeros(1, dtype=np.intp), np.zeros(n, dtype=np.intp), np.array([n])
+    keys = np.ascontiguousarray(X).view(np.dtype((np.void, X.itemsize * X.shape[1]))).ravel()
+    _, first, group, counts = np.unique(
+        keys, return_index=True, return_inverse=True, return_counts=True
+    )
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    return first[order], rank[group], counts[order]
+
+
 def _insert_knot(knots: list[float], value: float, lo: float, hi: float) -> None:
     """Insert a knot position, skipping boundary hits and near-duplicates."""
     if value - lo <= KNOT_DEDUP_TOL or hi - value <= KNOT_DEDUP_TOL:
@@ -256,9 +276,12 @@ def fit(X, y, config: FitConfig | None = None) -> CFracModel:
     squares, and each further depth fits a penalized additive spline to the
     inverted, offset residuals of the previous layer. Knot sites accumulate
     across depths: every depth keeps all earlier knots and adds up to
-    ``knots_per_depth`` new sites chosen from the residuals. The procedure
-    is deterministic. Each kept depth whose training RMSE is above the one
-    before it raises a TrainingRmseWarning.
+    ``knots_per_depth`` new sites chosen from the residuals. When rows repeat
+    in the spline columns, each depth's design holds only the distinct rows
+    and the solve weights them by their counts; when none repeats, the fit
+    solves on the rows as they are. The procedure is deterministic. Each
+    kept depth whose training RMSE is above the one before it raises a
+    TrainingRmseWarning.
     """
     if config is None:
         config = FitConfig()
@@ -294,6 +317,10 @@ def fit(X, y, config: FitConfig | None = None) -> CFracModel:
     )
     knots: dict[int, list[float]] = {j: [] for j in spline_vars}
     X_spline = X[:, spline_vars]
+    first, group, counts = _distinct_rows(X_spline)
+    repeats = first.size < n
+    if repeats:
+        X_spline = X_spline[first]
 
     train_pred = model._fold(values)
     rmses = [rmse(y, train_pred)]
@@ -305,8 +332,14 @@ def fit(X, y, config: FitConfig | None = None) -> CFracModel:
         bases = tuple(build_knot_vector(knots[j], lo[j], hi[j]) for j in spline_vars)
         design = design_matrix(X_spline, bases)
         penalties = [penalty_block(kv.basis_count) for kv in bases]
-        beta = penalized_least_squares(design, target, config.lam, penalties)
-        values.append(_by_row_blocks(lambda rows: design[rows], n, beta))
+        if repeats:
+            sums = np.bincount(group, weights=target, minlength=first.size)
+            beta = penalized_least_squares(design, sums, config.lam, penalties, counts=counts)
+            # Blocks of the shape predict builds, so the bits are predict's.
+            values.append(_by_row_blocks(lambda rows: design[group[rows]], n, beta))
+        else:
+            beta = penalized_least_squares(design, target, config.lam, penalties)
+            values.append(_by_row_blocks(lambda rows: design[rows], n, beta))
         # One design at a time: the next depth's is larger.
         del design
         resid = target - values[-1]

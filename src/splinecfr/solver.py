@@ -5,6 +5,13 @@ fixed 1e-10 ridge on the diagonal. The jitter makes rank-deficient designs
 solvable without any data-dependent branching, and it is small enough to be
 invisible on well-posed problems. Penalties are plain square matrices (see
 ``spline_basis.penalty_block``) added along the diagonal in blocks.
+
+The penalized solver also takes row counts: design row i may stand for
+``counts[i]`` identical rows, and its target entry is then the sum of their
+targets. The Gram becomes B'CB with C = diag(counts), so a design of the
+distinct rows gives the normal equations of the full one exactly
+(Wood, Goude and Shaw, "Generalized additive models for large data sets",
+JRSS C 2015, with exact counts in place of bins).
 """
 
 from __future__ import annotations
@@ -15,6 +22,10 @@ from typing import Sequence
 import numpy as np
 
 JITTER = 1e-10
+
+# Design cells scaled by sqrt(counts) at a time while the weighted Gram is
+# accumulated (16 MB), so no second design-sized array is made.
+_GRAM_BLOCK_CELLS = 2**21
 
 
 def _check_system(A: np.ndarray, y: np.ndarray) -> None:
@@ -49,12 +60,39 @@ def least_squares(A, y) -> np.ndarray:
     return beta
 
 
-def penalized_least_squares(B, y, lam: float, penalties: Sequence[np.ndarray]) -> np.ndarray:
-    """Solve (B'B + lam * blockdiag(0, P_1..P_m) + 1e-10 I) beta = B'y.
+def _check_counts(counts, rows: int) -> np.ndarray:
+    c = np.asarray(counts, dtype=float)
+    if c.ndim != 1 or c.shape[0] != rows:
+        raise ValueError(f"counts must be 1-D with {rows} entries, got shape {c.shape}")
+    if not (np.isfinite(c) & (c >= 1.0)).all():
+        raise ValueError("counts must be finite and at least 1")
+    return c
+
+
+def _weighted_gram(B: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """B' diag(counts) B, from sqrt(counts)-scaled blocks of rows."""
+    g = np.zeros((B.shape[1], B.shape[1]))
+    w = np.sqrt(counts)
+    step = max(1, _GRAM_BLOCK_CELLS // B.shape[1])
+    for r0 in range(0, B.shape[0], step):
+        block = B[r0 : r0 + step] * w[r0 : r0 + step, None]
+        g += block.T @ block
+    return g
+
+
+def penalized_least_squares(
+    B, y, lam: float, penalties: Sequence[np.ndarray], counts=None
+) -> np.ndarray:
+    """Solve (B'CB + lam * blockdiag(0, P_1..P_m) + 1e-10 I) beta = B'y.
 
     ``penalties`` are the square matrices P_1..P_m. They tile the trailing
     columns of ``B``, each covering as many columns as it has rows; at most
     one leading column (the intercept) may be left unpenalized.
+
+    C = diag(counts), the identity when ``counts`` is None. With counts,
+    design row i stands for ``counts[i]`` identical rows and ``y[i]`` is the
+    sum of their targets, so the solution is the one of the design with
+    every row repeated as many times as it is counted.
     """
     B = np.asarray(B, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -68,7 +106,7 @@ def penalized_least_squares(B, y, lam: float, penalties: Sequence[np.ndarray]) -
             f"penalty blocks cover {sum(sizes)} columns but the design has "
             f"{B.shape[1]}; expected them to tile all columns or all but an intercept"
         )
-    g = B.T @ B
+    g = B.T @ B if counts is None else _weighted_gram(B, _check_counts(counts, B.shape[0]))
     g[np.diag_indices_from(g)] += JITTER
     col = lead
     for pen, size in zip(penalties, sizes):

@@ -26,8 +26,8 @@ from splinecfr.cfr_core import (
     training_rmse_by_depth,
 )
 from splinecfr.errors import ModelFormatError, TrainingRmseWarning
-from splinecfr.solver import least_squares
-from splinecfr.spline_basis import build_knot_vector, design_matrix
+from splinecfr.solver import least_squares, penalized_least_squares
+from splinecfr.spline_basis import build_knot_vector, design_matrix, penalty_block
 
 
 def sign_walk_oracle(residuals, k):
@@ -524,6 +524,88 @@ class TestRowBlocks:
         assert pred.shape == (0,)
 
 
+def repeated_rows(n_distinct, m, seed):
+    """A table whose rows repeat 1 to 4 times in shuffled order; y varies within a group."""
+    rng = np.random.default_rng(seed)
+    base = rng.uniform(-2, 2, size=(n_distinct, m))
+    X = base[rng.permutation(np.repeat(np.arange(n_distinct), rng.integers(1, 5, n_distinct)))]
+    y = 3.0 + X.sum(axis=1) + 0.3 * np.sin(3 * X[:, 0]) + rng.normal(0, 0.1, X.shape[0])
+    return X, y
+
+
+class TestDistinctRows:
+    """fit on a table whose rows repeat solves each depth on the distinct rows."""
+
+    CONFIG = FitConfig(max_depth=3, norm=1.0, lam=0.1)
+
+    @pytest.fixture(params=[None, TestRowBlocks.BLOCK_CELLS], ids=["one_block", "blocks"])
+    def fitted(self, request, monkeypatch):
+        if request.param is not None:
+            monkeypatch.setattr(cfr_core, "_BLOCK_CELLS", request.param)
+        X, y = repeated_rows(50, 3, seed=6)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", TrainingRmseWarning)
+            model = fit(X, y, self.CONFIG)
+        return X, y, model
+
+    def test_table_repeats_rows(self):
+        X, _ = repeated_rows(50, 3, seed=6)
+        assert len(np.unique(X, axis=0)) == 50 < X.shape[0]
+
+    def test_training_rmse_is_recomputed_bit_for_bit(self, fitted):
+        X, y, model = fitted
+        assert model.depth == 3
+        assert model.training_rmse == tuple(training_rmse_by_depth(model, X, y))
+
+    def test_layers_match_the_solve_on_every_row(self, fitted):
+        # Coefficients are fixed only up to the jitter along the intercept
+        # and each variable's partition of unity, where rounding moves them
+        # by about 1e-5 relative; the layer values those directions leave
+        # unchanged are compared instead, inside and outside the box.
+        X, y, model = fitted
+        batch = np.vstack([X, X + 5.0, X - 5.0])
+        values = model.layer_values(X)
+        resid = y / model.norm - values[0]
+        for above, layer, value in zip(model.layers, model.layers[1:], values[1:]):
+            target = 1.0 / (resid + above.offset)
+            spline = layer.model
+            ids = list(spline.variable_ids)
+            pens = [penalty_block(kv.basis_count) for kv in spline.bases]
+            beta = penalized_least_squares(
+                design_matrix(X[:, ids], spline.bases), target, self.CONFIG.lam, pens
+            )
+            expected = design_matrix(batch[:, ids], spline.bases) @ beta
+            npt.assert_allclose(spline.evaluate(batch), expected, rtol=0.0,
+                                atol=1e-9 * np.abs(expected).max())
+            resid = target - value
+
+    def test_all_constant_features_fit_the_mean(self):
+        X = np.full((12, 2), 3.0)
+        y = np.linspace(0, 1, 12)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", TrainingRmseWarning)
+            model = fit(X, y, FitConfig(max_depth=2, norm=1.0))
+        values = model.layer_values(X)
+        resid = y - values[0]
+        for above, layer, value in zip(model.layers, model.layers[1:], values[1:]):
+            assert layer.model.variable_ids == ()
+            target = 1.0 / (resid + above.offset)
+            expected = least_squares(np.ones((12, 1)), target)
+            npt.assert_allclose(layer.model.coefficients, expected, rtol=1e-12)
+            resid = target - value
+        assert np.isfinite(model.predict(X)).all()
+
+    def test_row_order_moves_only_the_last_bits(self):
+        # Reordering the rows reorders the distinct rows and their sums.
+        X, y = repeated_rows(50, 3, seed=6)
+        order = np.random.default_rng(1).permutation(X.shape[0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", TrainingRmseWarning)
+            a = fit(X, y, self.CONFIG)
+            b = fit(X[order], y[order], self.CONFIG)
+        npt.assert_allclose(a.predict(X), b.predict(X), rtol=1e-9)
+
+
 class TestMemory:
     """Traced peaks (numpy buffers included) against the largest design."""
 
@@ -552,6 +634,14 @@ class TestMemory:
         model, peak = self.traced_peak(fit, X, y, FitConfig(max_depth=3))
         assert model.depth == 3
         assert peak <= 1.6 * self.design_bytes(model, X.shape[0])
+
+    def test_fit_on_repeated_rows_holds_less_than_the_full_design(self):
+        X, y = self.table(4000, 40, seed=3)
+        order = np.random.default_rng(5).permutation(4 * X.shape[0])
+        X, y = np.vstack([X] * 4)[order], np.concatenate([y] * 4)[order]
+        model, peak = self.traced_peak(fit, X, y, FitConfig(max_depth=3))
+        assert model.depth == 3
+        assert peak <= 0.8 * self.design_bytes(model, X.shape[0])
 
     def test_predict_builds_each_design_in_place(self):
         X, y = self.table(4000, 40, seed=3)

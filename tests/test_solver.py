@@ -4,6 +4,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from splinecfr import solver
 from splinecfr.solver import JITTER, least_squares, penalized_least_squares
 from splinecfr.spline_basis import penalty_block
 
@@ -141,3 +142,63 @@ class TestPenalizedLeastSquares:
         with pytest.warns(RuntimeWarning, match="5 columns"):
             beta = penalized_least_squares(B, y, 0.3, pens)
         npt.assert_allclose(beta, expected, atol=1e-8)
+
+
+class TestCounts:
+    """Counted rows against the design with every row repeated."""
+
+    @staticmethod
+    def system(seed):
+        rng = np.random.default_rng(seed)
+        n, k = rng.integers(8, 30), rng.integers(3, 7)
+        B = np.hstack([np.ones((n, 1)), rng.normal(size=(n, k))])
+        counts = rng.integers(1, 5, size=n)
+        group = rng.permutation(np.repeat(np.arange(n), counts))
+        t = rng.normal(size=group.size)
+        return B, counts, group, t, [penalty_block(k)]
+
+    def test_weighted_solve_equals_the_expanded_one(self):
+        for seed in range(20):
+            B, counts, group, t, pens = self.system(seed)
+            sums = np.bincount(group, weights=t, minlength=B.shape[0])
+            weighted = penalized_least_squares(B, sums, 0.7, pens, counts=counts)
+            expanded = penalized_least_squares(B[group], t, 0.7, pens)
+            npt.assert_allclose(weighted, expanded, rtol=0.0,
+                                atol=1e-10 * np.abs(expanded).max())
+
+    def test_gram_accumulates_over_row_blocks(self, monkeypatch):
+        B, counts, group, t, pens = self.system(3)
+        sums = np.bincount(group, weights=t, minlength=B.shape[0])
+        one_block = penalized_least_squares(B, sums, 0.7, pens, counts=counts)
+        monkeypatch.setattr(solver, "_GRAM_BLOCK_CELLS", 3 * B.shape[1])
+        npt.assert_allclose(
+            penalized_least_squares(B, sums, 0.7, pens, counts=counts), one_block,
+            rtol=0.0, atol=1e-12 * np.abs(one_block).max(),
+        )
+
+    def test_unit_counts_equal_no_counts(self):
+        B, _, _, _, pens = self.system(5)
+        y = np.arange(B.shape[0], dtype=float)
+        npt.assert_allclose(
+            penalized_least_squares(B, y, 0.7, pens, counts=np.ones(B.shape[0])),
+            penalized_least_squares(B, y, 0.7, pens),
+            rtol=1e-12,
+        )
+
+    @pytest.mark.parametrize(
+        "counts, match",
+        [
+            (np.ones((4, 1)), "1-D"),
+            (np.ones(3), "4 entries"),
+            (np.ones(5), "4 entries"),
+            (np.array([1.0, 2.0, np.nan, 1.0]), "finite"),
+            (np.array([1.0, 2.0, np.inf, 1.0]), "finite"),
+            (np.array([1.0, 0.5, 1.0, 1.0]), "at least 1"),
+            (np.array([1, 0, 1, 1]), "at least 1"),
+            (np.array([1.0, -2.0, 1.0, 1.0]), "at least 1"),
+        ],
+    )
+    def test_bad_counts_raise(self, counts, match):
+        B = np.hstack([np.ones((4, 1)), np.eye(4)[:, :3]])
+        with pytest.raises(ValueError, match=match):
+            penalized_least_squares(B, np.ones(4), 1.0, [penalty_block(3)], counts=counts)
