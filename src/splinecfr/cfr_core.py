@@ -11,6 +11,10 @@ the next layer's training target. The deepest layer's offset is dropped at
 evaluation time (see ``literal_final_offset`` to keep it). ``fit`` grows the
 model it returns one layer per depth and scores each depth with that model's
 ``_fold``, the one fold for training values and predictions alike.
+
+Layer values are computed once per distinct full feature row and gathered
+back to every row that repeats it, in ``fit`` and ``predict`` alike, so
+byte-equal rows of one batch get byte-equal predictions.
 """
 
 from __future__ import annotations
@@ -46,14 +50,17 @@ _BLOCK_CELLS = 2**21
 # blocks of 3104 rows of a 21262-row design gave the bits of one product
 # over all rows; blocks of 3111 rows moved 13 values in the last bit.
 _BLOCK_ROW_MULTIPLE = 8
+# Bytes of sorted rows compared at a time when finding the distinct rows.
+_COMPARE_BYTES = 2**20
 
 
 def _by_row_blocks(design_of, n: int, coefficients: np.ndarray) -> np.ndarray:
     """``design_of(rows) @ coefficients`` for n rows, one block of rows at a time.
 
-    ``fit`` and ``predict`` both take a spline layer's values here, so the
-    training values ``fit`` scores are the ones ``predict`` recomputes bit
-    for bit.
+    The n rows are the distinct feature rows of a batch, in order of first
+    occurrence (see ``_distinct_rows``). ``fit`` and ``predict`` both take a
+    spline layer's values here over the same blocks, so the training values
+    ``fit`` scores are the ones ``predict`` recomputes bit for bit.
     """
     out = np.empty(n)
     step = max(1, _BLOCK_CELLS // coefficients.shape[0] // _BLOCK_ROW_MULTIPLE)
@@ -113,8 +120,9 @@ class LinearModel:
 
     coefficients: np.ndarray
 
-    def evaluate(self, X: np.ndarray) -> np.ndarray:
-        return self.coefficients[0] + X @ self.coefficients[1:]
+    def evaluate(self, X: np.ndarray, first: np.ndarray) -> np.ndarray:
+        """Values on the rows ``X[first]``."""
+        return self.coefficients[0] + X[first] @ self.coefficients[1:]
 
 
 @dataclass(frozen=True, eq=False)
@@ -130,12 +138,12 @@ class AdditiveSplineModel:
     bases: tuple[KnotVector, ...]
     coefficients: np.ndarray
 
-    def evaluate(self, X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=float)
+    def evaluate(self, X: np.ndarray, first: np.ndarray) -> np.ndarray:
+        """Values on the rows ``X[first]``, gathered one block of rows at a time."""
         ids = list(self.variable_ids)
         return _by_row_blocks(
-            lambda rows: design_matrix(X[rows][:, ids], self.bases),
-            X.shape[0],
+            lambda rows: design_matrix(X[np.ix_(first[rows], ids)], self.bases),
+            first.shape[0],
             self.coefficients,
         )
 
@@ -181,14 +189,19 @@ class CFracModel:
         return self.feature_bounds.shape[0]
 
     def layer_values(self, X: np.ndarray) -> list[np.ndarray]:
-        """Evaluate every layer's additive model on X (before folding)."""
+        """Evaluate every layer's additive model on X (before folding).
+
+        Each layer is evaluated once per distinct row of X (rows compared by
+        their bytes) and its values are gathered back to every row.
+        """
         X = np.asarray(X, dtype=float)
         if X.ndim != 2 or X.shape[1] != self.feature_count:
             raise ValueError(
                 f"expected a 2-D matrix with {self.feature_count} feature columns, "
                 f"got shape {X.shape}"
             )
-        return [layer.model.evaluate(X) for layer in self.layers]
+        first, group, _ = _distinct_rows(X)
+        return [layer.model.evaluate(X, first)[group] for layer in self.layers]
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         return self._fold(self.layer_values(X))
@@ -240,21 +253,35 @@ def compute_offset(residuals, offset_epsilon: float) -> float:
 def _distinct_rows(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The distinct rows of X: each one's first row index, each row's group, and counts.
 
-    Rows are keyed by their bytes, which equal bytes always give equal design
-    rows (-0.0 and 0.0 stay apart). Groups are numbered in order of first
-    occurrence. A matrix with no columns has one group.
+    Rows of the float64 matrix X are keyed by their bytes, which equal bytes
+    always give equal layer values (-0.0 and 0.0 stay apart, a NaN matches
+    only the same NaN). Groups are numbered in order of first occurrence. A
+    matrix with no columns and some rows has one group. The keys are
+    argsorted, not sorted, and adjacent rows in that order are gathered and
+    compared ``_COMPARE_BYTES`` at a time, so a C-contiguous X is never copied.
     """
-    n = X.shape[0]
-    if X.shape[1] == 0:
-        return np.zeros(1, dtype=np.intp), np.zeros(n, dtype=np.intp), np.array([n])
-    keys = np.ascontiguousarray(X).view(np.dtype((np.void, X.itemsize * X.shape[1]))).ravel()
-    _, first, group, counts = np.unique(
-        keys, return_index=True, return_inverse=True, return_counts=True
-    )
-    order = np.argsort(first)
-    rank = np.empty_like(order)
-    rank[order] = np.arange(order.size)
-    return first[order], rank[group], counts[order]
+    n, m = X.shape
+    if m == 0:
+        first = np.arange(min(n, 1))
+        return first, np.zeros(n, dtype=np.intp), np.full(first.size, n)
+    X = np.ascontiguousarray(X)
+    # A stable sort puts each group's first occurrence at the head of its run.
+    order = np.argsort(X.view(np.dtype((np.void, X.itemsize * m))).ravel(), kind="stable")
+    words = X.view(np.uint64)
+    starts = np.ones(n, dtype=bool)
+    step = max(1, _COMPARE_BYTES // (X.itemsize * m))
+    for s0 in range(1, n, step):
+        block = words[order[s0 - 1 : s0 + step]]
+        starts[s0 : s0 + step] = (block[1:] != block[:-1]).any(axis=1)
+    heads = np.flatnonzero(starts)
+    first = order[heads]
+    counts = np.diff(np.append(heads, n))
+    by_first = np.argsort(first)
+    rank = np.empty_like(by_first)
+    rank[by_first] = np.arange(by_first.size)
+    group = np.empty(n, dtype=np.intp)
+    group[order] = rank[np.cumsum(starts) - 1]
+    return first[by_first], group, counts[by_first]
 
 
 def _insert_knot(knots: list[float], value: float, lo: float, hi: float) -> None:
@@ -276,12 +303,13 @@ def fit(X, y, config: FitConfig | None = None) -> CFracModel:
     squares, and each further depth fits a penalized additive spline to the
     inverted, offset residuals of the previous layer. Knot sites accumulate
     across depths: every depth keeps all earlier knots and adds up to
-    ``knots_per_depth`` new sites chosen from the residuals. When rows repeat
-    in the spline columns, each depth's design holds only the distinct rows
-    and the solve weights them by their counts; when none repeats, the fit
-    solves on the rows as they are. The procedure is deterministic. Each
-    kept depth whose training RMSE is above the one before it raises a
-    TrainingRmseWarning.
+    ``knots_per_depth`` new sites chosen from the residuals. Each depth's
+    design holds one row per distinct full feature row; when rows repeat,
+    the solve weights them by their counts, and when none repeats, it solves
+    on the rows as they are. Every layer's training values are computed once
+    per distinct row and gathered, as ``predict`` does. The procedure is
+    deterministic. Each kept depth whose training RMSE is above the one
+    before it raises a TrainingRmseWarning.
     """
     if config is None:
         config = FitConfig()
@@ -303,9 +331,10 @@ def fit(X, y, config: FitConfig | None = None) -> CFracModel:
     hi = X.max(axis=0)
     spline_vars = [j for j in range(m) if hi[j] - lo[j] > KNOT_DEDUP_TOL]
 
+    first, group, counts = _distinct_rows(X)
     y0 = y / config.norm
     linear = LinearModel(least_squares(np.hstack([np.ones((n, 1)), X]), y0))
-    values = [linear.evaluate(X)]
+    values = [linear.evaluate(X, first)[group]]
     resid = y0 - values[0]
     model = CFracModel(
         norm=config.norm,
@@ -316,11 +345,7 @@ def fit(X, y, config: FitConfig | None = None) -> CFracModel:
         literal_final_offset=config.literal_final_offset,
     )
     knots: dict[int, list[float]] = {j: [] for j in spline_vars}
-    X_spline = X[:, spline_vars]
-    first, group, counts = _distinct_rows(X_spline)
-    repeats = first.size < n
-    if repeats:
-        X_spline = X_spline[first]
+    X_spline = X[np.ix_(first, spline_vars)]
 
     train_pred = model._fold(values)
     rmses = [rmse(y, train_pred)]
@@ -332,14 +357,12 @@ def fit(X, y, config: FitConfig | None = None) -> CFracModel:
         bases = tuple(build_knot_vector(knots[j], lo[j], hi[j]) for j in spline_vars)
         design = design_matrix(X_spline, bases)
         penalties = [penalty_block(kv.basis_count) for kv in bases]
-        if repeats:
-            sums = np.bincount(group, weights=target, minlength=first.size)
-            beta = penalized_least_squares(design, sums, config.lam, penalties, counts=counts)
-            # Blocks of the shape predict builds, so the bits are predict's.
-            values.append(_by_row_blocks(lambda rows: design[group[rows]], n, beta))
-        else:
-            beta = penalized_least_squares(design, target, config.lam, penalties)
-            values.append(_by_row_blocks(lambda rows: design[rows], n, beta))
+        # Each group's target sum; a group of one row sums to its target exactly.
+        sums = np.bincount(group, weights=target, minlength=first.size)
+        beta = penalized_least_squares(
+            design, sums, config.lam, penalties, counts=counts if first.size < n else None
+        )
+        values.append(_by_row_blocks(lambda rows: design[rows], first.size, beta)[group])
         # One design at a time: the next depth's is larger.
         del design
         resid = target - values[-1]

@@ -498,7 +498,7 @@ class TestRowBlocks:
             expected = one_shot @ spline.coefficients
             # Only the summation order of the dot products may differ.
             npt.assert_allclose(
-                spline.evaluate(batch), expected, rtol=0.0,
+                spline.evaluate(batch, np.arange(batch.shape[0])), expected, rtol=0.0,
                 atol=1e-13 * np.abs(expected).max(),
             )
 
@@ -512,7 +512,8 @@ class TestRowBlocks:
             return original(cols, bases)
 
         monkeypatch.setattr(cfr_core, "design_matrix", spy)
-        pred = model.predict(np.vstack([X, X + 5.0]))
+        # The second copy of X adds no design rows: each distinct row is built once.
+        pred = model.predict(np.vstack([X, X + 5.0, X]))
         assert np.isfinite(pred).all()
         assert len(rows_seen) >= 3 * model.depth
         assert all(rows <= self.block_rows(width) for rows, width in rows_seen)
@@ -575,8 +576,8 @@ class TestDistinctRows:
                 design_matrix(X[:, ids], spline.bases), target, self.CONFIG.lam, pens
             )
             expected = design_matrix(batch[:, ids], spline.bases) @ beta
-            npt.assert_allclose(spline.evaluate(batch), expected, rtol=0.0,
-                                atol=1e-9 * np.abs(expected).max())
+            npt.assert_allclose(spline.evaluate(batch, np.arange(batch.shape[0])), expected,
+                                rtol=0.0, atol=1e-9 * np.abs(expected).max())
             resid = target - value
 
     def test_all_constant_features_fit_the_mean(self):
@@ -604,6 +605,81 @@ class TestDistinctRows:
             a = fit(X, y, self.CONFIG)
             b = fit(X[order], y[order], self.CONFIG)
         npt.assert_allclose(a.predict(X), b.predict(X), rtol=1e-9)
+
+
+def distinct_rows_oracle(X):
+    """One np.unique over the rows' byte keys, groups renumbered by first occurrence."""
+    n = X.shape[0]
+    if X.shape[1] == 0:
+        first = np.zeros(min(n, 1), dtype=np.intp)
+        return first, np.zeros(n, dtype=np.intp), np.full(first.size, n)
+    keys = np.ascontiguousarray(X).view(np.dtype((np.void, X.itemsize * X.shape[1]))).ravel()
+    _, first, group, counts = np.unique(
+        keys, return_index=True, return_inverse=True, return_counts=True
+    )
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    return first[order], rank[group.ravel()], counts[order]
+
+
+class TestDistinctRowKeys:
+    """_distinct_rows against the np.unique oracle."""
+
+    @staticmethod
+    def tied_table(seed, cells=(0.0, -0.0, 1.0, np.nan, 2.5, -1.0)):
+        """Rows drawn with repeats from a few rows of a few cell values."""
+        rng = np.random.default_rng(seed)
+        base = rng.choice(np.array(cells), size=(rng.integers(1, 12), rng.integers(1, 5)))
+        return base[rng.integers(0, base.shape[0], rng.integers(1, 60))]
+
+    @staticmethod
+    def assert_matches_oracle(X):
+        got = cfr_core._distinct_rows(X)
+        for name, g, e in zip(("first", "group", "counts"), got, distinct_rows_oracle(X)):
+            npt.assert_array_equal(g, e, err_msg=name)
+        return got
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_tied_tables(self, seed):
+        self.assert_matches_oracle(self.tied_table(seed))
+
+    def test_groups_numbered_by_first_occurrence(self):
+        X = np.array([[2.0], [1.0], [2.0], [3.0], [1.0], [2.0]])
+        first, group, counts = self.assert_matches_oracle(X)
+        assert first.tolist() == [0, 1, 3]
+        assert group.tolist() == [0, 1, 0, 2, 1, 0]
+        assert counts.tolist() == [3, 2, 1]
+
+    def test_signed_zeros_stay_apart(self):
+        X = np.array([[0.0, 1.0], [-0.0, 1.0], [0.0, 1.0], [-0.0, 1.0]])
+        first, group, _ = self.assert_matches_oracle(X)
+        assert first.tolist() == [0, 1] and group.tolist() == [0, 1, 0, 1]
+
+    def test_nan_rows_match_their_own_bytes(self):
+        X = np.array([[np.nan, 1.0], [1.0, np.nan], [np.nan, 1.0], [np.nan, np.nan]])
+        first, group, _ = self.assert_matches_oracle(X)
+        assert group.tolist() == [0, 1, 0, 2]
+
+    @pytest.mark.parametrize("n", [0, 1, 5])
+    def test_zero_columns(self, n):
+        first, group, counts = self.assert_matches_oracle(np.empty((n, 0)))
+        assert counts.sum() == n and group.shape == (n,)
+
+    def test_zero_rows(self):
+        first, group, counts = self.assert_matches_oracle(np.empty((0, 3)))
+        assert first.size == group.size == counts.size == 0
+
+    def test_non_contiguous_input(self):
+        X = self.tied_table(7)
+        for view in (np.asfortranarray(X), np.repeat(X, 2, axis=1)[:, ::2], X[::-1]):
+            assert not view.flags.c_contiguous
+            self.assert_matches_oracle(view)
+
+    def test_rows_spanning_several_compare_blocks(self, monkeypatch):
+        monkeypatch.setattr(cfr_core, "_COMPARE_BYTES", 40)
+        for seed in range(10):
+            self.assert_matches_oracle(self.tied_table(seed))
 
 
 class TestMemory:
@@ -652,6 +728,13 @@ class TestMemory:
         pred, peak = self.traced_peak(model.predict, batch)
         assert np.isfinite(pred).all()
         assert peak <= 1.6 * self.design_bytes(model, batch.shape[0])
+
+    def test_distinct_rows_holds_less_than_half_the_table(self):
+        X, _ = self.table(20000, 40, seed=6)
+        X = X[np.random.default_rng(7).integers(0, X.shape[0], X.shape[0])]
+        (first, _, _), peak = self.traced_peak(cfr_core._distinct_rows, X)
+        assert first.size < X.shape[0]
+        assert peak < 0.5 * X.nbytes
 
     def test_knot_vectors_are_freed_with_the_model(self):
         X, y = toy_data(n=60, seed=5)

@@ -1,10 +1,13 @@
 """Property tests of the out-of-domain split and of fitted models."""
 
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 
+import test_cfr_core
+from splinecfr import cfr_core
 from splinecfr.cfr_core import FitConfig, LinearModel, deserialize, fit, serialize
 from splinecfr.data_io import Dataset, split_out_of_domain
 from splinecfr.errors import TrainingRmseWarning
@@ -90,6 +93,31 @@ def test_layers_are_linear_outside_the_box(problem, stride):
     # smaller) sum: an unpenalized fit can cancel large coefficients.
     scale = np.maximum.reduce([term_sizes(model, x) for x in points])
     assert (np.abs(v2 - 2.0 * v1 + v0) <= 1e-10 * scale).all()
+
+
+@pytest.mark.parametrize(
+    "block_cells", [cfr_core._BLOCK_CELLS, test_cfr_core.TestRowBlocks.BLOCK_CELLS]
+)
+@hypothesis.settings(deadline=None, max_examples=40)
+@hypothesis.given(fit_problems(), st.data())
+def test_repeated_rows_predict_as_their_distinct_rows(block_cells, problem, data):
+    X, y, config, outside = problem
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TrainingRmseWarning)
+        model = fit(X, y, config)
+    # Rows inside and outside the box, some drawn twice, in a drawn order.
+    pool = np.vstack([X, outside])
+    picks = data.draw(st.lists(st.integers(0, pool.shape[0] - 1), min_size=1, max_size=90))
+    batch = pool[data.draw(st.permutations(picks + picks[: len(picks) // 2 + 1]))]
+    ids: dict[bytes, int] = {}
+    group = np.array([ids.setdefault(row.tobytes(), len(ids)) for row in batch])
+    first = np.unique(group, return_index=True)[1]
+    # With small blocks, copies of a row land in different blocks.
+    with mock.patch.object(cfr_core, "_BLOCK_CELLS", block_cells):
+        pred = model.predict(batch).view(np.uint64)
+        distinct = model.predict(batch[first]).view(np.uint64)
+    assert (pred == pred[first][group]).all()  # byte-equal rows, byte-equal predictions
+    assert (pred == distinct[group]).all()
 
 
 def term_sizes(model, X):
