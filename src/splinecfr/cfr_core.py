@@ -45,11 +45,6 @@ MODEL_FORMAT = "spline-cfr-model/1"
 # glibc's 32 MB ceiling for its mmap threshold, so a freed block's memory is
 # reused by the next one instead of being mapped and faulted in again.
 _BLOCK_CELLS = 2**21
-# Blocks hold a multiple of this many rows, which BLAS's matrix-vector
-# kernels take in groups. With one OpenBLAS 0.3.31 thread (Haswell kernels),
-# blocks of 3104 rows of a 21262-row design gave the bits of one product
-# over all rows; blocks of 3111 rows moved 13 values in the last bit.
-_BLOCK_ROW_MULTIPLE = 8
 # Bytes of sorted rows compared at a time when finding the distinct rows.
 _COMPARE_BYTES = 2**20
 
@@ -63,8 +58,7 @@ def _by_row_blocks(design_of, n: int, coefficients: np.ndarray) -> np.ndarray:
     ``fit`` scores are the ones ``predict`` recomputes bit for bit.
     """
     out = np.empty(n)
-    step = max(1, _BLOCK_CELLS // coefficients.shape[0] // _BLOCK_ROW_MULTIPLE)
-    step *= _BLOCK_ROW_MULTIPLE
+    step = max(1, _BLOCK_CELLS // coefficients.shape[0])
     for r0 in range(0, n, step):
         rows = slice(r0, r0 + step)
         out[rows] = design_of(rows) @ coefficients

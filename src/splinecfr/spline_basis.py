@@ -4,7 +4,9 @@ Basis values inside the training domain come from the Cox-de Boor recurrence.
 Outside [lo, hi] every basis function is continued linearly from the nearest
 boundary (boundary value plus one-sided derivative), so spline terms
 extrapolate as straight lines instead of dropping to zero. The boundary
-derivative comes from the same recurrence one degree lower.
+values and derivatives have a closed form at a clamped end: the outermost
+basis function is 1 there, and only the two outermost functions have a
+slope, -p/w and +p/w for degree p and end span width w.
 
 Designs are assembled from local support. At any point at most degree+1 = 4
 basis functions of a variable are nonzero: those of the knot span ``mu`` that
@@ -12,15 +14,16 @@ holds the point, columns ``mu-3 .. mu`` of the variable's block. One kernel
 (``_span_index`` and ``_span_values``) finds the span and those four values.
 ``design_matrix`` allocates the final matrix once and, one block of rows at a
 time with all variables together, writes each point's four values into it.
-A point outside [lo, hi] writes the boundary values plus its distance to the
-boundary times the boundary derivative; both live on the end span, so it
-writes four values too. Every other entry stays zero, exactly as a dense
-evaluation of every basis function would leave it.
+A point x outside [lo, hi] writes two cells of its end span from that closed
+form, with slope s = p/w and step = x - end: below lo the first two take
+1 - s*step and s*step, above hi the last two take -s*step and 1 + s*step.
+Every other entry stays zero, exactly as a dense evaluation of every basis
+function would leave it.
 
 The module keeps no state between calls except the read-only penalty
-matrices, cached per size. Each ``design_matrix`` call computes the boundary
-values and derivatives of all its variables in one pass of the same kernel,
-so nothing keyed on a knot vector outlives the models that use it.
+matrices, cached per size. Each ``design_matrix`` call computes the end
+slopes of its variables from their knots, so nothing keyed on a knot vector
+outlives the models that use it.
 """
 
 from __future__ import annotations
@@ -82,30 +85,26 @@ def build_knot_vector(interior: Iterable[float], lo: float, hi: float) -> KnotVe
     return KnotVector(vals, lo, hi)
 
 
-def _span_index(t: np.ndarray, degree: int, x: np.ndarray) -> np.ndarray:
+def _span_index(t: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Index mu of the knot span [t[mu], t[mu+1]] of each point of ``x``.
 
-    Points below t[0] land on the first span and points above t[-1] on the
-    last. The clip is to the last non-empty span: a degree below the knot
-    vector's multiplicity would otherwise land on a zero-width span at t[-1].
+    ``t`` is one clamped knot vector. Points below t[0] land on the first
+    span and points at or above t[-1] on the last non-empty one.
     """
-    last = int(np.searchsorted(t, t[-1], side="left")) - 1
-    return np.clip(np.searchsorted(t, x, side="right") - 1, degree, last)
+    return np.clip(np.searchsorted(t, x, side="right") - 1, DEGREE, t.size - DEGREE - 2)
 
 
-def _span_values(
-    t: np.ndarray, degree: int, x: np.ndarray, mu: np.ndarray
-) -> list[np.ndarray]:
-    """Vectorized Cox-de Boor: the degree+1 basis values that can be nonzero
+def _span_values(t: np.ndarray, x: np.ndarray, mu: np.ndarray) -> list[np.ndarray]:
+    """Vectorized Cox-de Boor: the DEGREE+1 basis values that can be nonzero
     at each point ``x[i]`` of span ``mu[i]`` (see :func:`_span_index`).
 
     Entry k of the returned list holds, for every point, the value of basis
-    function ``mu - degree + k``. ``t`` may hold several knot vectors back to
+    function ``mu - DEGREE + k``. ``t`` may hold several knot vectors back to
     back, with ``mu`` indexing into the whole array. Every denominator is
     positive: it is the distance from x to a knot at or above t[mu+1] plus
     the distance to a knot at or below t[mu], and the span is not empty.
     """
-    p = degree
+    p = DEGREE
     base = mu - p
     vals = [np.ones(x.shape[0])]
     left = [None]
@@ -123,33 +122,6 @@ def _span_values(
     return vals
 
 
-def _span_values_and_slopes(
-    t: np.ndarray, x: np.ndarray, mu: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Basis values and derivatives at each point ``x[i]`` of span ``mu[i]``.
-
-    Row i of each result covers the degree+1 columns of span ``mu[i]``, the
-    only ones whose value or derivative can be nonzero there; ``t`` may hold
-    several knot vectors back to back, as for :func:`_span_values`. At lo
-    and hi this is the one-sided derivative from inside [lo, hi]. The
-    derivative of basis function i is p*N_i/a - p*N_{i+1}/b over the degree
-    p-1 basis N, with a = t[i+p] - t[i] and b = t[i+p+1] - t[i+1] (a term
-    with a zero-width support drops out).
-    """
-    p = DEGREE
-    val = np.column_stack(_span_values(t, p, x, mu))
-    # Degree p-1 values of functions mu-p .. mu+1 (same spans); the outer
-    # two are zero.
-    lower = np.zeros((x.shape[0], p + 2))
-    lower[:, 1:-1] = np.column_stack(_span_values(t, p - 1, x, mu))
-    cols = mu[:, None] - p + np.arange(p + 1)
-    a = t[cols + p] - t[cols]
-    b = t[cols + p + 1] - t[cols + 1]
-    der = np.divide(p * lower[:, :-1], a, out=np.zeros_like(val), where=a > 0.0)
-    der -= np.divide(p * lower[:, 1:], b, out=np.zeros_like(val), where=b > 0.0)
-    return val, der
-
-
 # Points (row, variable) per block of the design. All variables of a row
 # are written together, so the scattered writes of one block stay inside a
 # few MB of the design.
@@ -163,7 +135,7 @@ def design_matrix(X, bases: Sequence[KnotVector]) -> np.ndarray:
     result has 1 + sum(basis_count) columns and is allocated once; each
     point writes only the degree+1 values of its span in each block. A point
     outside [lo, hi] writes the values at the nearest boundary plus its
-    distance to it times the boundary derivative, on that end span.
+    distance to it times the boundary derivative: two cells of that end span.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2:
@@ -184,23 +156,17 @@ def design_matrix(X, bases: Sequence[KnotVector]) -> np.ndarray:
     lo, hi = edge[:, 0], edge[:, 1]
     block_col = 1 + np.cumsum([0] + [kv.basis_count for kv in bases[:-1]])
     knot_start = np.cumsum([0] + [len(tj) for tj in knots[:-1]])
-    # Column of each point's first value, one row per variable, and the
-    # spans of each variable's lo and hi in ``t``. The span index of a point
-    # into ``t`` is its column plus ``to_knot``.
+    # Column of each point's first value, one row per variable. The span
+    # index of a point into ``t`` is its column plus ``to_knot``.
     first = np.empty((m, n), dtype=np.intp)
-    edge_span = np.empty((m, 2), dtype=np.intp)
     for j, tj in enumerate(knots):
-        first[j] = _span_index(tj, p, X[:, j])
-        edge_span[j] = _span_index(tj, p, edge[j])
+        first[j] = _span_index(tj, X[:, j])
     first += (block_col - p)[:, None]
-    edge_span += knot_start[:, None]
     to_knot = knot_start - block_col + p
-    # Entry 2j + side of the edge tables is variable j at lo (side 0) or hi;
-    # table k holds the value or slope of each edge span's k-th function.
+    # Entry 2j + side is variable j at lo (side 0) or hi: the end, and the
+    # slope p/w of its two outermost basis functions, w the end span's width.
     edge = edge.ravel()
-    edge_val, edge_der = (
-        np.ascontiguousarray(a.T) for a in _span_values_and_slopes(t, edge, edge_span.ravel())
-    )
+    slope = np.ravel([(p / (tj[p + 1] - tj[0]), p / (tj[-1] - tj[-p - 2])) for tj in knots])
     width = out.shape[1]
     flat = out.reshape(-1)
     rows = max(1, _BLOCK_POINTS // m)
@@ -212,17 +178,20 @@ def design_matrix(X, bases: Sequence[KnotVector]) -> np.ndarray:
         outside = (x < lo).ravel() | above
         if outside.any():
             beyond = np.flatnonzero(outside)
-            row = 2 * (beyond % m) + above[beyond]
-            step = x.ravel()[beyond] - edge[row]
-            at = pos[beyond]
-            for k in range(p + 1):
-                flat[at + k] = edge_val[k][row] + step * edge_der[k][row]
+            side = above[beyond]
+            row = 2 * (beyond % m) + side
+            rise = slope[row] * (x.ravel()[beyond] - edge[row])
+            # Below lo the span's first two cells take (1 - rise, rise), above
+            # hi its last two take (-rise, 1 + rise); the other two stay zero.
+            at = pos[beyond] + (p - 1) * side
+            flat[at] = (1.0 - side) - rise
+            flat[at + 1] = side + rise
             within = np.flatnonzero(~outside)
             pos = pos[within]
         else:
             within = slice(None)
         span = (col + to_knot).ravel()[within]
-        vals = _span_values(t, p, x.ravel()[within], span)
+        vals = _span_values(t, x.ravel()[within], span)
         for k in range(p + 1):
             flat[pos + k] = vals[k]
     return out

@@ -476,8 +476,7 @@ class TestRowBlocks:
 
     @staticmethod
     def block_rows(width):
-        multiple = cfr_core._BLOCK_ROW_MULTIPLE
-        return max(multiple, TestRowBlocks.BLOCK_CELLS // width // multiple * multiple)
+        return max(1, TestRowBlocks.BLOCK_CELLS // width)
 
     def test_fit_spans_at_least_three_blocks(self, blocked):
         X, _, model = blocked

@@ -9,8 +9,6 @@ import pytest
 from splinecfr.spline_basis import (
     DEGREE,
     KnotVector,
-    _span_index,
-    _span_values_and_slopes,
     build_knot_vector,
     design_matrix,
     penalty_block,
@@ -42,49 +40,73 @@ def random_knot_vector(rng):
     return build_knot_vector(interior, lo, hi)
 
 
-def oracle_basis(kv, x):
-    """Dense reference: every basis function at every point, boundary rows
-    continued linearly outside [lo, hi]."""
+def recurrence_rows(t, degree, pts):
+    """Dense Cox-de Boor at ``degree`` on knot vector ``t``: every basis
+    function at every point, points outside [t[0], t[-1]] on the end spans."""
+    count = len(t) - degree - 1
+    n = pts.shape[0]
+    last = int(np.searchsorted(t, t[-1], side="left")) - 1
+    mu = np.clip(np.searchsorted(t, pts, side="right") - 1, degree, last)
+    vals = np.zeros((n, degree + 1))
+    vals[:, 0] = 1.0
+    left = np.zeros((n, degree + 1))
+    right = np.zeros((n, degree + 1))
+    for j in range(1, degree + 1):
+        left[:, j] = pts - t[mu + 1 - j]
+        right[:, j] = t[mu + j] - pts
+        saved = np.zeros(n)
+        for r in range(j):
+            den = right[:, r + 1] + left[:, j - r]
+            temp = np.divide(vals[:, r], den, out=np.zeros(n), where=den != 0.0)
+            vals[:, r] = saved + right[:, r + 1] * temp
+            saved = left[:, j - r] * temp
+        vals[:, j] = saved
+    out = np.zeros((n, count))
+    cols = mu[:, None] - degree + np.arange(degree + 1)[None, :]
+    np.put_along_axis(out, cols, vals, axis=1)
+    return out
+
+
+def recurrence_end_slopes(kv):
+    """Derivatives of every basis function at lo and hi (one row each), from
+    the recurrence one degree lower: basis function i has derivative
+    p*N_i/a - p*N_{i+1}/b over the degree p-1 basis N, with
+    a = t[i+p] - t[i] and b = t[i+p+1] - t[i+1] (a term with a zero-width
+    support drops out). At lo and hi this is the one-sided derivative from
+    inside [lo, hi]."""
     t, p = kv.augmented, DEGREE
-
-    def rows(degree, pts):
-        count = len(t) - degree - 1
-        n = pts.shape[0]
-        last = int(np.searchsorted(t, t[-1], side="left")) - 1
-        mu = np.clip(np.searchsorted(t, pts, side="right") - 1, degree, last)
-        vals = np.zeros((n, degree + 1))
-        vals[:, 0] = 1.0
-        left = np.zeros((n, degree + 1))
-        right = np.zeros((n, degree + 1))
-        for j in range(1, degree + 1):
-            left[:, j] = pts - t[mu + 1 - j]
-            right[:, j] = t[mu + j] - pts
-            saved = np.zeros(n)
-            for r in range(j):
-                den = right[:, r + 1] + left[:, j - r]
-                temp = np.divide(vals[:, r], den, out=np.zeros(n), where=den != 0.0)
-                vals[:, r] = saved + right[:, r + 1] * temp
-                saved = left[:, j - r] * temp
-            vals[:, j] = saved
-        out = np.zeros((n, count))
-        cols = mu[:, None] - degree + np.arange(degree + 1)[None, :]
-        np.put_along_axis(out, cols, vals, axis=1)
-        return out
-
-    ends = np.array([kv.lo, kv.hi])
-    val = rows(p, ends)
-    lower = rows(p - 1, ends)
+    lower = recurrence_rows(t, p - 1, np.array([kv.lo, kv.hi]))
     a = t[p:-1] - t[: -p - 1]
     b = t[p + 1 :] - t[1:-p]
-    der = np.divide(p * lower[:, :-1], a, out=np.zeros_like(val), where=a > 0.0)
-    der -= np.divide(p * lower[:, 1:], b, out=np.zeros_like(val), where=b > 0.0)
+    der = np.divide(p * lower[:, :-1], a, out=np.zeros((2, kv.basis_count)), where=a > 0.0)
+    der -= np.divide(p * lower[:, 1:], b, out=np.zeros_like(der), where=b > 0.0)
+    return der
+
+
+def closed_form_end_slopes(kv):
+    """Closed form of the clamped end derivatives: only the two outermost
+    basis functions move, by -+p over the width of the end span."""
+    t, p, n = kv.augmented, DEGREE, kv.basis_count
+    der = np.zeros((2, n))
+    der[0, [0, 1]] = [-p / (t[p + 1] - kv.lo), p / (t[p + 1] - kv.lo)]
+    der[1, [n - 2, n - 1]] = [-p / (kv.hi - t[n - 1]), p / (kv.hi - t[n - 1])]
+    return der
+
+
+def oracle_basis(kv, x):
+    """Dense reference: every basis function at every point. Rows inside
+    [lo, hi] come from the recurrence; rows outside continue the end rows
+    linearly with the closed-form end values and slopes."""
+    n = kv.basis_count
+    val = np.eye(n)[[0, n - 1]]
+    der = closed_form_end_slopes(kv)
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    out = np.zeros((x.shape[0], kv.basis_count))
+    out = np.zeros((x.shape[0], n))
     below = x < kv.lo
     above = x > kv.hi
     inside = ~(below | above)
     if inside.any():
-        out[inside] = rows(p, x[inside])
+        out[inside] = recurrence_rows(kv.augmented, DEGREE, x[inside])
     if below.any():
         out[below] = val[0] + (x[below] - kv.lo)[:, None] * der[0]
     if above.any():
@@ -133,6 +155,12 @@ def oracle_cases():
         "zero_rows": ([plain, grid], np.zeros((0, 2))),
         "one_row": ([plain, grid, rand], np.array([[0.5, -3.0, rand.hi + 1.0]])),
         "zero_variables": ([], np.zeros((7, 0))),
+        # A knot next to an end: the recurrence's slope there misses the
+        # closed form in the last bit.
+        "knot_next_to_an_end": (
+            [build_knot_vector([0.0025], 0.0, 2.5)],
+            np.array([[-2.5], [2.5], [5.0]]),
+        ),
         # More points than one block of the design, mixed in and out of box.
         "many_rows": ([grid, rand2], np.column_stack([spread(grid, 12000), spread(rand2, 12000)])),
     }
@@ -234,24 +262,15 @@ class TestExtrapolation:
     )
     def test_value_and_slope_continuous_at_bounds(self, interior, lo, hi):
         kv = build_knot_vector(interior, lo, hi)
-        t, p, n = kv.augmented, DEGREE, kv.basis_count
+        n = kv.basis_count
         val_lo, val_hi = eval_basis_matrix(kv, [lo, hi])
         npt.assert_array_equal(val_lo, np.eye(n)[0])
         npt.assert_array_equal(val_hi, np.eye(n)[n - 1])
-        # The derivative rows cover the first and the last p+1 columns.
-        der_lo, der_hi = np.zeros(n), np.zeros(n)
-        ends = np.array([lo, hi])
-        der_lo[: p + 1], der_hi[n - p - 1 :] = _span_values_and_slopes(
-            t, ends, _span_index(t, p, ends)
-        )[1]
-        # Closed form of the clamped end derivatives: only the two outermost
-        # basis functions move, by -+p over the width of the end span.
-        expected_lo = np.zeros(n)
-        expected_lo[[0, 1]] = [-p / (t[p + 1] - lo), p / (t[p + 1] - lo)]
-        expected_hi = np.zeros(n)
-        expected_hi[[n - 2, n - 1]] = [-p / (hi - t[n - 1]), p / (hi - t[n - 1])]
-        npt.assert_allclose(der_lo, expected_lo, rtol=1e-12, atol=0.0)
-        npt.assert_allclose(der_hi, expected_hi, rtol=1e-12, atol=0.0)
+        # The design extends with the closed-form slopes; the recurrence one
+        # degree lower derives them independently.
+        npt.assert_allclose(
+            recurrence_end_slopes(kv), closed_form_end_slopes(kv), rtol=1e-12, atol=0.0
+        )
         h = 1e-6
         for bound in (lo, hi):
             inside = basis_row(kv, bound)
@@ -265,6 +284,16 @@ class TestExtrapolation:
                 slope_out = (basis_row(kv, hi + h) - inside) / h
                 slope_in = (inside - basis_row(kv, hi - h)) / h
             npt.assert_allclose(slope_out, slope_in, atol=1e-4)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_recurrence_slopes_match_closed_form(self, seed):
+        # Random knots, some near an end. Here the recurrence's end values
+        # need not be exactly 0 and 1, and a narrow end span curves too fast
+        # for the finite differences above, so only the slopes are compared.
+        kv = random_knot_vector(np.random.default_rng(seed))
+        npt.assert_allclose(
+            recurrence_end_slopes(kv), closed_form_end_slopes(kv), rtol=1e-12, atol=0.0
+        )
 
     def test_linear_outside(self):
         kv = build_knot_vector([0.4], 0.0, 1.0)
