@@ -1,0 +1,50 @@
+#!/usr/bin/env bash
+# End-to-end run of the command-line interface in a fresh temporary directory:
+# the README quick start, a predict outside the training box (the whole batch,
+# then its last 100 rows alone), a fit and a predict on repeated rows, a fit
+# from a config file, an oos and an ood bench, and a report.
+#
+# Usage: .github/smoke.sh [COMMAND...]    (default: the installed `splinecfr`)
+# From a checkout, without installing:
+#   PYTHONPATH="$PWD/src" bash .github/smoke.sh python -m splinecfr.cli
+set -euo pipefail
+if [ "$#" -eq 0 ]; then
+  set -- splinecfr
+fi
+cmd=("$@")
+splinecfr() { "${cmd[@]}" "$@"; }
+
+work="$(mktemp -d)"
+trap 'rm -rf "$work"' EXIT
+cd "$work"
+splinecfr synth sinc --n 200 --out sinc.csv
+splinecfr fit --data sinc.csv --target y --out-dir run1 --max-depth 3 --knots 3 --norm 1
+splinecfr predict --model run1/model.json --data sinc.csv --out run1/pred.csv
+test "$(wc -l < run1/pred.csv)" -eq 201
+# run1 was trained on [-10, 10]; half of [-20, 20] lies outside it.
+splinecfr synth sinc --n 200 --lo -20 --hi 20 --out wide.csv
+splinecfr predict --model run1/model.json --data wide.csv --out run1/wide.csv
+test "$(wc -l < run1/wide.csv)" -eq 201
+python -c "import csv, math; rows = list(csv.DictReader(open('run1/wide.csv'))); assert all(math.isfinite(float(r['y_pred'])) for r in rows)"
+# A row's prediction does not depend on its batch: the last 100 rows alone
+# give the same y_pred bytes as in the whole batch.
+{ head -n 1 wide.csv; tail -n 100 wide.csv; } > wide_tail.csv
+splinecfr predict --model run1/model.json --data wide_tail.csv --out run1/wide_tail.csv
+test "$(tail -n +2 run1/wide_tail.csv | cut -d, -f2)" = "$(tail -n 100 run1/wide.csv | cut -d, -f2)"
+{ cat sinc.csv; tail -n +2 sinc.csv; } > dup.csv
+splinecfr fit --data dup.csv --target y --out-dir run3 --max-depth 3 --knots 3 --norm 1
+grep -qx 'fitted_depth,3' run3/fit_log.txt
+splinecfr predict --model run3/model.json --data dup.csv --out run3/pred.csv
+# Both copies of each row predict identically (columns after row_id).
+test "$(sed -n '2,201p' run3/pred.csv | cut -d, -f2-)" = "$(sed -n '202,401p' run3/pred.csv | cut -d, -f2-)"
+printf 'target = y\nmax-depth = 2\nknots = 3\nnorm = 1\n' > run.cfg
+splinecfr fit --data sinc.csv --config run.cfg --out-dir run2
+grep -qx 'fitted_depth,2' run2/fit_log.txt
+splinecfr bench --data sinc.csv --target y --runs 2 --max-depth 2 --knots 3 --norm 1 --out-dir b
+grep -q '^spline_cfr,' b/aggregate.csv
+splinecfr bench --data sinc.csv --target y --protocol ood --runs 2 --max-depth 2 --knots 3 --norm 1 --out-dir o
+test -s o/kappa.csv
+printf 'run_id,row_id,y_true,y_pred\n0,0,1.5,1.0\n0,1,2.5,3.0\n' > ext.csv
+splinecfr report --predictions ext.csv --threshold 2 --top-k 2 --out-dir rep
+test -s rep/top_k.csv
+echo "smoke test passed"

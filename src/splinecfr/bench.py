@@ -23,7 +23,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .cfr_core import CFracModel, FitConfig, fit
+from .cfr_core import CFracModel, FitConfig, _require_integers, fit
 from .data_io import (
     DEFAULT_TARGET,
     Dataset,
@@ -72,6 +72,7 @@ class ExperimentConfig:
     predictions: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
+        _require_integers(self, "runs", "base_seed")
         if self.protocol not in ("oos", "ood"):
             raise ValueError(f"protocol must be 'oos' or 'ood', got {self.protocol!r}")
         if self.runs < 1:

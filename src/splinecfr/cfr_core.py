@@ -12,9 +12,10 @@ evaluation time (see ``literal_final_offset`` to keep it). ``fit`` grows the
 model it returns one layer per depth and scores each depth with that model's
 ``_fold``, the one fold for training values and predictions alike.
 
-Layer values are computed once per distinct full feature row and gathered
-back to every row that repeats it, in ``fit`` and ``predict`` alike, so
-byte-equal rows of one batch get byte-equal predictions.
+Layer values are computed once per distinct full feature row, in ``fit``
+and ``predict`` alike, by one row-wise product whose summation order is fixed
+per row (``_row_dot``), and gathered back to every row that repeats it. A
+row's prediction thus does not depend on the batch it is predicted in.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from __future__ import annotations
 import bisect
 import json
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, replace
 from typing import Sequence
@@ -41,28 +43,33 @@ from .spline_basis import (
 
 MODEL_FORMAT = "spline-cfr-model/1"
 
-# Design cells (rows x columns) multiplied per block of rows: 16 MB, below
-# glibc's 32 MB ceiling for its mmap threshold, so a freed block's memory is
-# reused by the next one instead of being mapped and faulted in again.
+# Design cells (rows x columns) built per block of rows when predicting: 16
+# MB, below glibc's 32 MB ceiling for its mmap threshold, so a freed block's
+# memory is reused by the next one instead of being mapped and faulted in
+# again. It bounds memory only; no output bit depends on it.
 _BLOCK_CELLS = 2**21
 # Bytes of sorted rows compared at a time when finding the distinct rows.
 _COMPARE_BYTES = 2**20
 
 
-def _by_row_blocks(design_of, n: int, coefficients: np.ndarray) -> np.ndarray:
-    """``design_of(rows) @ coefficients`` for n rows, one block of rows at a time.
+def _row_dot(A: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """``A @ c``, each row summed in an order fixed by the row alone.
 
-    The n rows are the distinct feature rows of a batch, in order of first
-    occurrence (see ``_distinct_rows``). ``fit`` and ``predict`` both take a
-    spline layer's values here over the same blocks, so the training values
-    ``fit`` scores are the ones ``predict`` recomputes bit for bit.
+    BLAS orders ``A @ c`` by the shape and thread split; einsum runs one dot
+    kernel per row of a C-contiguous matrix of two or more rows. A lone row
+    gets a stride-0 twin, since its buffered loop would split a long row.
     """
-    out = np.empty(n)
-    step = max(1, _BLOCK_CELLS // coefficients.shape[0])
-    for r0 in range(0, n, step):
-        rows = slice(r0, r0 + step)
-        out[rows] = design_of(rows) @ coefficients
-    return out
+    A = np.ascontiguousarray(A)
+    twin = np.broadcast_to(A, (2, A.shape[1])) if A.shape[0] == 1 else A
+    return np.einsum("ij,j->i", twin, c)[: A.shape[0]]
+
+
+def _require_integers(config, *names: str) -> None:
+    """Reject a field of ``config`` that is not an integer (bools included)."""
+    for name in names:
+        value = getattr(config, name)
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -94,29 +101,29 @@ class FitConfig:
     literal_final_offset: bool = False
 
     def __post_init__(self) -> None:
-        if self.lam < 0:
-            raise ValueError(f"lam must be non-negative, got {self.lam}")
-        if self.knots_per_depth < 1:
-            raise ValueError(f"knots_per_depth must be at least 1, got {self.knots_per_depth}")
-        if self.norm <= 0:
-            raise ValueError(f"norm must be positive, got {self.norm}")
-        if self.max_depth < 0:
-            raise ValueError(f"max_depth must be non-negative, got {self.max_depth}")
-        if self.offset_epsilon <= 0:
-            raise ValueError(f"offset_epsilon must be positive, got {self.offset_epsilon}")
-        if self.denom_floor <= 0:
-            raise ValueError(f"denom_floor must be positive, got {self.denom_floor}")
+        _require_integers(self, "knots_per_depth", "max_depth")
+        for name, rule, ok in (
+            ("lam", "finite and non-negative", self.lam >= 0),
+            ("knots_per_depth", "at least 1", self.knots_per_depth >= 1),
+            ("norm", "finite and positive", self.norm > 0),
+            ("max_depth", "non-negative", self.max_depth >= 0),
+            ("offset_epsilon", "finite and positive", self.offset_epsilon > 0),
+            ("denom_floor", "finite and positive", self.denom_floor > 0),
+        ):
+            value = getattr(self, name)
+            if not (ok and math.isfinite(value)):
+                raise ValueError(f"{name} must be {rule}, got {value}")
 
 
 @dataclass(frozen=True, eq=False)
 class LinearModel:
-    """Intercept-first linear model over all feature columns."""
+    """Intercept-first linear model over all feature columns; ``fit`` gives 0 to constant ones."""
 
     coefficients: np.ndarray
 
     def evaluate(self, X: np.ndarray, first: np.ndarray) -> np.ndarray:
         """Values on the rows ``X[first]``."""
-        return self.coefficients[0] + X[first] @ self.coefficients[1:]
+        return self.coefficients[0] + _row_dot(X[first], self.coefficients[1:])
 
 
 @dataclass(frozen=True, eq=False)
@@ -133,13 +140,15 @@ class AdditiveSplineModel:
     coefficients: np.ndarray
 
     def evaluate(self, X: np.ndarray, first: np.ndarray) -> np.ndarray:
-        """Values on the rows ``X[first]``, gathered one block of rows at a time."""
+        """Values on the rows ``X[first]``, one design block of rows at a time."""
         ids = list(self.variable_ids)
-        return _by_row_blocks(
-            lambda rows: design_matrix(X[np.ix_(first[rows], ids)], self.bases),
-            first.shape[0],
-            self.coefficients,
-        )
+        out = np.empty(first.shape[0])
+        step = max(1, _BLOCK_CELLS // self.coefficients.shape[0])
+        for r0 in range(0, first.shape[0], step):
+            rows = np.ix_(first[r0 : r0 + step], ids)
+            # No name holds the block, so it is freed before the next is built.
+            out[r0 : r0 + step] = _row_dot(design_matrix(X[rows], self.bases), self.coefficients)
+        return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -293,15 +302,14 @@ def _insert_knot(knots: list[float], value: float, lo: float, hi: float) -> None
 def fit(X, y, config: FitConfig | None = None) -> CFracModel:
     """Fit a continued-fraction model, one layer per depth.
 
-    The target is scaled by 1/norm, the linear layer is fit by least
-    squares, and each further depth fits a penalized additive spline to the
-    inverted, offset residuals of the previous layer. Knot sites accumulate
-    across depths: every depth keeps all earlier knots and adds up to
-    ``knots_per_depth`` new sites chosen from the residuals. Each depth's
-    design holds one row per distinct full feature row; when rows repeat,
-    the solve weights them by their counts, and when none repeats, it solves
-    on the rows as they are. Every layer's training values are computed once
-    per distinct row and gathered, as ``predict`` does. The procedure is
+    The target is scaled by 1/norm. The linear layer is the least-squares fit
+    on the intercept and the columns that vary on the training rows; a
+    constant column gets coefficient 0. Each further depth fits a penalized
+    additive spline to the inverted, offset residuals of the depth above: it
+    keeps all earlier knots and adds up to ``knots_per_depth`` sites chosen
+    from the residuals, and it is solved on the distinct rows, weighted by
+    their counts when rows repeat. Training values are the row-wise products
+    ``predict`` takes, so it recomputes them bit for bit. The procedure is
     deterministic. Each kept depth whose training RMSE is above the one
     before it raises a TrainingRmseWarning.
     """
@@ -327,7 +335,10 @@ def fit(X, y, config: FitConfig | None = None) -> CFracModel:
 
     first, group, counts = _distinct_rows(X)
     y0 = y / config.norm
-    linear = LinearModel(least_squares(np.hstack([np.ones((n, 1)), X]), y0))
+    coefficients = np.zeros(1 + m)  # a column constant on the training rows keeps 0
+    varying = [np.ones(n)] + [X[:, j] for j in spline_vars]  # views of X
+    coefficients[[0] + [1 + j for j in spline_vars]] = least_squares(np.column_stack(varying), y0)
+    linear = LinearModel(coefficients)
     values = [linear.evaluate(X, first)[group]]
     resid = y0 - values[0]
     model = CFracModel(
@@ -356,7 +367,7 @@ def fit(X, y, config: FitConfig | None = None) -> CFracModel:
         beta = penalized_least_squares(
             design, sums, config.lam, penalties, counts=counts if first.size < n else None
         )
-        values.append(_by_row_blocks(lambda rows: design[rows], first.size, beta)[group])
+        values.append(_row_dot(design, beta)[group])
         # One design at a time: the next depth's is larger.
         del design
         resid = target - values[-1]

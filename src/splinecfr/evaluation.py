@@ -137,15 +137,8 @@ def kappa_agreement_label(kappa: float) -> str:
     """Conventional verbal band for a kappa value."""
     if kappa < 0.0:
         return "none"
-    if kappa <= 0.20:
-        return "none-to-slight"
-    if kappa <= 0.40:
-        return "fair"
-    if kappa <= 0.60:
-        return "moderate"
-    if kappa <= 0.80:
-        return "substantial"
-    return "almost-perfect"
+    bands = ((0.20, "none-to-slight"), (0.40, "fair"), (0.60, "moderate"), (0.80, "substantial"))
+    return next((label for top, label in bands if kappa <= top), "almost-perfect")
 
 
 def top_k_table(predictions: PredictionSet, k: int = 20) -> TopKTable:
@@ -206,17 +199,9 @@ def aggregate(reports: Sequence[RunReport]) -> list[MethodSummary]:
 
 def _average_ranks(values: np.ndarray) -> np.ndarray:
     """Rank 1 = smallest; tied values share the average of their ranks."""
-    order = np.argsort(values, kind="stable")
-    ranks = np.empty(values.shape[0])
-    i = 0
-    sorted_vals = values[order]
-    while i < values.shape[0]:
-        j = i
-        while j + 1 < values.shape[0] and sorted_vals[j + 1] == sorted_vals[i]:
-            j += 1
-        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
-    return ranks
+    _, inverse, counts = np.unique(values, return_inverse=True, return_counts=True)
+    last = np.cumsum(counts)  # the rank of each distinct value's last copy
+    return (last - (counts - 1) / 2.0)[inverse]
 
 
 def rank_matrix(reports: Sequence[RunReport]) -> tuple[list[str], list[int], np.ndarray]:

@@ -97,6 +97,11 @@ class TestComputeOffset:
             compute_offset([1.0], 0.0)
 
 
+def assert_same_bits(actual, expected):
+    as_bits = [np.asarray(v, dtype=float).view(np.uint64) for v in (actual, expected)]
+    npt.assert_array_equal(*as_bits)
+
+
 def toy_data(n=40, m=3, seed=0):
     rng = np.random.default_rng(seed)
     X = rng.uniform(-2, 2, size=(n, m))
@@ -177,6 +182,20 @@ class TestFit:
         model = fit(X, y, FitConfig(max_depth=2, norm=1.0))
         for layer in model.layers[1:]:
             assert layer.model.variable_ids == (0,)
+
+    def test_constant_columns_get_linear_coefficient_zero(self):
+        # The intercept alone carries a column that never varied in training,
+        # so moving that feature moves no prediction.
+        X, y = toy_data(n=60, seed=15)
+        with_constant = np.insert(X, 1, 5.0, axis=1)
+        config = FitConfig(max_depth=2, norm=1.0)
+        model = fit(with_constant, y, config)
+        linear = model.layers[0].model.coefficients
+        assert linear[2] == 0.0
+        assert_same_bits(np.delete(linear, 2), fit(X, y, config).layers[0].model.coefficients)
+        moved = np.insert(X, 1, -3.0, axis=1)
+        batch = np.vstack([with_constant, with_constant + 4.0])
+        assert_same_bits(model.predict(np.vstack([moved, moved + 4.0])), model.predict(batch))
 
     def test_all_constant_features_degenerate_gracefully(self):
         X = np.full((10, 2), 3.0)
@@ -453,15 +472,33 @@ class TestFitConfigValidation:
             {"max_depth": -1},
             {"offset_epsilon": 0.0},
             {"denom_floor": -1e-9},
+            {"lam": math.nan},
+            {"lam": math.inf},
+            {"norm": math.nan},
+            {"norm": math.inf},
+            {"offset_epsilon": math.inf},
+            {"denom_floor": math.inf},
+            {"denom_floor": math.nan},
+            {"knots_per_depth": 2.5},
+            {"knots_per_depth": 3.0},
+            {"knots_per_depth": True},
+            {"max_depth": 2.5},
+            {"max_depth": False},
+            {"max_depth": "3"},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
-        with pytest.raises(ValueError):
+        (name,) = kwargs
+        with pytest.raises(ValueError, match=name):
             FitConfig(**kwargs)
+
+    def test_accepts_numpy_integers(self):
+        assert FitConfig(max_depth=np.int64(2), knots_per_depth=np.int32(3)).max_depth == 2
 
 
 class TestRowBlocks:
-    """fit and predict over several blocks of rows (the block size is shrunk)."""
+    """predict over several blocks of rows (the block size is shrunk); fit takes
+    its training values in one product, and the two must agree bit for bit."""
 
     BLOCK_CELLS = 400
 
@@ -522,6 +559,43 @@ class TestRowBlocks:
         X, _, model = blocked
         pred = model.predict(np.empty((0, X.shape[1])))
         assert pred.shape == (0,)
+
+
+class TestBatchIndependence:
+    """A row's prediction depends on the row and the model, not on its batch."""
+
+    @pytest.fixture(scope="class")
+    def fitted(self):
+        X, y = TestMemory.table(4000, 40, seed=3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", TrainingRmseWarning)
+            model = fit(X, y, FitConfig(max_depth=3))
+        side = np.where(np.random.default_rng(8).random((X.shape[0], 1)) < 0.5, -3.0, 3.0)
+        batch = np.vstack([X, X + side])  # the table, then each row out of the box
+        return model, batch, model.predict(batch)
+
+    @staticmethod
+    def assert_batch_free(model, batch, full):
+        n = batch.shape[0]
+        for start in (1, 7, n // 24, n // 8, 5 * n // 8 + 1):  # 1, 7, 333, 1000, 5001 of 8000
+            assert_same_bits(model.predict(batch[start:]), full[start:])
+        order = np.random.default_rng(9).permutation(n)
+        assert_same_bits(model.predict(batch[order]), full[order])
+        one = slice(n - 3, n - 2)
+        assert_same_bits(model.predict(batch[one]), full[one])
+        assert_same_bits(model.predict(np.asfortranarray(batch)), full)
+
+    def test_slices_permutations_and_layouts(self, fitted):
+        model, batch, full = fitted
+        assert batch.shape == (8000, 40) and model.depth == 3
+        self.assert_batch_free(model, batch, full)
+
+    def test_block_size_moves_no_bit(self, fitted, monkeypatch):
+        # One design row per block here; every 40th row keeps the run short.
+        model, batch, full = fitted
+        monkeypatch.setattr(cfr_core, "_BLOCK_CELLS", TestRowBlocks.BLOCK_CELLS)
+        assert TestRowBlocks.block_rows(model.layers[1].model.coefficients.shape[0]) == 1
+        self.assert_batch_free(model, batch[::40], full[::40])
 
 
 def repeated_rows(n_distinct, m, seed):

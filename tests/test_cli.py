@@ -247,6 +247,21 @@ class TestExitCodes:
         assert "seed must be non-negative" in capsys.readouterr().err
         assert not (tmp_path / "b").exists()
 
+    @pytest.mark.parametrize(
+        "flag, value, field",
+        [("--norm", "nan", "norm"), ("--denom-floor", "inf", "denom_floor"),
+         ("--lambda", "inf", "lam"), ("--offset-epsilon", "nan", "offset_epsilon")],
+    )
+    def test_non_finite_fit_value_is_a_usage_error(
+        self, tmp_path, toy_csv, capsys, flag, value, field
+    ):
+        out_dir = tmp_path / "m"
+        code = main(["fit", "--data", toy_csv, "--target", "y", flag, value,
+                     "--out-dir", str(out_dir)])
+        assert code == 2
+        assert f"{field} must be finite" in capsys.readouterr().err
+        assert not out_dir.exists()
+
     def test_no_subcommand_is_a_usage_error(self, capsys):
         assert main([]) == 2
         capsys.readouterr()
@@ -260,6 +275,26 @@ class TestExitCodes:
         ])
         assert code == 2
         assert "unknown config keys: mystery" in capsys.readouterr().err
+
+
+class TestExperimentConfigValidation:
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"protocol": "loo"}, "protocol must be"),
+            ({"runs": 0}, "runs must be at least 1"),
+            ({"base_seed": -1}, "seed must be non-negative"),
+            ({"quantile": 1.0}, "quantile must be inside"),
+            ({"runs": 2.5}, "runs must be an integer"),
+            ({"runs": 2.0}, "runs must be an integer"),
+            ({"runs": True}, "runs must be an integer"),
+            ({"base_seed": 0.5}, "base_seed must be an integer"),
+            ({"base_seed": None}, "base_seed must be an integer"),
+        ],
+    )
+    def test_rejects_bad_values(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            ExperimentConfig(data="t.csv", **kwargs)
 
 
 class _Captured(Exception):

@@ -229,6 +229,28 @@ class TestRankMatrix:
         _, _, matrix = rank_matrix(reports)
         npt.assert_allclose(matrix.sum(axis=1), np.full(12, 10.0))
 
+    def test_ties_against_the_loop_oracle(self):
+        # Rank runs of equal values by walking the sorted order.
+        def average_ranks(values):
+            order = sorted(range(len(values)), key=lambda k: values[k])
+            ranks = [0.0] * len(values)
+            i = 0
+            while i < len(order):
+                j = i
+                while j + 1 < len(order) and values[order[j + 1]] == values[order[i]]:
+                    j += 1
+                for k in order[i : j + 1]:
+                    ranks[k] = (i + j) / 2.0 + 1.0
+                i = j + 1
+            return ranks
+
+        rng = np.random.default_rng(23)
+        for _ in range(50):
+            values = rng.choice([0.0, 1.0, 2.5, 3.0], size=rng.integers(1, 9)).tolist()
+            reports = [report(f"m{j}", 0, v) for j, v in enumerate(values)]
+            _, _, matrix = rank_matrix(reports)
+            assert matrix[0].tolist() == average_ranks(values)
+
     def test_run_misalignment(self):
         reports = [report("a", 0, 1.0), report("b", 1, 1.0)]
         with pytest.raises(ValueError, match="different runs"):
