@@ -172,9 +172,9 @@ def cmd_predict(args: argparse.Namespace) -> int:
     except OSError as exc:
         raise DataError(f"cannot read {args.model}: {exc.strerror or exc}") from exc
     model = deserialize(text)
-    names, data = read_numeric_table(args.data)
     if model.feature_names is None:
         raise DataError(f"{args.model}: model document carries no feature names")
+    names, data = read_numeric_table(args.data)
     missing = [nm for nm in model.feature_names if nm not in names]
     if missing:
         raise DataError(
@@ -187,13 +187,16 @@ def cmd_predict(args: argparse.Namespace) -> int:
             f"warning: ignoring unknown columns: {', '.join(extra)}",
             file=sys.stderr,
         )
-    columns = {nm: data[:, i] for i, nm in enumerate(names)}
-    X = np.column_stack([columns[nm] for nm in model.feature_names])
+    X = data.take([names.index(nm) for nm in model.feature_names], axis=1)
+    y_true = None
+    if model.target_name in names:
+        y_true = data[:, names.index(model.target_name)].copy()
+    del data  # predict holds one table: X
     pred = model.predict(X)
     header, cols = ["row_id", "y_pred"], [range(pred.shape[0]), pred.tolist()]
-    if model.target_name in columns:
+    if y_true is not None:
         header.append("y_true")
-        cols.append(columns[model.target_name].tolist())
+        cols.append(y_true.tolist())
     atomic_write_text(args.out, csv_text(header, zip(*cols)))
     print(f"wrote {args.out} ({pred.shape[0]} rows)")
     return 0

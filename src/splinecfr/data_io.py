@@ -202,7 +202,11 @@ def _float_body(
 
 
 def load_csv(path: str, target_column: str = DEFAULT_TARGET) -> Dataset:
-    """Load a numeric CSV, splitting off ``target_column`` as the target."""
+    """Load a numeric CSV, splitting off ``target_column`` as the target.
+
+    The features (C-contiguous) and the target are copies that own their
+    memory, so the parsed table is freed on return.
+    """
     names, data = read_numeric_table(path)
     if target_column not in names:
         raise DataError(f"{path}: no column named {target_column!r}")
@@ -212,8 +216,8 @@ def load_csv(path: str, target_column: str = DEFAULT_TARGET) -> Dataset:
     if not feature_cols:
         raise DataError(f"{path}: no feature columns besides the target")
     return Dataset(
-        features=data[:, feature_cols],
-        target=data[:, t],
+        features=data.take(feature_cols, axis=1),
+        target=data[:, t].copy(),
         feature_names=feature_names,
         target_name=target_column,
     )

@@ -85,13 +85,20 @@ def build_knot_vector(interior: Iterable[float], lo: float, hi: float) -> KnotVe
     return KnotVector(vals, lo, hi)
 
 
-def _span_index(t: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Index mu of the knot span [t[mu], t[mu+1]] of each point of ``x``.
+def _span_index(knots: Sequence[np.ndarray], X: np.ndarray) -> np.ndarray:
+    """Index mu of the knot span [t[mu], t[mu+1]] of each point, one row per variable.
 
-    ``t`` is one clamped knot vector. Points below t[0] land on the first
-    span and points at or above t[-1] on the last non-empty one.
+    ``knots[j]`` is the clamped knot vector t of column j of ``X``. Points
+    below t[0] land on the first span and points at or above t[-1] on the
+    last non-empty one. The spans of all variables are clipped in one call,
+    since one clip per variable cost more than its search.
     """
-    return np.clip(np.searchsorted(t, x, side="right") - 1, DEGREE, t.size - DEGREE - 2)
+    mu = np.empty((len(knots), X.shape[0]), dtype=np.intp)
+    for j, t in enumerate(knots):
+        mu[j] = t.searchsorted(X[:, j], side="right")
+    mu -= 1
+    last = np.array([t.size - DEGREE - 2 for t in knots])
+    return np.clip(mu, DEGREE, last[:, None], out=mu)
 
 
 def _span_values(t: np.ndarray, x: np.ndarray, mu: np.ndarray) -> list[np.ndarray]:
@@ -158,9 +165,7 @@ def design_matrix(X, bases: Sequence[KnotVector]) -> np.ndarray:
     knot_start = np.cumsum([0] + [len(tj) for tj in knots[:-1]])
     # Column of each point's first value, one row per variable. The span
     # index of a point into ``t`` is its column plus ``to_knot``.
-    first = np.empty((m, n), dtype=np.intp)
-    for j, tj in enumerate(knots):
-        first[j] = _span_index(tj, X[:, j])
+    first = _span_index(knots, X)
     first += (block_col - p)[:, None]
     to_knot = knot_start - block_col + p
     # Entry 2j + side is variable j at lo (side 0) or hi: the end, and the

@@ -802,6 +802,19 @@ class TestMemory:
         assert np.isfinite(pred).all()
         assert peak <= 1.6 * self.design_bytes(model, batch.shape[0])
 
+    def test_predict_peak_stays_under_two_8_mb_blocks(self):
+        # The design is 8000 x 680 cells, well above 2**21, so predict builds
+        # it in several blocks of 2**20 cells (8 MB); one block and its
+        # temporaries must stay under two blocks' bytes.
+        X, y = self.table(4000, 40, seed=3)
+        model = fit(X, y, FitConfig(max_depth=3))
+        side = np.where(np.random.default_rng(4).random((4000, 1)) < 0.5, -3.0, 3.0)
+        batch = np.vstack([X, X + side])
+        assert self.design_bytes(model, batch.shape[0]) > 2 * 2**21 * 8
+        pred, peak = self.traced_peak(model.predict, batch)
+        assert np.isfinite(pred).all()
+        assert peak < 2 * 2**20 * 8
+
     def test_distinct_rows_holds_less_than_half_the_table(self):
         X, _ = self.table(20000, 40, seed=6)
         X = X[np.random.default_rng(7).integers(0, X.shape[0], X.shape[0])]

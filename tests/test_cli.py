@@ -2,7 +2,9 @@
 
 import json
 import re
+import tracemalloc
 import warnings
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -10,9 +12,9 @@ import numpy.testing as npt
 import pytest
 
 from splinecfr import cfr_core, cli
-from splinecfr.cli import main
+from splinecfr.cli import build_parser, main
 from splinecfr.bench import ExperimentConfig
-from splinecfr.cfr_core import FitConfig, deserialize, fit, training_rmse_by_depth
+from splinecfr.cfr_core import FitConfig, deserialize, fit, serialize, training_rmse_by_depth
 from splinecfr.data_io import (
     DEFAULT_TARGET,
     gen_sinc,
@@ -164,6 +166,42 @@ class TestSynthFitPredict:
         assert code == 2
         assert "missing feature columns: x1" in capsys.readouterr().err
 
+    def test_predict_holds_one_table(self, tmp_path, monkeypatch):
+        # At predict's entry only X and the y_true values remain of the parsed
+        # table: about one table's bytes, not the table plus a copy of it.
+        rng = np.random.default_rng(12)
+        n, m = 8000, 30
+        X = rng.uniform(-1.0, 1.0, (n, m))
+        y = 5.0 + X.sum(axis=1) + rng.normal(0.0, 0.1, n)
+        data = tmp_path / "wide.csv"
+        names = [f"x{j}" for j in range(m)]
+        data.write_text(csv_text(names + ["y"], np.column_stack([X, y]).tolist()))
+        model = fit(X, y, FitConfig(max_depth=1))
+        model = replace(model, feature_names=tuple(names), target_name="y")
+        model_path = tmp_path / "model.json"
+        model_path.write_text(serialize(model))
+        held = []
+        original = cfr_core.CFracModel.predict
+
+        def spy(self, X):
+            held.append(tracemalloc.get_traced_memory()[0])
+            return original(self, X)
+
+        monkeypatch.setattr(cfr_core.CFracModel, "predict", spy)
+        tracemalloc.start()
+        try:
+            code = main(["predict", "--model", str(model_path), "--data", str(data),
+                         "--out", str(tmp_path / "p.csv")])
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        table_bytes = n * (m + 1) * 8
+        assert len(held) == 1
+        assert held[0] < 1.5 * table_bytes
+        header, rows = read_rows(tmp_path / "p.csv")
+        assert header == ["row_id", "y_pred", "y_true"]
+        assert [float(r[2]) for r in rows] == y.tolist()
+
     def test_synth_requires_paired_range_flags(self, tmp_path):
         code = main([
             "synth", "gamma", "--n", "10", "--lo", "1.0",
@@ -223,6 +261,22 @@ class TestExitCodes:
             assert code == 2, field
             assert field in capsys.readouterr().err
         assert not (tmp_path / "p.csv").exists()
+
+    def test_model_without_feature_names_is_rejected_before_the_data_is_read(
+        self, tmp_path, toy_csv, capsys
+    ):
+        fit_dir = tmp_path / "m"
+        assert main(["fit", "--data", toy_csv, "--target", "y", "--out-dir", str(fit_dir),
+                     "--max-depth", "0"]) == 0
+        capsys.readouterr()
+        doc = json.loads((fit_dir / "model.json").read_text())
+        doc["feature_names"] = None
+        nameless = tmp_path / "nameless.json"
+        nameless.write_text(json.dumps(doc))
+        code = main(["predict", "--model", str(nameless), "--data",
+                     str(tmp_path / "no_such.csv"), "--out", str(tmp_path / "p.csv")])
+        assert code == 2
+        assert "model document carries no feature names" in capsys.readouterr().err
 
     def test_failed_write_leaves_no_temporary_file(self, tmp_path, toy_csv, capsys):
         fit_dir = tmp_path / "m"
@@ -603,6 +657,46 @@ class TestHelp:
                 assert found[flag] == value, flag
             else:
                 assert float(found[flag]) == value, flag
+
+    @staticmethod
+    def readme_defaults():
+        """The README "Defaults" table: flag -> its default cell, backticks kept."""
+        text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        table = text.split("\n## Defaults\n", 1)[1].split("\n\n", 1)[0].strip()
+        rows = [[cell.strip() for cell in line.strip("|").split("|")]
+                for line in table.splitlines()[2:]]
+        return {row[1].strip("`"): row[2] for row in rows}
+
+    def test_readme_defaults_table_matches_the_config_dataclasses(self):
+        bench_defaults = {f.name: f.default for f in fields(ExperimentConfig)}
+        # cmd_fit's own defaults for the settings that are not FitConfig fields.
+        own_defaults = {"fit": {"target": DEFAULT_TARGET, "out_dir": "."},
+                        "bench": bench_defaults}
+        no_default = {"data", "predictions"}
+        expected: dict[str, dict[str, object]] = {}
+        for command in ("fit", "bench"):
+            for action in build_parser().parse_args([command]).config_keys.values():
+                if action.dest in no_default:
+                    continue
+                if action.dest in {f.name for f in fields(FitConfig)}:
+                    value = getattr(FitConfig(), action.dest)
+                else:
+                    value = own_defaults[command][action.dest]
+                expected.setdefault(action.option_strings[0], {})[command] = value
+        table = self.readme_defaults()
+        assert table.keys() == expected.keys()
+        for flag, by_command in expected.items():
+            cell = table[flag]
+            # "`.` (fit), `bench_out` (bench)" gives one default per command.
+            per_command = dict((c, v) for v, c in re.findall(r"`([^`]*)` \((\w+)\)", cell))
+            for command, value in by_command.items():
+                text = per_command.get(command, cell)
+                if isinstance(value, bool):
+                    assert text == ("on" if value else "off"), flag
+                elif isinstance(value, (int, float)):
+                    assert float(text) == value, flag
+                else:
+                    assert text.strip("`") == value, flag
 
 
 class TestReport:

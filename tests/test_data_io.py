@@ -43,6 +43,15 @@ class TestLoadCsv:
         npt.assert_array_equal(ds.features, [[1, 2], [4, 5]])
         npt.assert_array_equal(ds.target, [3, 6])
 
+    @pytest.mark.parametrize("header", ["a,b,y", "a,y,b", "y,a,b"])
+    def test_features_and_target_own_their_memory(self, tmp_path, header):
+        # No view may keep the parsed table alive beside the feature copy.
+        path = write(tmp_path, header + "\n1,2,3\n4,5,6\n7,8,9\n")
+        ds = load_csv(path, "y")
+        assert ds.features.flags.owndata and ds.features.flags.c_contiguous
+        assert ds.target.flags.owndata
+        assert not np.shares_memory(ds.features, ds.target)
+
     def test_target_anywhere(self, tmp_path):
         path = write(tmp_path, "y,a\n1,2\n3,4\n")
         ds = load_csv(path, "y")
