@@ -309,8 +309,8 @@ def fit(X, y, config: FitConfig | None = None) -> CFracModel:
     constant column gets coefficient 0. Each further depth fits a penalized
     additive spline to the inverted, offset residuals of the depth above: it
     keeps all earlier knots and adds up to ``knots_per_depth`` sites chosen
-    from the residuals, and it is solved on the distinct rows, weighted by
-    their counts when rows repeat. Training values are the row-wise products
+    from the residuals. Every layer is solved on the distinct rows, weighted
+    by their counts when rows repeat. Training values are the row-wise products
     ``predict`` takes, so it recomputes them bit for bit. The procedure is
     deterministic. Each kept depth whose training RMSE is above the one
     before it raises a TrainingRmseWarning.
@@ -336,10 +336,17 @@ def fit(X, y, config: FitConfig | None = None) -> CFracModel:
     spline_vars = [j for j in range(m) if hi[j] - lo[j] > KNOT_DEDUP_TOL]
 
     first, group, counts = _distinct_rows(X)
+    counts = counts if first.size < n else None
+    X_spline = X[np.ix_(first, spline_vars)]
     y0 = y / config.norm
+    # Solve on the varying columns mapped onto [0, 1]; map the coefficients back.
+    shift, scale = lo[spline_vars], hi[spline_vars] - lo[spline_vars]
+    design = np.ones((first.size, 1 + len(spline_vars)))
+    np.divide(np.subtract(X_spline, shift, out=design[:, 1:]), scale, out=design[:, 1:])
+    beta = least_squares(design, np.bincount(group, weights=y0, minlength=first.size), counts)
     coefficients = np.zeros(1 + m)  # a column constant on the training rows keeps 0
-    varying = [np.ones(n)] + [X[:, j] for j in spline_vars]  # views of X
-    coefficients[[0] + [1 + j for j in spline_vars]] = least_squares(np.column_stack(varying), y0)
+    coefficients[1:][spline_vars] = beta[1:] / scale
+    coefficients[0] = beta[0] - coefficients[1:][spline_vars] @ shift
     linear = LinearModel(coefficients)
     values = [linear.evaluate(X, first)[group]]
     resid = y0 - values[0]
@@ -352,7 +359,6 @@ def fit(X, y, config: FitConfig | None = None) -> CFracModel:
         literal_final_offset=config.literal_final_offset,
     )
     knots: dict[int, list[float]] = {j: [] for j in spline_vars}
-    X_spline = X[np.ix_(first, spline_vars)]
 
     train_pred = model._fold(values)
     rmses = [rmse(y, train_pred)]
@@ -366,9 +372,7 @@ def fit(X, y, config: FitConfig | None = None) -> CFracModel:
         penalties = [penalty_block(kv.basis_count) for kv in bases]
         # Each group's target sum; a group of one row sums to its target exactly.
         sums = np.bincount(group, weights=target, minlength=first.size)
-        beta = penalized_least_squares(
-            design, sums, config.lam, penalties, counts=counts if first.size < n else None
-        )
+        beta = penalized_least_squares(design, sums, config.lam, penalties, counts)
         values.append(_row_dot(design, beta)[group])
         # One design at a time: the next depth's is larger.
         del design

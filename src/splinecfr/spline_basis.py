@@ -1,8 +1,8 @@
 """Clamped cubic B-spline bases, design matrices, and difference penalties.
 
-Basis values inside the training domain come from the Cox-de Boor recurrence.
-Outside [lo, hi] every basis function is continued linearly from the nearest
-boundary (boundary value plus one-sided derivative), so spline terms
+Basis values strictly inside (lo, hi) come from the Cox-de Boor recurrence.
+At and beyond lo and hi every basis function is continued linearly from the
+nearest boundary (boundary value plus one-sided derivative), so spline terms
 extrapolate as straight lines instead of dropping to zero. The boundary
 values and derivatives have a closed form at a clamped end: the outermost
 basis function is 1 there, and only the two outermost functions have a
@@ -14,22 +14,24 @@ holds the point, columns ``mu-3 .. mu`` of the variable's block. One kernel
 (``_span_index`` and ``_span_values``) finds the span and those four values.
 ``design_matrix`` allocates the final matrix once and, one block of rows at a
 time with all variables together, writes each point's four values into it.
-A point x outside [lo, hi] writes two cells of its end span from that closed
-form, with slope s = p/w and step = x - end: below lo the first two take
-1 - s*step and s*step, above hi the last two take -s*step and 1 + s*step.
-Every other entry stays zero, exactly as a dense evaluation of every basis
-function would leave it.
+A point x at or outside an end writes two cells of its end span from that
+closed form, with slope s = p/w and step = x - end: at or below lo the first
+two take 1 - s*step and s*step, at or above hi the last two take -s*step and
+1 + s*step, so a point at an end gets an exact unit row. Every other entry
+stays zero, exactly as a dense evaluation of every basis function would
+leave it.
 
 The module keeps no state between calls except the read-only penalty
-matrices, cached per size. Each ``design_matrix`` call computes the end
-slopes of its variables from their knots, so nothing keyed on a knot vector
-outlives the models that use it.
+matrices, cached per size. A knot vector caches its own read-only augmented
+array, and each ``design_matrix`` call computes the end slopes of its
+variables from their knots, so nothing keyed on a knot vector outlives the
+models that use it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -52,13 +54,15 @@ class KnotVector:
     lo: float
     hi: float
 
-    @property
+    @cached_property
     def augmented(self) -> np.ndarray:
-        """Full knot vector with DEGREE+1 copies of each boundary."""
+        """Full knot vector with DEGREE+1 copies of each boundary (read-only)."""
         ends = DEGREE + 1
-        return np.array((self.lo,) * ends + self.interior + (self.hi,) * ends)
+        t = np.array((self.lo,) * ends + self.interior + (self.hi,) * ends)
+        t.setflags(write=False)
+        return t
 
-    @property
+    @cached_property
     def basis_count(self) -> int:
         return len(self.interior) + DEGREE + 1
 
@@ -141,7 +145,7 @@ def design_matrix(X, bases: Sequence[KnotVector]) -> np.ndarray:
     ``X`` must have exactly one column per knot vector in ``bases``. The
     result has 1 + sum(basis_count) columns and is allocated once; each
     point writes only the degree+1 values of its span in each block. A point
-    outside [lo, hi] writes the values at the nearest boundary plus its
+    at or outside an end writes the values at the nearest boundary plus its
     distance to it times the boundary derivative: two cells of that end span.
     """
     X = np.asarray(X, dtype=float)
@@ -179,8 +183,8 @@ def design_matrix(X, bases: Sequence[KnotVector]) -> np.ndarray:
         x = X[r0 : r0 + rows]
         col = first[:, r0 : r0 + x.shape[0]].T
         pos = ((np.arange(r0, r0 + x.shape[0]) * width)[:, None] + col).ravel()
-        above = (x > hi).ravel()
-        outside = (x < lo).ravel() | above
+        above = (x >= hi).ravel()
+        outside = (x <= lo).ravel() | above
         if outside.any():
             beyond = np.flatnonzero(outside)
             side = above[beyond]

@@ -28,6 +28,7 @@ from splinecfr.cfr_core import (
 from splinecfr.errors import ModelFormatError, TrainingRmseWarning
 from splinecfr.solver import least_squares, penalized_least_squares
 from splinecfr.spline_basis import build_knot_vector, design_matrix, penalty_block
+from test_solver import augmented_least_squares
 
 
 def sign_walk_oracle(residuals, k):
@@ -115,7 +116,7 @@ class TestFit:
         config = FitConfig(max_depth=0, norm=7.0)
         model = fit(X, y, config)
         design = np.hstack([np.ones((X.shape[0], 1)), X])
-        expected = 7.0 * (design @ least_squares(design, y / 7.0))
+        expected = 7.0 * (design @ augmented_least_squares(design, y / 7.0))
         npt.assert_allclose(model.predict(X), expected, atol=1e-10)
 
     def test_constant_target_recovered_at_any_depth(self):
@@ -678,6 +679,75 @@ class TestDistinctRows:
             a = fit(X, y, self.CONFIG)
             b = fit(X[order], y[order], self.CONFIG)
         npt.assert_allclose(a.predict(X), b.predict(X), rtol=1e-9)
+
+
+class TestLinearLayer:
+    """The linear layer's shifted and scaled normal equations against the
+    augmented ``lstsq`` solve on every training row."""
+
+    @staticmethod
+    def values_and_oracle(X, y, batch):
+        model = fit(X, y, FitConfig(max_depth=0))
+        beta = augmented_least_squares(np.column_stack([np.ones(X.shape[0]), X]), y / model.norm)
+        return model, model.layer_values(batch)[0], beta[0] + batch @ beta[1:]
+
+    @staticmethod
+    def in_and_out_of_box(X, seed):
+        lo, hi = X.min(axis=0), X.max(axis=0)
+        rng = np.random.default_rng(seed)
+        return np.vstack([X, rng.uniform(lo - 3 * (hi - lo), hi + 3 * (hi - lo), (200, X.shape[1]))])
+
+    def test_repeated_rows_match_the_solve_on_every_row(self):
+        X, y = repeated_rows(50, 3, seed=6)
+        _, values, expected = self.values_and_oracle(X, y, self.in_and_out_of_box(X, 1))
+        npt.assert_allclose(values, expected, rtol=0.0, atol=1e-10 * np.abs(expected).max())
+
+    def test_ill_conditioned_table(self):
+        # A column far from zero relative to its spread: cond([1, X]) is
+        # about 3e9. The 1e-10 jitter acts on scaled coefficients in fit and
+        # on raw ones in the oracle, which accounts for the stated tolerance.
+        rng = np.random.default_rng(0)
+        X = np.column_stack(
+            [3e4 + rng.uniform(0, 1, 300), rng.uniform(-1, 1, 300), rng.normal(0, 5, 300)]
+        )
+        y = 2.0 + X @ np.array([1.5, -2.0, 0.3]) + rng.normal(0, 0.1, 300)
+        assert np.linalg.cond(np.column_stack([np.ones(300), X])) >= 1e9
+        batch = self.in_and_out_of_box(X, 1)
+        _, values, expected = self.values_and_oracle(X, y, batch)
+        scale = np.abs(expected).max()
+        inside = slice(0, X.shape[0])
+        npt.assert_allclose(values[inside], expected[inside], rtol=0.0, atol=1e-9 * scale)
+        npt.assert_allclose(values, expected, rtol=0.0, atol=1e-8 * scale)
+
+    @pytest.mark.parametrize(
+        "units, shift",
+        [
+            ([1e-4, 1.0, 1e4], 0.0),
+            ([1e6, 1e-6, 1.0], 0.0),
+            ([1.0, 1.0, 1.0], [1e3, -50.0, 7.0]),
+        ],
+    )
+    def test_feature_units_do_not_move_the_fit(self, units, shift):
+        # The jitter acts on coefficients of columns mapped onto [0, 1], so
+        # it ridges every column alike whatever its units. Acting on raw
+        # coefficients, it moved the second case's values by a fifth.
+        X, y = toy_data(n=80, seed=5)
+        expected = fit(X, y, FitConfig(max_depth=0)).layer_values(X)[0]
+        moved = X * units + shift
+        values = fit(moved, y, FitConfig(max_depth=0)).layer_values(moved)[0]
+        npt.assert_allclose(values, expected, rtol=0.0, atol=1e-12 * np.abs(expected).max())
+
+    @pytest.mark.parametrize("gap", [0.0, 1e-9], ids=["duplicate", "near_duplicate"])
+    def test_collinear_columns_solve_without_the_rescue(self, gap):
+        # Any RuntimeWarning, the solver's rescue included, is an error here.
+        X, y = toy_data(n=80, seed=3)
+        twin = X[:, :1] + gap * np.random.default_rng(4).normal(size=(80, 1))
+        X = np.hstack([X, twin])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            model, values, expected = self.values_and_oracle(X, y, X)
+        assert np.isfinite(model.layers[0].model.coefficients).all()
+        npt.assert_allclose(values, expected, rtol=0.0, atol=1e-8 * np.abs(expected).max())
 
 
 def distinct_rows_oracle(X):

@@ -25,6 +25,17 @@ def oracle_solution(A, y, lam=0.0, penalties=(), lead=None):
     return np.linalg.inv(m) @ (A.T @ y)
 
 
+def augmented_least_squares(A, y):
+    """(A'A + 1e-10 I) beta = A'y through the augmented system [A; sqrt(jitter) I],
+    solved by an orthogonal factorization (``lstsq``) instead of the normal
+    equations."""
+    A = np.asarray(A, float)
+    p = A.shape[1]
+    aug = np.vstack([A, np.sqrt(JITTER) * np.eye(p)])
+    beta, *_ = np.linalg.lstsq(aug, np.concatenate([y, np.zeros(p)]), rcond=None)
+    return beta
+
+
 class TestLeastSquares:
     def test_mean(self):
         npt.assert_allclose(least_squares([[1.0], [1.0]], [2.0, 4.0]), [3.0], atol=1e-8)
@@ -47,6 +58,15 @@ class TestLeastSquares:
             A = rng.normal(size=(n, p))
             y = rng.normal(size=n)
             npt.assert_allclose(least_squares(A, y), oracle_solution(A, y), atol=1e-8)
+
+    def test_counted_solve_equals_the_expanded_one(self):
+        for seed in range(20):
+            B, counts, group, t, _ = TestCounts.system(seed)
+            sums = np.bincount(group, weights=t, minlength=B.shape[0])
+            weighted = B @ least_squares(B, sums, counts)
+            expanded = B @ least_squares(B[group], t)
+            npt.assert_allclose(weighted, expanded, rtol=0.0,
+                                atol=1e-12 * np.abs(expanded).max())
 
     def test_shape_errors(self):
         with pytest.raises(ValueError, match="rows"):
@@ -142,6 +162,9 @@ class TestPenalizedLeastSquares:
         with pytest.warns(RuntimeWarning, match="5 columns"):
             beta = penalized_least_squares(B, y, 0.3, pens)
         npt.assert_allclose(beta, expected, atol=1e-8)
+        with pytest.warns(RuntimeWarning, match="5 columns"):
+            beta = least_squares(B, y)
+        npt.assert_allclose(beta, oracle_solution(B, y), atol=1e-8)
 
 
 class TestCounts:

@@ -95,15 +95,15 @@ def closed_form_end_slopes(kv):
 
 def oracle_basis(kv, x):
     """Dense reference: every basis function at every point. Rows inside
-    [lo, hi] come from the recurrence; rows outside continue the end rows
-    linearly with the closed-form end values and slopes."""
+    (lo, hi) come from the recurrence; rows at or outside an end continue the
+    end rows linearly with the closed-form end values and slopes."""
     n = kv.basis_count
     val = np.eye(n)[[0, n - 1]]
     der = closed_form_end_slopes(kv)
     x = np.atleast_1d(np.asarray(x, dtype=float))
     out = np.zeros((x.shape[0], n))
-    below = x < kv.lo
-    above = x > kv.hi
+    below = x <= kv.lo
+    above = x >= kv.hi
     inside = ~(below | above)
     if inside.any():
         out[inside] = recurrence_rows(kv.augmented, DEGREE, x[inside])
@@ -174,6 +174,14 @@ class TestBuildKnotVector:
         kv = build_knot_vector([0.5], 0.0, 1.0)
         npt.assert_array_equal(kv.augmented, [0, 0, 0, 0, 0.5, 1, 1, 1, 1])
         assert kv.basis_count == 5
+
+    def test_augmented_is_built_once_and_read_only(self):
+        kv = build_knot_vector([0.5], 0.0, 1.0)
+        assert kv.augmented is kv.augmented
+        with pytest.raises(ValueError, match="read-only"):
+            kv.augmented[0] = -1.0
+        # The cache rides on the knot vector, not on its identity as a key.
+        assert kv == build_knot_vector([0.5], 0.0, 1.0)
 
     def test_no_interior_knots(self):
         kv = build_knot_vector([], 0.0, 1.0)
@@ -294,6 +302,15 @@ class TestExtrapolation:
         npt.assert_allclose(
             recurrence_end_slopes(kv), closed_form_end_slopes(kv), rtol=1e-12, atol=0.0
         )
+
+    def test_ends_are_exact_unit_rows(self):
+        # A point exactly at lo or hi takes the closed form, so the
+        # recurrence cannot miss the exact 0 and 1 in the last bit (seed 2
+        # gave 0.9999999999999999 at hi when it did).
+        for seed in range(2000):
+            kv = random_knot_vector(np.random.default_rng(seed))
+            unit = np.eye(kv.basis_count)[[0, -1]]
+            assert eval_basis_matrix(kv, [kv.lo, kv.hi]).tobytes() == unit.tobytes(), seed
 
     def test_linear_outside(self):
         kv = build_knot_vector([0.4], 0.0, 1.0)
