@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # End-to-end run of the command-line interface in a fresh temporary directory:
 # the README quick start, a predict outside the training box (the whole batch,
-# then its last 100 rows alone), a fit and a predict on repeated rows, a fit
-# from a config file, an oos and an ood bench, and a report.
+# then its last 100 rows alone, then its last 50 rows, all outside the box), a
+# fit and a predict on repeated rows, a fit from a config file, an oos and an
+# ood bench, and a report.
 #
 # Usage: .github/smoke.sh [COMMAND...]    (default: the installed `splinecfr`)
 # From a checkout, without installing:
@@ -31,6 +32,11 @@ python -c "import csv, math; rows = list(csv.DictReader(open('run1/wide.csv')));
 { head -n 1 wide.csv; tail -n 100 wide.csv; } > wide_tail.csv
 splinecfr predict --model run1/model.json --data wide_tail.csv --out run1/wide_tail.csv
 test "$(tail -n +2 run1/wide_tail.csv | cut -d, -f2)" = "$(tail -n 100 run1/wide.csv | cut -d, -f2)"
+# The last 50 rows have x > 10, all outside the box, so predicting them alone
+# searches no knots; they still match the batch where x was searched.
+{ head -n 1 wide.csv; tail -n 50 wide.csv; } > wide_out.csv
+splinecfr predict --model run1/model.json --data wide_out.csv --out run1/wide_out.csv
+test "$(tail -n +2 run1/wide_out.csv | cut -d, -f2)" = "$(tail -n 50 run1/wide.csv | cut -d, -f2)"
 { cat sinc.csv; tail -n +2 sinc.csv; } > dup.csv
 splinecfr fit --data dup.csv --target y --out-dir run3 --max-depth 3 --knots 3 --norm 1
 grep -qx 'fitted_depth,3' run3/fit_log.txt

@@ -197,7 +197,8 @@ class CFracModel:
         """Evaluate every layer's additive model on X (before folding).
 
         Each layer is evaluated once per distinct row of X (rows compared by
-        their bytes) and its values are gathered back to every row.
+        their bytes) and its values are gathered back to every row. A NaN or
+        infinite cell raises ValueError naming its row and column.
         """
         X = np.asarray(X, dtype=float)
         if X.ndim != 2 or X.shape[1] != self.feature_count:
@@ -205,6 +206,9 @@ class CFracModel:
                 f"expected a 2-D matrix with {self.feature_count} feature columns, "
                 f"got shape {X.shape}"
             )
+        if not np.isfinite(X).all():
+            i, j = np.argwhere(~np.isfinite(X))[0]
+            raise ValueError(f"X row {i}, column {j}: non-finite value {float(X[i, j])!r}")
         first, group, _ = _distinct_rows(X)
         return [layer.model.evaluate(X, first)[group] for layer in self.layers]
 

@@ -192,6 +192,14 @@ def cmd_predict(args: argparse.Namespace) -> int:
     if model.target_name in names:
         y_true = data[:, names.index(model.target_name)].copy()
     del data  # predict holds one table: X
+    # Counted before predict, so that no mask is held while it runs.
+    lo, hi = model.feature_bounds.T
+    outside = int(((X < lo) | (X > hi)).any(axis=1).sum())
+    if outside:
+        print(
+            f"note: {outside} of {X.shape[0]} rows lie outside the training box",
+            file=sys.stderr,
+        )
     pred = model.predict(X)
     header, cols = ["row_id", "y_pred"], [range(pred.shape[0]), pred.tolist()]
     if y_true is not None:

@@ -13,10 +13,12 @@ basis functions of a variable are nonzero: those of the knot span ``mu`` that
 holds the point, columns ``mu-3 .. mu`` of the variable's block. One kernel
 (``_span_index`` and ``_span_values``) finds the span and those four values.
 ``design_matrix`` allocates the final matrix once and, one block of rows at a
-time with all variables together, writes each point's four values into it.
-A point x at or outside an end writes two cells of its end span from that
-closed form, with slope s = p/w and step = x - end: at or below lo the first
-two take 1 - s*step and s*step, at or above hi the last two take -s*step and
+time with all variables together, writes each point's values into it. Only
+points strictly inside (lo, hi) read a span, so only variables with such a
+point in the call are searched. A point x at or outside an end writes two
+cells at its variable's end columns from that closed form, with slope
+s = p/w and step = x - end: at or below lo the block's first two take
+1 - s*step and s*step, at or above hi its last two take -s*step and
 1 + s*step, so a point at an end gets an exact unit row. Every other entry
 stays zero, exactly as a dense evaluation of every basis function would
 leave it.
@@ -89,17 +91,19 @@ def build_knot_vector(interior: Iterable[float], lo: float, hi: float) -> KnotVe
     return KnotVector(vals, lo, hi)
 
 
-def _span_index(knots: Sequence[np.ndarray], X: np.ndarray) -> np.ndarray:
+def _span_index(knots: Sequence[np.ndarray], X: np.ndarray, searched: Sequence[bool]) -> np.ndarray:
     """Index mu of the knot span [t[mu], t[mu+1]] of each point, one row per variable.
 
-    ``knots[j]`` is the clamped knot vector t of column j of ``X``. Points
-    below t[0] land on the first span and points at or above t[-1] on the
-    last non-empty one. The spans of all variables are clipped in one call,
-    since one clip per variable cost more than its search.
+    ``knots[j]`` is the clamped knot vector t of column j of ``X``. Only the
+    variables marked in ``searched`` are searched; the others get the first
+    span on every row. Points below t[0] land on the first span and points
+    at or above t[-1] on the last non-empty one. The spans of all variables
+    are clipped in one call, since one clip per variable cost more than its
+    search.
     """
     mu = np.empty((len(knots), X.shape[0]), dtype=np.intp)
     for j, t in enumerate(knots):
-        mu[j] = t.searchsorted(X[:, j], side="right")
+        mu[j] = t.searchsorted(X[:, j], side="right") if searched[j] else DEGREE + 1
     mu -= 1
     last = np.array([t.size - DEGREE - 2 for t in knots])
     return np.clip(mu, DEGREE, last[:, None], out=mu)
@@ -146,7 +150,9 @@ def design_matrix(X, bases: Sequence[KnotVector]) -> np.ndarray:
     result has 1 + sum(basis_count) columns and is allocated once; each
     point writes only the degree+1 values of its span in each block. A point
     at or outside an end writes the values at the nearest boundary plus its
-    distance to it times the boundary derivative: two cells of that end span.
+    distance to it times the boundary derivative: two cells addressed from
+    its variable's end columns, the block's first two below and its last two
+    above. Only points strictly inside (lo, hi) are searched for their span.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2:
@@ -167,22 +173,30 @@ def design_matrix(X, bases: Sequence[KnotVector]) -> np.ndarray:
     lo, hi = edge[:, 0], edge[:, 1]
     block_col = 1 + np.cumsum([0] + [kv.basis_count for kv in bases[:-1]])
     knot_start = np.cumsum([0] + [len(tj) for tj in knots[:-1]])
-    # Column of each point's first value, one row per variable. The span
-    # index of a point into ``t`` is its column plus ``to_knot``.
-    first = _span_index(knots, X)
-    first += (block_col - p)[:, None]
-    to_knot = knot_start - block_col + p
-    # Entry 2j + side is variable j at lo (side 0) or hi: the end, and the
-    # slope p/w of its two outermost basis functions, w the end span's width.
-    edge = edge.ravel()
-    slope = np.ravel([(p / (tj[p + 1] - tj[0]), p / (tj[-1] - tj[-p - 2])) for tj in knots])
-    width = out.shape[1]
-    flat = out.reshape(-1)
     rows = max(1, _BLOCK_POINTS // m)
+    # A variable with no point strictly inside its box is not searched. Its
+    # points are checked one block of rows at a time, like the writes below,
+    # so no mask of the whole call is allocated.
+    inside = np.zeros(m, dtype=bool)
     for r0 in range(0, n, rows):
         x = X[r0 : r0 + rows]
-        col = first[:, r0 : r0 + x.shape[0]].T
-        pos = ((np.arange(r0, r0 + x.shape[0]) * width)[:, None] + col).ravel()
+        inside |= ~((x <= lo) | (x >= hi)).all(axis=0)
+    # Column of each point's first value, one row per variable. The span
+    # index of a point into ``t`` is its column plus ``to_knot``.
+    first = _span_index(knots, X, inside.tolist())
+    first += (block_col - p)[:, None]
+    to_knot = knot_start - block_col + p
+    # Entry 2j + side is variable j at lo (side 0) or hi: the end, the slope
+    # p/w of its two outermost basis functions, w the end span's width, and
+    # the first of the two columns a point at or beyond that end writes.
+    edge = edge.ravel()
+    slope = np.ravel([(p / (tj[p + 1] - tj[0]), p / (tj[-1] - tj[-p - 2])) for tj in knots])
+    end_col = np.repeat(block_col, 2)
+    end_col[1::2] += [kv.basis_count - 2 for kv in bases]
+    width = out.shape[1]
+    flat = out.reshape(-1)
+    for r0 in range(0, n, rows):
+        x = X[r0 : r0 + rows]
         above = (x >= hi).ravel()
         outside = (x <= lo).ravel() | above
         if outside.any():
@@ -190,15 +204,19 @@ def design_matrix(X, bases: Sequence[KnotVector]) -> np.ndarray:
             side = above[beyond]
             row = 2 * (beyond % m) + side
             rise = slope[row] * (x.ravel()[beyond] - edge[row])
-            # Below lo the span's first two cells take (1 - rise, rise), above
-            # hi its last two take (-rise, 1 + rise); the other two stay zero.
-            at = pos[beyond] + (p - 1) * side
+            # Below lo the block's first two cells take (1 - rise, rise),
+            # above hi its last two take (-rise, 1 + rise); the rest stay zero.
+            at = (r0 + beyond // m) * width + end_col[row]
             flat[at] = (1.0 - side) - rise
             flat[at + 1] = side + rise
+            del beyond, side, row, rise, at  # freed before the in-box work
             within = np.flatnonzero(~outside)
-            pos = pos[within]
+            if within.size == 0:
+                continue
         else:
             within = slice(None)
+        col = first[:, r0 : r0 + x.shape[0]].T
+        pos = ((np.arange(r0, r0 + x.shape[0]) * width)[:, None] + col).ravel()[within]
         span = (col + to_knot).ravel()[within]
         vals = _span_values(t, x.ravel()[within], span)
         for k in range(p + 1):

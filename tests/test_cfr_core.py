@@ -2,6 +2,7 @@
 
 import gc
 import math
+import re
 import tracemalloc
 import warnings
 import weakref
@@ -223,6 +224,17 @@ class TestFit:
             fit(X, y[:-1])
         with pytest.raises(ValueError, match="non-finite"):
             fit(X, np.where(np.arange(len(y)) == 0, np.nan, y))
+
+    @pytest.mark.parametrize("cell", [np.nan, np.inf, -np.inf])
+    def test_predict_names_the_first_non_finite_cell(self, cell):
+        X, y = toy_data(seed=3)
+        model = fit(X, y, FitConfig(max_depth=2))
+        bad = X[:6].copy()
+        bad[4, 0] = bad[2, 2] = bad[5, 1] = cell
+        message = rf"X row 2, column 2: non-finite value {re.escape(repr(float(cell)))}$"
+        for evaluate in (model.predict, model.layer_values):
+            with pytest.raises(ValueError, match=message):
+                evaluate(bad)
 
 
 class TestPredictMechanics:

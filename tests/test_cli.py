@@ -166,6 +166,31 @@ class TestSynthFitPredict:
         assert code == 2
         assert "missing feature columns: x1" in capsys.readouterr().err
 
+    def test_predict_notes_rows_outside_the_training_box(self, tmp_path, toy_csv, capsys):
+        fit_dir = tmp_path / "m"
+        assert main([
+            "fit", "--data", toy_csv, "--target", "y", "--out-dir", str(fit_dir),
+            "--max-depth", "1", "--knots", "2",
+        ]) == 0
+        model = str(fit_dir / "model.json")
+        capsys.readouterr()
+        # The training table itself: rows at the box's ends are inside.
+        assert main(["predict", "--model", model, "--data", toy_csv,
+                     "--out", str(tmp_path / "a.csv")]) == 0
+        assert "note:" not in capsys.readouterr().err
+        ds = load_csv(toy_csv, "y")
+        X = ds.features.copy()
+        X[3, 0] = 4.5  # x0 was fit on [0, 4]
+        X[7, 1] = -2.0
+        X[9] = [-1.0, 5.0]  # outside on both features, counted once
+        X[11, 0] = 4.0  # at the end: inside
+        moved = tmp_path / "moved.csv"
+        moved.write_text(csv_text(["x0", "x1"], X.tolist()))
+        assert main(["predict", "--model", model, "--data", str(moved),
+                     "--out", str(tmp_path / "b.csv")]) == 0
+        err = capsys.readouterr().err
+        assert f"note: 3 of {ds.n} rows lie outside the training box" in err.splitlines()
+
     def test_predict_holds_one_table(self, tmp_path, monkeypatch):
         # At predict's entry only X and the y_true values remain of the parsed
         # table: about one table's bytes, not the table plus a copy of it.

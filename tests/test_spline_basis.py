@@ -7,6 +7,7 @@ import numpy.testing as npt
 import pytest
 
 from splinecfr.spline_basis import (
+    _BLOCK_POINTS,
     DEGREE,
     KnotVector,
     build_knot_vector,
@@ -133,6 +134,21 @@ def oracle_cases():
         width = kv.hi - kv.lo
         return rng.uniform(kv.lo - width, kv.hi + width, n)
 
+    def unsearched_across_blocks(ends, mixed):
+        block_rows = _BLOCK_POINTS // 2
+        n = block_rows + 2000
+        width = ends.hi - ends.lo
+        beyond = np.where(
+            rng.random(n) < 0.5,
+            ends.lo - rng.uniform(0, width, n),
+            ends.hi + rng.uniform(0, width, n),
+        )
+        beyond[rng.choice(n, 200, replace=False)] = rng.choice([ends.lo, ends.hi], 200)
+        across = spread(mixed, n)
+        across[block_rows:] = mixed.hi + rng.uniform(0, 1, n - block_rows)
+        across[rng.choice(block_rows, 50, replace=False)] = mixed.lo
+        return np.column_stack([beyond, across])
+
     ties = rng.integers(-2, 10, 300).astype(float)
     knots_hit = np.concatenate([[kv.lo, kv.hi, *kv.interior] for kv in (plain, grid, rand)])
     return {
@@ -163,6 +179,10 @@ def oracle_cases():
         ),
         # More points than one block of the design, mixed in and out of box.
         "many_rows": ([grid, rand2], np.column_stack([spread(grid, 12000), spread(rand2, 12000)])),
+        # More points than one block, with one variable at or beyond its ends
+        # in every row, so it is never searched. The other spans its box in
+        # the first block only, so the last block has no in-box point.
+        "unsearched_across_blocks": ([grid, rand2], unsearched_across_blocks(grid, rand2)),
     }
 
 
