@@ -558,11 +558,10 @@ def deserialize(text: str) -> CFracModel:
     fmt = root.child("format").string()
     if fmt != MODEL_FORMAT:
         raise ModelFormatError(f"model.format: expected {MODEL_FORMAT!r}, got {fmt!r}")
-    bounds_rows = root.child("feature_bounds").array()
-    bounds = np.array([[v.number() for v in row.array()] for row in bounds_rows], dtype=float)
-    if bounds.size and (bounds.ndim != 2 or bounds.shape[1] != 2):
+    bounds_rows = [row.numbers() for row in root.child("feature_bounds").array()]
+    if any(row.shape != (2,) for row in bounds_rows):
         raise ModelFormatError("model.feature_bounds: expected rows of [lo, hi]")
-    bounds = bounds.reshape(-1, 2)
+    bounds = np.array(bounds_rows, dtype=float).reshape(-1, 2)
     names_reader = root.child("feature_names")
     feature_names = (
         None

@@ -1,8 +1,9 @@
-"""Ordinary and block-penalized least squares through one normal-equation path.
+"""Block-penalized least squares; ordinary least squares is its unpenalized case.
 
-Both solvers form the normal equations B'CB beta = B'y with a fixed 1e-10
-ridge on the diagonal; the penalized one adds its penalty matrices (see
-``spline_basis.penalty_block``) along the diagonal in blocks. The jitter
+One function, ``penalized_least_squares``, forms and solves the normal
+equations B'CB beta = B'y with a fixed 1e-10 ridge on the diagonal and the
+penalty matrices (see ``spline_basis.penalty_block``) added along it in
+blocks; ``least_squares`` is that call with no blocks. The jitter
 makes rank-deficient designs solvable without data-dependent branching. A
 system that is singular all the same is solved by ``lstsq``, with a warning.
 
@@ -67,14 +68,33 @@ def _weighted_gram(B: np.ndarray, counts) -> np.ndarray:
     return g
 
 
-def _solve_normal(B, y, counts, lead: int = 0, blocks: Sequence[np.ndarray] = ()) -> np.ndarray:
-    """Solve (B'CB + blockdiag(0, blocks) + 1e-10 I) beta = B'y, blocks from column ``lead``."""
+def penalized_least_squares(
+    B, y, lam: float, penalties: Sequence[np.ndarray], counts=None
+) -> np.ndarray:
+    """Solve (B'CB + lam * blockdiag(0, P_1..P_m) + 1e-10 I) beta = B'y.
+
+    ``penalties`` are the square matrices P_1..P_m. They tile the trailing
+    columns of ``B``, each covering as many columns as it has rows; at most
+    one leading column (the intercept) may be left unpenalized. With no
+    blocks this is ordinary least squares.
+
+    With counts, the solution is the one of the design with every row
+    repeated as many times as it is counted.
+    """
+    B, y = _check_system(B, y)
+    if lam < 0:
+        raise ValueError(f"penalty weight must be non-negative, got {lam}")
+    col = B.shape[1] - sum(pen.shape[0] for pen in penalties)
+    if penalties and col not in (0, 1):
+        raise ValueError(
+            f"penalty blocks cover {B.shape[1] - col} columns but the design has "
+            f"{B.shape[1]}; expected them to tile all columns or all but an intercept"
+        )
     g = B.T @ B if counts is None else _weighted_gram(B, counts)
     g[np.diag_indices_from(g)] += JITTER
-    col = lead
-    for block in blocks:
-        g[col : col + block.shape[0], col : col + block.shape[0]] += block
-        col += block.shape[0]
+    for pen in penalties:
+        g[col : col + pen.shape[0], col : col + pen.shape[0]] += lam * pen
+        col += pen.shape[0]
     rhs = B.T @ y
     try:
         return np.linalg.solve(g, rhs)
@@ -84,7 +104,7 @@ def _solve_normal(B, y, counts, lead: int = 0, blocks: Sequence[np.ndarray] = ()
             f"normal equations with {g.shape[0]} columns are singular; "
             "solved by least squares instead",
             RuntimeWarning,
-            stacklevel=3,
+            stacklevel=2,
         )
         beta, *_ = np.linalg.lstsq(g, rhs, rcond=None)
         return beta
@@ -92,29 +112,4 @@ def _solve_normal(B, y, counts, lead: int = 0, blocks: Sequence[np.ndarray] = ()
 
 def least_squares(A, y, counts=None) -> np.ndarray:
     """Solve (A'CA + 1e-10 I) beta = A'y, C = diag(counts) as in the module docstring."""
-    A, y = _check_system(A, y)
-    return _solve_normal(A, y, counts)
-
-
-def penalized_least_squares(
-    B, y, lam: float, penalties: Sequence[np.ndarray], counts=None
-) -> np.ndarray:
-    """Solve (B'CB + lam * blockdiag(0, P_1..P_m) + 1e-10 I) beta = B'y.
-
-    ``penalties`` are the square matrices P_1..P_m. They tile the trailing
-    columns of ``B``, each covering as many columns as it has rows; at most
-    one leading column (the intercept) may be left unpenalized.
-
-    With counts, the solution is the one of the design with every row
-    repeated as many times as it is counted.
-    """
-    B, y = _check_system(B, y)
-    if lam < 0:
-        raise ValueError(f"penalty weight must be non-negative, got {lam}")
-    lead = B.shape[1] - sum(pen.shape[0] for pen in penalties)
-    if lead not in (0, 1):
-        raise ValueError(
-            f"penalty blocks cover {B.shape[1] - lead} columns but the design has "
-            f"{B.shape[1]}; expected them to tile all columns or all but an intercept"
-        )
-    return _solve_normal(B, y, counts, lead, [lam * pen for pen in penalties])
+    return penalized_least_squares(A, y, 0.0, [], counts)

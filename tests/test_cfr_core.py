@@ -120,6 +120,16 @@ class TestFit:
         expected = 7.0 * (design @ augmented_least_squares(design, y / 7.0))
         npt.assert_allclose(model.predict(X), expected, atol=1e-10)
 
+    def test_rejects_one_row(self):
+        with pytest.raises(ValueError, match="at least 2 training rows, got 1"):
+            fit(np.ones((1, 2)), np.ones(1))
+
+    def test_rejects_a_non_finite_feature(self):
+        X, y = toy_data()
+        X[3, 1] = np.nan
+        with pytest.raises(ValueError, match="X contains non-finite values"):
+            fit(X, y)
+
     def test_constant_target_recovered_at_any_depth(self):
         rng = np.random.default_rng(4)
         X = rng.uniform(0, 1, size=(25, 2))
@@ -466,6 +476,42 @@ class TestSerialization:
             (
                 lambda d: d["layers"][1]["coefficients"].__setitem__(0, float("inf")),
                 r"model\.layers\[1\]\.coefficients\[0\]: expected a finite number",
+            ),
+            (lambda d: d["layers"].__setitem__(1, 7), r"model\.layers\[1\]: expected an object"),
+            (lambda d: d.update(norm="x"), r"model\.norm: expected a number"),
+            (
+                lambda d: spline_var(d).update(id=1.5),
+                r"model\.layers\[1\]\.variables\[0\]\.id: expected an integer",
+            ),
+            (
+                lambda d: spline_var(d).update(id=True),
+                r"model\.layers\[1\]\.variables\[0\]\.id: expected an integer",
+            ),
+            (
+                lambda d: d.update(literal_final_offset=1),
+                r"model\.literal_final_offset: expected a boolean",
+            ),
+            (lambda d: d.update(target_name=3), r"model\.target_name: expected a string"),
+            (
+                lambda d: d["layers"][1].update(coefficients=5),
+                r"model\.layers\[1\]\.coefficients: expected an array",
+            ),
+            (
+                lambda d: d["layers"][1].update(kind="tree"),
+                r"model\.layers\[1\]\.kind: unknown layer kind 'tree'",
+            ),
+            (
+                lambda d: d["feature_bounds"][0].append(0.0),
+                r"model\.feature_bounds: expected rows of \[lo, hi\]",
+            ),
+            (lambda d: d.update(layers=[]), r"model\.layers: expected at least one layer"),
+            (
+                lambda d: d["layers"].pop(0),
+                r"model\.layers\[0\]: the first layer must be linear",
+            ),
+            (
+                lambda d: spline_var(d)["interior"].reverse(),
+                r"model\.layers\[1\]\.variables\[0\]: interior knots must be sorted",
             ),
         ]
         for corrupt, message in cases:

@@ -234,6 +234,29 @@ class TestSynthFitPredict:
         ])
         assert code == 2
 
+    def test_synth_writes_the_given_grid(self, tmp_path):
+        out = tmp_path / "s.csv"
+        assert main([
+            "synth", "sinc", "--n", "5", "--lo", "0", "--hi", "1", "--noise", "0",
+            "--out", str(out),
+        ]) == 0
+        header, rows = read_rows(out)
+        assert header == ["x", "y"]
+        x = np.array([float(r[0]) for r in rows])
+        y = np.array([float(r[1]) for r in rows])
+        assert x.tolist() == np.linspace(0.0, 1.0, 5).tolist()
+        assert y[0] == 1.0
+        assert y[1:].tolist() == (np.sin(x[1:]) / x[1:]).tolist()
+
+    def test_synth_rejects_a_gamma_range_holding_a_pole(self, tmp_path, capsys):
+        code = main([
+            "synth", "gamma", "--n", "10", "--lo", "-1", "--hi", "1",
+            "--out", str(tmp_path / "g.csv"),
+        ])
+        assert code == 2
+        assert "contains a pole of the gamma function at 0" in capsys.readouterr().err
+        assert not (tmp_path / "g.csv").exists()
+
 
 class TestExitCodes:
     def test_missing_data_file(self, capsys):
@@ -344,6 +367,34 @@ class TestExitCodes:
     def test_no_subcommand_is_a_usage_error(self, capsys):
         assert main([]) == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("command", ["fit", "bench"])
+    def test_data_is_required(self, tmp_path, capsys, command):
+        assert main([command, "--out-dir", str(tmp_path / "o")]) == 2
+        assert "--data is required" in capsys.readouterr().err
+
+    def test_missing_model_file(self, tmp_path, toy_csv, capsys):
+        code = main([
+            "predict", "--model", str(tmp_path / "none.json"), "--data", toy_csv,
+            "--out", str(tmp_path / "p.csv"),
+        ])
+        assert code == 2
+        assert f"cannot read {tmp_path / 'none.json'}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("x, x ,y\n1,2,3\n4,5,6\n", "duplicate column names in header"),
+            ("y\n1\n2\n3\n", "no feature columns besides the target"),
+        ],
+        ids=["repeated-name", "target-only"],
+    )
+    def test_rejected_csv(self, tmp_path, capsys, text, message):
+        data = tmp_path / "t.csv"
+        data.write_text(text)
+        code = main(["fit", "--data", str(data), "--target", "y", "--out-dir", str(tmp_path)])
+        assert code == 2
+        assert message in capsys.readouterr().err
 
     def test_unknown_config_key(self, tmp_path, toy_csv, capsys):
         cfg = tmp_path / "run.cfg"
@@ -481,6 +532,34 @@ class TestConfigFile:
         ]) == 0
         model = deserialize((dir_flag / "model.json").read_text())
         assert model.depth == 1
+
+    def test_false_spelling_from_the_file(self, tmp_path, monkeypatch):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("auto-depth = no\n")
+        seen = built_settings(monkeypatch, ["fit", "--data", "d.csv", "--config", str(cfg)])
+        assert [c.auto_depth for c in seen if isinstance(c, FitConfig)] == [False]
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("auto-depth = maybe\n",
+             "config key 'auto_depth': expected a boolean, got 'maybe'"),
+            ("max-depth = 1\nknots 2\n", "line 2: expected key = value"),
+            (" = 3\n", "line 1: empty key"),
+            ("max-depth = 1\nmax_depth = 2\n", "line 2: duplicate key 'max_depth'"),
+            (None, "cannot read config file"),
+        ],
+        ids=["bad-boolean", "no-equals", "empty-key", "duplicate-key", "unreadable"],
+    )
+    def test_rejected_config_file(self, tmp_path, capsys, text, message):
+        cfg = tmp_path / "run.cfg"
+        if text is not None:
+            cfg.write_text(text)
+        code = main([
+            "fit", "--data", "d.csv", "--out-dir", str(tmp_path), "--config", str(cfg),
+        ])
+        assert code == 2
+        assert message in capsys.readouterr().err
 
 
 class TestBench:
@@ -644,6 +723,28 @@ class TestBench:
         err = capsys.readouterr().err
         assert "same protocol and seed" in err
 
+    @pytest.mark.parametrize(
+        "header, run_id, message",
+        [
+            (["run", "row_id", "y_true", "y_pred"], 0,
+             "expected header run_id,row_id,y_true,y_pred"),
+            (["run_id", "row_id", "y_true", "y_pred"], 1,
+             "prediction file for 'ext' has no rows for this run"),
+        ],
+        ids=["wrong-header", "missing-run"],
+    )
+    def test_rejected_external_predictions(
+        self, tmp_path, toy_csv, capsys, header, run_id, message
+    ):
+        ext = tmp_path / "ext.csv"
+        ext.write_text(csv_text(header, [(run_id, 0, 1.0, 1.0)]))
+        code = main([
+            "bench", "--data", toy_csv, "--target", "y", "--out-dir", str(tmp_path / "x"),
+            "--runs", "1", "--max-depth", "0", "--predictions", str(ext),
+        ])
+        assert code == 2
+        assert message in capsys.readouterr().err
+
 
 class TestHelp:
     @pytest.mark.parametrize(
@@ -771,6 +872,20 @@ class TestReport:
         ]) == 0
         _, topk = read_rows(out / "top_k.csv")
         assert [r[4] for r in topk] == ["9.0"]
+
+    def test_run_filter_needs_the_run_in_every_file(self, tmp_path, capsys):
+        a = self.write_predictions(tmp_path / "a.csv", [1.0, 2.0, 3.0, 4.0])
+        code = main(["report", "--predictions", a, "--run", "7",
+                     "--out-dir", str(tmp_path / "r")])
+        assert code == 2
+        assert "method 'a' has no rows for run 7" in capsys.readouterr().err
+
+    def test_top_k_above_the_pooled_rows(self, tmp_path, capsys):
+        a = self.write_predictions(tmp_path / "a.csv", [1.0, 2.0, 3.0, 4.0])
+        code = main(["report", "--predictions", a, "--top-k", "5",
+                     "--out-dir", str(tmp_path / "r")])
+        assert code == 2
+        assert "k must be in [1, 4], got 5" in capsys.readouterr().err
 
     def test_row_order_in_the_file_does_not_matter(self, tmp_path):
         rows = [(r, i, 10.0 * (i + 1), 30.0 * r + i) for r in (0, 1) for i in range(4)]

@@ -73,6 +73,24 @@ class TestLeastSquares:
             least_squares(np.eye(3), [1.0, 2.0])
         with pytest.raises(ValueError, match="non-finite"):
             least_squares([[np.nan], [1.0]], [1.0, 2.0])
+        for A, y, match in [
+            (np.ones((2, 2, 2)), np.ones(2), "2-D, got ndim=3"),
+            (np.ones((2, 2)), np.ones((2, 1)), "1-D, got ndim=2"),
+            (np.ones((0, 2)), np.ones(0), "empty system"),
+            (np.ones((2, 0)), np.ones(2), "empty system"),
+            (np.eye(2), np.array([1.0, np.nan]), "target contains non-finite"),
+        ]:
+            with pytest.raises(ValueError, match=match):
+                penalized_least_squares(A, y, 1.0, [])
+
+    def test_is_the_penalized_solve_without_blocks(self):
+        for seed in range(5):
+            B, counts, group, t, _ = TestCounts.system(seed)
+            sums = np.bincount(group, weights=t, minlength=B.shape[0])
+            for c in (None, counts):
+                npt.assert_array_equal(
+                    least_squares(B, sums, c), penalized_least_squares(B, sums, 0.0, [], c)
+                )
 
 
 class TestPenalizedLeastSquares:
@@ -143,6 +161,15 @@ class TestPenalizedLeastSquares:
             penalized_least_squares(
                 np.ones((5, 5)), np.ones(5), 1.0, [penalty_block(3)]
             )
+
+    def test_no_blocks_is_ordinary_least_squares(self):
+        # The one-leading-column rule holds only when blocks are given.
+        rng = np.random.default_rng(8)
+        A = rng.normal(size=(20, 4))
+        y = rng.normal(size=20)
+        npt.assert_allclose(
+            penalized_least_squares(A, y, 2.0, []), oracle_solution(A, y), atol=1e-8
+        )
 
     def test_negative_lambda(self):
         with pytest.raises(ValueError, match="non-negative"):
