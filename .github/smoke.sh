@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # End-to-end run of the command-line interface in a fresh temporary directory:
 # the README quick start, a predict outside the training box (the whole batch,
-# then its last 100 rows alone, then its last 50 rows, all outside the box), a
-# fit and a predict on repeated rows, a fit from a config file, an oos and an
-# ood bench, and a report.
+# then its last 100 rows alone, then its last 50 rows, all outside the box,
+# then one row inside the box alone), a fit and a predict on repeated rows, a
+# fit from a config file, an oos and an ood bench, and a report.
 #
 # Usage: .github/smoke.sh [COMMAND...]    (default: the installed `splinecfr`)
 # From a checkout, without installing:
@@ -37,6 +37,12 @@ test "$(tail -n +2 run1/wide_tail.csv | cut -d, -f2)" = "$(tail -n 100 run1/wide
 { head -n 1 wide.csv; tail -n 50 wide.csv; } > wide_out.csv
 splinecfr predict --model run1/model.json --data wide_out.csv --out run1/wide_out.csv
 test "$(tail -n +2 run1/wide_out.csv | cut -d, -f2)" = "$(tail -n 50 run1/wide.csv | cut -d, -f2)"
+# Row 101 (x near 0.1) lies inside the box; alone, its span is found with no
+# batch around it, and it still gives the y_pred bytes of the whole batch.
+{ head -n 1 wide.csv; sed -n '102p' wide.csv; } > wide_one.csv
+python -c "import csv; (r,) = csv.DictReader(open('wide_one.csv')); assert -10 < float(r['x']) < 10"
+splinecfr predict --model run1/model.json --data wide_one.csv --out run1/wide_one.csv
+test "$(tail -n +2 run1/wide_one.csv | cut -d, -f2)" = "$(sed -n '102p' run1/wide.csv | cut -d, -f2)"
 { cat sinc.csv; tail -n +2 sinc.csv; } > dup.csv
 splinecfr fit --data dup.csv --target y --out-dir run3 --max-depth 3 --knots 3 --norm 1
 grep -qx 'fitted_depth,3' run3/fit_log.txt

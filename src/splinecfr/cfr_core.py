@@ -35,7 +35,7 @@ from .evaluation import rmse
 from .solver import least_squares, penalized_least_squares
 from .spline_basis import (
     KNOT_DEDUP_TOL,
-    KnotVector,
+    LayerBases,
     build_knot_vector,
     design_matrix,
     penalty_block,
@@ -47,8 +47,8 @@ MODEL_FORMAT = "spline-cfr-model/1"
 # MB, below glibc's 32 MB ceiling for its mmap threshold, so a freed block's
 # memory is reused by the next one instead of being mapped and faulted in
 # again. It bounds memory only; no output bit depends on it. Smaller blocks
-# cost time: each design_matrix call has a fixed cost, about 0.6 ms for 81
-# variables.
+# cost time: each design_matrix call has a fixed cost, about 0.07 ms for one
+# row of 81 variables (2-vCPU Xeon, numpy 2.4).
 _BLOCK_CELLS = 2**20
 # Bytes of sorted rows compared at a time when finding the distinct rows.
 _COMPARE_BYTES = 2**20
@@ -134,11 +134,13 @@ class AdditiveSplineModel:
 
     ``variable_ids`` are column indices into the full feature matrix;
     ``coefficients`` holds the intercept followed by one block per variable,
-    block j having ``bases[j].basis_count`` entries.
+    block j having ``bases[j].basis_count`` entries. ``bases`` is the
+    ``LayerBases`` that ``fit`` or ``deserialize`` built, so every design of
+    the layer reads the same tables.
     """
 
     variable_ids: tuple[int, ...]
-    bases: tuple[KnotVector, ...]
+    bases: LayerBases
     coefficients: np.ndarray
 
     def evaluate(self, X: np.ndarray, first: np.ndarray) -> np.ndarray:
@@ -371,7 +373,7 @@ def fit(X, y, config: FitConfig | None = None) -> CFracModel:
         for p in select_knots(resid, config.knots_per_depth):
             for j in spline_vars:
                 _insert_knot(knots[j], float(X[p, j]), lo[j], hi[j])
-        bases = tuple(build_knot_vector(knots[j], lo[j], hi[j]) for j in spline_vars)
+        bases = LayerBases(build_knot_vector(knots[j], lo[j], hi[j]) for j in spline_vars)
         design = design_matrix(X_spline, bases)
         penalties = [penalty_block(kv.basis_count) for kv in bases]
         # Each group's target sum; a group of one row sums to its target exactly.
@@ -542,7 +544,7 @@ def _layer_from_doc(reader: _DocReader, feature_count: int) -> DepthLayer:
                 raise ModelFormatError(f"{var.path}: {exc}") from exc
             bases.append(kv)
         _check_count(coef_reader, coefficients, 1 + sum(kv.basis_count for kv in bases))
-        return DepthLayer(AdditiveSplineModel(tuple(ids), tuple(bases), coefficients), offset)
+        return DepthLayer(AdditiveSplineModel(tuple(ids), LayerBases(bases), coefficients), offset)
     raise ModelFormatError(f"{reader.path}.kind: unknown layer kind {kind!r}")
 
 

@@ -11,13 +11,14 @@ slope, -p/w and +p/w for degree p and end span width w.
 Designs are assembled from local support. At any point at most degree+1 = 4
 basis functions of a variable are nonzero: those of the knot span ``mu`` that
 holds the point, columns ``mu-3 .. mu`` of the variable's block. One kernel
-(``_span_index`` and ``_span_values``) finds the span and those four values.
-``design_matrix`` allocates the final matrix once and, one block of rows at a
-time with all variables together, writes each point's values into it. Only
-points strictly inside (lo, hi) read a span, so only variables with such a
-point in the call are searched. A point x at or outside an end writes two
-cells at its variable's end columns from that closed form, with slope
-s = p/w and step = x - end: at or below lo the block's first two take
+finds the span and those four values: for a point strictly inside (lo, hi)
+the span follows from how many interior knots lie at or below it, counted
+for all variables of a call at once against a padded knot table, and
+``_span_values`` runs the recurrence there. ``design_matrix`` allocates the
+final matrix once and, one block of rows at a time with all variables
+together, writes each point's values into it. A point x at or outside an end
+writes two cells at its variable's end columns from that closed form, with
+slope s = p/w and step = x - end: at or below lo the block's first two take
 1 - s*step and s*step, at or above hi its last two take -s*step and
 1 + s*step, so a point at an end gets an exact unit row. Every other entry
 stays zero, exactly as a dense evaluation of every basis function would
@@ -25,9 +26,9 @@ leave it.
 
 The module keeps no state between calls except the read-only penalty
 matrices, cached per size. A knot vector caches its own read-only augmented
-array, and each ``design_matrix`` call computes the end slopes of its
-variables from their knots, so nothing keyed on a knot vector outlives the
-models that use it.
+array, and a ``LayerBases`` (one layer's knot vectors) holds the tables
+``design_matrix`` reads; both are freed with the models that hold them, so
+nothing keyed on a knot vector outlives them.
 """
 
 from __future__ import annotations
@@ -91,27 +92,51 @@ def build_knot_vector(interior: Iterable[float], lo: float, hi: float) -> KnotVe
     return KnotVector(vals, lo, hi)
 
 
-def _span_index(knots: Sequence[np.ndarray], X: np.ndarray, searched: Sequence[bool]) -> np.ndarray:
-    """Index mu of the knot span [t[mu], t[mu+1]] of each point, one row per variable.
+def _frozen(values) -> np.ndarray:
+    a = np.asarray(values)
+    a.setflags(write=False)
+    return a
 
-    ``knots[j]`` is the clamped knot vector t of column j of ``X``. Only the
-    variables marked in ``searched`` are searched; the others get the first
-    span on every row. Points below t[0] land on the first span and points
-    at or above t[-1] on the last non-empty one. The spans of all variables
-    are clipped in one call, since one clip per variable cost more than its
-    search.
+
+class LayerBases(tuple):
+    """One layer's knot vectors, one per variable in design column order.
+
+    It iterates as the tuple of its ``KnotVector``s and holds the read-only
+    tables :func:`design_matrix` reads, built here once: the design ``width``;
+    ``knots``, the augmented knot vectors back to back; ``interior``, (kmax, m)
+    with variable j's interior knots in column j, then +inf; each variable's
+    ``first_col`` and the index of its first span in ``knots``,
+    ``span_offset``. Entry 2j + side of ``edge``, ``slope`` and ``end_col`` is
+    variable j at lo (side 0) or hi: the end, the slope p/w of the two
+    outermost basis functions (w the end span's width), and the first of the
+    two columns a point at or beyond that end writes. They are built with the
+    tuple, not on first use: a table allocated between two designs would sit
+    in the space the first one freed, and the next design could not reuse it.
     """
-    mu = np.empty((len(knots), X.shape[0]), dtype=np.intp)
-    for j, t in enumerate(knots):
-        mu[j] = t.searchsorted(X[:, j], side="right") if searched[j] else DEGREE + 1
-    mu -= 1
-    last = np.array([t.size - DEGREE - 2 for t in knots])
-    return np.clip(mu, DEGREE, last[:, None], out=mu)
+
+    def __new__(cls, bases: Iterable[KnotVector]):
+        self = super().__new__(cls, bases)
+        p, t = DEGREE, [kv.augmented for kv in self]
+        counts = np.array([kv.basis_count for kv in self], dtype=np.intp)
+        self.width = 1 + int(counts.sum())
+        self.knots = _frozen(np.concatenate([np.empty(0)] + t))
+        interior = np.full((max([len(kv.interior) for kv in self] + [0]), len(self)), np.inf)
+        for j, kv in enumerate(self):
+            interior[: len(kv.interior), j] = kv.interior
+        self.interior = _frozen(interior)
+        self.first_col = _frozen(1 + np.cumsum(counts) - counts)
+        self.span_offset = _frozen(np.cumsum([p] + [len(tj) for tj in t])[:-1])
+        self.edge = _frozen([end for kv in self for end in (kv.lo, kv.hi)])
+        self.slope = _frozen([p / w for tj in t for w in (tj[p + 1] - tj[0], tj[-1] - tj[-p - 2])])
+        end_col = np.repeat(self.first_col, 2)
+        end_col[1::2] += counts - 2
+        self.end_col = _frozen(end_col)
+        return self
 
 
 def _span_values(t: np.ndarray, x: np.ndarray, mu: np.ndarray) -> list[np.ndarray]:
     """Vectorized Cox-de Boor: the DEGREE+1 basis values that can be nonzero
-    at each point ``x[i]`` of span ``mu[i]`` (see :func:`_span_index`).
+    at each point ``x[i]`` of span ``mu[i]``.
 
     Entry k of the returned list holds, for every point, the value of basis
     function ``mu - DEGREE + k``. ``t`` may hold several knot vectors back to
@@ -152,7 +177,9 @@ def design_matrix(X, bases: Sequence[KnotVector]) -> np.ndarray:
     at or outside an end writes the values at the nearest boundary plus its
     distance to it times the boundary derivative: two cells addressed from
     its variable's end columns, the block's first two below and its last two
-    above. Only points strictly inside (lo, hi) are searched for their span.
+    above. A NaN cell raises ValueError naming its row and column. The
+    tables of a :class:`LayerBases` are read as they are; any other sequence
+    is wrapped in one for this call.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2:
@@ -161,39 +188,24 @@ def design_matrix(X, bases: Sequence[KnotVector]) -> np.ndarray:
         raise ValueError(
             f"feature matrix has {X.shape[1]} columns but {len(bases)} knot vectors were given"
         )
+    if not isinstance(bases, LayerBases):
+        bases = LayerBases(bases)
     n, m = X.shape
-    out = np.zeros((n, 1 + sum(kv.basis_count for kv in bases)))
+    width = bases.width
+    out = np.zeros((n, width))
     out[:, 0] = 1.0
     if n == 0 or m == 0:
         return out
-    p = DEGREE
-    knots = [kv.augmented for kv in bases]
-    t = np.concatenate(knots)
-    edge = np.array([(kv.lo, kv.hi) for kv in bases])
-    lo, hi = edge[:, 0], edge[:, 1]
-    block_col = 1 + np.cumsum([0] + [kv.basis_count for kv in bases[:-1]])
-    knot_start = np.cumsum([0] + [len(tj) for tj in knots[:-1]])
+    edge, slope, end_col = bases.edge, bases.slope, bases.end_col
+    lo, hi = edge[0::2], edge[1::2]
+    # The interior knots at or below each point, counted for the whole call
+    # before any block's temporaries exist. A point strictly inside (lo, hi)
+    # has its first value in column first_col + count, from the knot span
+    # span_offset + count: searchsorted(side="right") - 1, with no clip.
+    count = np.zeros((n, m), dtype=np.min_scalar_type(bases.interior.shape[0]))
+    for knot in bases.interior:
+        count += X >= knot
     rows = max(1, _BLOCK_POINTS // m)
-    # A variable with no point strictly inside its box is not searched. Its
-    # points are checked one block of rows at a time, like the writes below,
-    # so no mask of the whole call is allocated.
-    inside = np.zeros(m, dtype=bool)
-    for r0 in range(0, n, rows):
-        x = X[r0 : r0 + rows]
-        inside |= ~((x <= lo) | (x >= hi)).all(axis=0)
-    # Column of each point's first value, one row per variable. The span
-    # index of a point into ``t`` is its column plus ``to_knot``.
-    first = _span_index(knots, X, inside.tolist())
-    first += (block_col - p)[:, None]
-    to_knot = knot_start - block_col + p
-    # Entry 2j + side is variable j at lo (side 0) or hi: the end, the slope
-    # p/w of its two outermost basis functions, w the end span's width, and
-    # the first of the two columns a point at or beyond that end writes.
-    edge = edge.ravel()
-    slope = np.ravel([(p / (tj[p + 1] - tj[0]), p / (tj[-1] - tj[-p - 2])) for tj in knots])
-    end_col = np.repeat(block_col, 2)
-    end_col[1::2] += [kv.basis_count - 2 for kv in bases]
-    width = out.shape[1]
     flat = out.reshape(-1)
     for r0 in range(0, n, rows):
         x = X[r0 : r0 + rows]
@@ -215,11 +227,15 @@ def design_matrix(X, bases: Sequence[KnotVector]) -> np.ndarray:
                 continue
         else:
             within = slice(None)
-        col = first[:, r0 : r0 + x.shape[0]].T
-        pos = ((np.arange(r0, r0 + x.shape[0]) * width)[:, None] + col).ravel()[within]
-        span = (col + to_knot).ravel()[within]
-        vals = _span_values(t, x.ravel()[within], span)
-        for k in range(p + 1):
+        xin = x.ravel()[within]
+        if np.isnan(xin).any():
+            i, j = np.argwhere(np.isnan(x))[0]
+            raise ValueError(f"X row {r0 + i}, column {j}: non-finite value nan")
+        cnt = count[r0 : r0 + x.shape[0]]
+        row_at = (np.arange(r0, r0 + x.shape[0]) * width)[:, None]
+        pos = (row_at + bases.first_col + cnt).ravel()[within]
+        vals = _span_values(bases.knots, xin, (cnt + bases.span_offset).ravel()[within])
+        for k in range(DEGREE + 1):
             flat[pos + k] = vals[k]
     return out
 

@@ -12,7 +12,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from splinecfr import cfr_core
+from splinecfr import cfr_core, spline_basis
 from splinecfr.cfr_core import (
     AdditiveSplineModel,
     CFracModel,
@@ -640,8 +640,10 @@ class TestBatchIndependence:
             assert_same_bits(model.predict(batch[start:]), full[start:])
         order = np.random.default_rng(9).permutation(n)
         assert_same_bits(model.predict(batch[order]), full[order])
-        one = slice(n - 3, n - 2)
-        assert_same_bits(model.predict(batch[one]), full[one])
+        lo, hi = model.feature_bounds.T
+        assert ((lo < batch[2]) & (batch[2] < hi)).all()
+        for one in (slice(2, 3), slice(n - 3, n - 2)):  # a row inside the box, one outside
+            assert_same_bits(model.predict(batch[one]), full[one])
         assert_same_bits(model.predict(np.asfortranarray(batch)), full)
 
     def test_slices_permutations_and_layouts(self, fitted):
@@ -957,5 +959,28 @@ class TestMemory:
         refs = [weakref.ref(kv) for layer in model.layers[1:] for kv in layer.model.bases]
         assert len(refs) == 6
         del model
+        gc.collect()
+        assert [ref for ref in refs if ref() is not None] == []
+
+    def test_layer_tables_are_built_once_per_model(self, monkeypatch):
+        builds = []
+        frozen = spline_basis._frozen
+        monkeypatch.setattr(spline_basis, "_frozen", lambda a: builds.append(1) or frozen(a))
+        X, y = toy_data(n=60, seed=5)
+        # fit builds each depth's tables for its design; the model keeps them.
+        model = fit(X, y, FitConfig(max_depth=2, norm=1.0))
+        per_model = len(builds)
+        copy = deserialize(serialize(model))
+        assert per_model > 0 and len(builds) == 2 * per_model
+        tables = [dict(vars(layer.model.bases)) for m in (model, copy) for layer in m.layers[1:]]
+        for m in (model, copy):
+            m.predict(np.vstack([X, X + 5.0]))
+            m.predict(X[:1])
+        assert len(builds) == 2 * per_model
+        after = [vars(layer.model.bases) for m in (model, copy) for layer in m.layers[1:]]
+        assert all(a[k] is v for a, t in zip(after, tables) for k, v in t.items())
+        refs = [weakref.ref(v) for t in tables for v in t.values() if isinstance(v, np.ndarray)]
+        assert len(refs) == 4 * 7
+        del model, copy, m, tables, after
         gc.collect()
         assert [ref for ref in refs if ref() is not None] == []

@@ -149,7 +149,28 @@ def oracle_cases():
         across[rng.choice(block_rows, 50, replace=False)] = mixed.lo
         return np.column_stack([beyond, across])
 
+    def dense_next_to_bare(bare, dense):
+        # A 0-knot variable beside one with many: the padded knot table is
+        # all +inf in the first column. The first block of rows lies at or
+        # beyond the ends, so the knots are counted from the second block,
+        # which hits every knot and end of both variables.
+        block_rows = _BLOCK_POINTS // 2
+        n = block_rows + 3000
+        X = np.column_stack([spread(bare, n), spread(dense, n)])
+        for j, kv in enumerate((bare, dense)):
+            width = kv.hi - kv.lo
+            X[:block_rows, j] = np.where(
+                rng.random(block_rows) < 0.5,
+                kv.lo - rng.uniform(0, width, block_rows),
+                kv.hi + rng.uniform(0, width, block_rows),
+            )
+            hits = [kv.lo, kv.hi, *kv.interior]
+            at = block_rows + rng.choice(n - block_rows, 3 * len(hits), replace=False)
+            X[at, j] = np.repeat(hits, 3)
+        return X
+
     ties = rng.integers(-2, 10, 300).astype(float)
+    dense = build_knot_vector(np.unique(rng.uniform(0.0, 10.0, 37)), 0.0, 10.0)
     knots_hit = np.concatenate([[kv.lo, kv.hi, *kv.interior] for kv in (plain, grid, rand)])
     return {
         "no_interior": ([plain], spread(plain, 200)[:, None]),
@@ -183,6 +204,7 @@ def oracle_cases():
         # in every row, so it is never searched. The other spans its box in
         # the first block only, so the last block has no in-box point.
         "unsearched_across_blocks": ([grid, rand2], unsearched_across_blocks(grid, rand2)),
+        "dense_next_to_bare": ([plain, dense], dense_next_to_bare(plain, dense)),
     }
 
 
@@ -361,6 +383,15 @@ class TestDesignMatrix:
         kv = build_knot_vector([], 0.0, 1.0)
         with pytest.raises(ValueError, match="columns"):
             design_matrix(np.zeros((3, 2)), [kv])
+
+    @pytest.mark.parametrize("row", [0, 5, _BLOCK_POINTS // 2 + 7])
+    @pytest.mark.parametrize("column", [0, 1])
+    def test_nan_names_its_row_and_column(self, row, column):
+        kvs = [build_knot_vector([0.5], 0.0, 1.0), build_knot_vector([], -1.0, 1.0)]
+        X = np.random.default_rng(1).uniform(-2.0, 2.0, (_BLOCK_POINTS // 2 + 9, 2))
+        X[row, column] = np.nan
+        with pytest.raises(ValueError, match=rf"^X row {row}, column {column}: non-finite"):
+            design_matrix(X, kvs)
 
     @pytest.mark.parametrize("case", list(ORACLE_CASES))
     def test_matches_dense_oracle_bit_for_bit(self, case):
