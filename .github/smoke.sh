@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # End-to-end run of the command-line interface in a fresh temporary directory:
 # the README quick start, a predict outside the training box (the whole batch,
-# then its last 100 rows alone, then its last 50 rows, all outside the box,
+# then the same batch through the package root's Python API, then its last
+# 100 rows alone, then its last 50 rows, all outside the box,
 # then one row inside the box alone), a fit and a predict on repeated rows, a
 # fit from a config file, an oos and an ood bench, and a report.
 #
@@ -27,6 +28,20 @@ splinecfr synth sinc --n 200 --lo -20 --hi 20 --out wide.csv
 splinecfr predict --model run1/model.json --data wide.csv --out run1/wide.csv
 test "$(wc -l < run1/wide.csv)" -eq 201
 python -c "import csv, math; rows = list(csv.DictReader(open('run1/wide.csv'))); assert all(math.isfinite(float(r['y_pred'])) for r in rows)"
+# The package root alone (no module-level name) loads the model and predicts
+# the same y_pred bytes that the CLI wrote.
+python - <<'PY'
+import csv
+from splinecfr import deserialize, load_csv
+with open("run1/model.json", encoding="utf-8") as fh:
+    model = deserialize(fh.read())
+ds = load_csv("wide.csv", "y")
+assert ds.feature_names == model.feature_names
+got = [repr(float(v)) for v in model.predict(ds.features)]
+with open("run1/wide.csv", newline="") as fh:
+    assert got == [r["y_pred"] for r in csv.DictReader(fh)]
+assert len(got) == 200
+PY
 # A row's prediction does not depend on its batch: the last 100 rows alone
 # give the same y_pred bytes as in the whole batch.
 { head -n 1 wide.csv; tail -n 100 wide.csv; } > wide_tail.csv

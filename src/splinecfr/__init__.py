@@ -1,93 +1,25 @@
-"""Continued-fraction regression with penalized additive spline layers."""
+"""Continued-fraction regression with penalized additive spline layers.
 
-from .cfr_core import (
-    AdditiveSplineModel,
-    CFracModel,
-    DepthLayer,
-    FitConfig,
-    LinearModel,
-    compute_offset,
-    deserialize,
-    fit,
-    select_knots,
-    serialize,
-    training_rmse_by_depth,
-)
-from .data_io import (
-    Dataset,
-    SplitPair,
-    gen_gamma,
-    gen_sinc,
-    load_csv,
-    split_out_of_domain,
-    split_out_of_sample,
-)
+The root holds what a user of the model document needs: fit a model, save
+it, load it, and predict. Every other name lives in its module and is
+internal.
+"""
+
+from .cfr_core import CFracModel, FitConfig, deserialize, fit, serialize
+from .data_io import load_csv
 from .errors import DataError, ModelFormatError, SplineCfrError, TrainingRmseWarning
-from .evaluation import (
-    MethodSummary,
-    PredictionSet,
-    RunReport,
-    TopKTable,
-    aggregate,
-    cohen_kappa,
-    count_beyond_training_max,
-    kappa_agreement_label,
-    mean_relative_error,
-    rank_matrix,
-    rmse,
-    threshold_counts,
-    top_k_table,
-)
-from .solver import least_squares, penalized_least_squares
-from .spline_basis import (
-    KnotVector,
-    build_knot_vector,
-    design_matrix,
-    penalty_block,
-)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdditiveSplineModel",
     "CFracModel",
     "DataError",
-    "Dataset",
-    "DepthLayer",
     "FitConfig",
-    "KnotVector",
-    "LinearModel",
-    "MethodSummary",
     "ModelFormatError",
-    "PredictionSet",
-    "RunReport",
     "SplineCfrError",
-    "SplitPair",
-    "TopKTable",
     "TrainingRmseWarning",
-    "aggregate",
-    "build_knot_vector",
-    "cohen_kappa",
-    "compute_offset",
-    "count_beyond_training_max",
     "deserialize",
-    "design_matrix",
     "fit",
-    "gen_gamma",
-    "gen_sinc",
-    "kappa_agreement_label",
-    "least_squares",
     "load_csv",
-    "mean_relative_error",
-    "penalized_least_squares",
-    "penalty_block",
-    "rank_matrix",
-    "rmse",
-    "select_knots",
     "serialize",
-    "split_out_of_domain",
-    "split_out_of_sample",
-    "threshold_counts",
-    "top_k_table",
-    "training_rmse_by_depth",
 ]

@@ -83,39 +83,32 @@ class ExperimentConfig:
             raise ValueError(f"quantile must be inside (0, 1), got {self.quantile}")
 
 
-def load_prediction_file(path: str) -> dict[int, PredictionSet]:
-    """Parse run_id,row_id,y_true,y_pred rows into per-run prediction sets.
-
-    Rows within a run are ordered by row_id. The method name is the file
-    name without its extension.
-    """
-    expected = ["run_id", "row_id", "y_true", "y_pred"]
-    names, data = read_numeric_table(path, integer_columns=expected[:2])
-    if names != expected:
-        raise DataError(f"{path}: expected header {','.join(expected)}")
-    # Stable: by run, then by row_id within a run, ties in file order.
-    data = data[np.lexsort((data[:, 1], data[:, 0]))]
-    run_ids, starts = np.unique(data[:, 0], return_index=True)
-    return {
-        int(rid): PredictionSet(Path(path).stem, rows[:, 2], rows[:, 3])
-        for rid, rows in zip(run_ids, np.split(data, starts[1:]))
-    }
-
-
 def load_prediction_files(
     paths, reserved: tuple[str, ...] = ()
 ) -> dict[str, dict[int, PredictionSet]]:
-    """Load several prediction files, keyed by method name in file order.
+    """Parse run_id,row_id,y_true,y_pred files into per-run prediction sets,
+    keyed by method name in file order.
 
-    Names must be unique and must not be one of ``reserved``.
+    The method name is the file name without its extension; names must be
+    unique and must not be one of ``reserved``. Rows within a run are
+    ordered by row_id.
     """
+    expected = ["run_id", "row_id", "y_true", "y_pred"]
     out: dict[str, dict[int, PredictionSet]] = {}
     for path in paths:
-        sets = load_prediction_file(path)
-        name = next(iter(sets.values())).method_name
+        names, data = read_numeric_table(path, integer_columns=expected[:2])
+        if names != expected:
+            raise DataError(f"{path}: expected header {','.join(expected)}")
+        name = Path(path).stem
         if name in out or name in reserved:
             raise DataError(f"duplicate method name {name!r} among prediction files")
-        out[name] = sets
+        # Stable: by run, then by row_id within a run, ties in file order.
+        data = data[np.lexsort((data[:, 1], data[:, 0]))]
+        run_ids, starts = np.unique(data[:, 0], return_index=True)
+        out[name] = {
+            int(rid): PredictionSet(name, rows[:, 2], rows[:, 3])
+            for rid, rows in zip(run_ids, np.split(data, starts[1:]))
+        }
     return out
 
 

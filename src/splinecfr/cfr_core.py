@@ -533,6 +533,8 @@ def _layer_from_doc(reader: _DocReader, feature_count: int) -> DepthLayer:
                     f"{id_reader.path}: expected a feature index in [0, {feature_count}), "
                     f"got {vid}"
                 )
+            if vid in ids:
+                raise ModelFormatError(f"{id_reader.path}: feature {vid} is already in this layer")
             ids.append(vid)
             try:
                 kv = build_knot_vector(
@@ -564,6 +566,9 @@ def deserialize(text: str) -> CFracModel:
     if any(row.shape != (2,) for row in bounds_rows):
         raise ModelFormatError("model.feature_bounds: expected rows of [lo, hi]")
     bounds = np.array(bounds_rows, dtype=float).reshape(-1, 2)
+    for i, (lo, hi) in enumerate(bounds.tolist()):
+        if lo > hi:
+            raise ModelFormatError(f"model.feature_bounds[{i}]: lo {lo!r} lies above hi {hi!r}")
     names_reader = root.child("feature_names")
     feature_names = (
         None

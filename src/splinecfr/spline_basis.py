@@ -27,15 +27,16 @@ leave it.
 The module keeps no state between calls except the read-only penalty
 matrices, cached per size. A knot vector caches its own read-only augmented
 array, and a ``LayerBases`` (one layer's knot vectors) holds the tables
-``design_matrix`` reads; both are freed with the models that hold them, so
-nothing keyed on a knot vector outlives them.
+``design_matrix`` reads. ``design_matrix`` takes only a ``LayerBases``, so
+those tables are built once per layer, never per call. Both are freed with
+the models that hold them, so nothing keyed on a knot vector outlives them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -168,19 +169,21 @@ def _span_values(t: np.ndarray, x: np.ndarray, mu: np.ndarray) -> list[np.ndarra
 _BLOCK_POINTS = 20480
 
 
-def design_matrix(X, bases: Sequence[KnotVector]) -> np.ndarray:
+def design_matrix(X, bases: LayerBases) -> np.ndarray:
     """An intercept column followed by one basis block per variable.
 
-    ``X`` must have exactly one column per knot vector in ``bases``. The
-    result has 1 + sum(basis_count) columns and is allocated once; each
-    point writes only the degree+1 values of its span in each block. A point
-    at or outside an end writes the values at the nearest boundary plus its
-    distance to it times the boundary derivative: two cells addressed from
-    its variable's end columns, the block's first two below and its last two
-    above. A NaN cell raises ValueError naming its row and column. The
-    tables of a :class:`LayerBases` are read as they are; any other sequence
-    is wrapped in one for this call.
+    ``bases`` is a :class:`LayerBases`, whose tables are read as they are;
+    anything else raises TypeError. ``X`` must have exactly one column per
+    knot vector in it. The result has 1 + sum(basis_count) columns and is
+    allocated once; each point writes only the degree+1 values of its span
+    in each block. A point at or outside an end writes the values at the
+    nearest boundary plus its distance to it times the boundary derivative:
+    two cells addressed from its variable's end columns, the block's first
+    two below and its last two above. A NaN cell raises ValueError naming
+    its row and column.
     """
+    if not isinstance(bases, LayerBases):
+        raise TypeError(f"bases must be a LayerBases, got {type(bases).__name__}")
     X = np.asarray(X, dtype=float)
     if X.ndim != 2:
         raise ValueError(f"expected a 2-D feature matrix, got ndim={X.ndim}")
@@ -188,8 +191,6 @@ def design_matrix(X, bases: Sequence[KnotVector]) -> np.ndarray:
         raise ValueError(
             f"feature matrix has {X.shape[1]} columns but {len(bases)} knot vectors were given"
         )
-    if not isinstance(bases, LayerBases):
-        bases = LayerBases(bases)
     n, m = X.shape
     width = bases.width
     out = np.zeros((n, width))

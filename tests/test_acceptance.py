@@ -42,7 +42,7 @@ from splinecfr.evaluation import (
 )
 from splinecfr.fileio import csv_text
 from splinecfr.solver import JITTER, least_squares, penalized_least_squares
-from splinecfr.spline_basis import build_knot_vector, design_matrix, penalty_block
+from splinecfr.spline_basis import LayerBases, build_knot_vector, design_matrix, penalty_block
 
 DATA_ENV = "SPLINECFR_UCI_CSV"
 OLS_CONFIG = FitConfig(lam=0.0, knots_per_depth=1, norm=1.0, max_depth=0)
@@ -175,7 +175,7 @@ def test_property_battery(tmp_path):
         )
         kv = build_knot_vector(interior, 0.0, 1.0)
         x = float(rng.uniform(-0.25, 1.25))
-        total = design_matrix(np.array([[x]]), [kv])[0, 1:].sum()
+        total = design_matrix(np.array([[x]]), LayerBases([kv]))[0, 1:].sum()
         assert abs(total - 1.0) < 1e-9, f"partition of unity off by {total - 1.0:.2e} at {x}"
 
     # Penalized solve at lambda 0 is ordinary least squares, and for small

@@ -436,6 +436,16 @@ class TestSerialization:
         with pytest.raises(ModelFormatError, match="coefficients"):
             deserialize(json.dumps(doc))
 
+    def test_constant_feature_bounds_load(self):
+        # A column that never varied in training has lo == hi.
+        X, y = toy_data(n=30, seed=15)
+        X[:, 1] = 5.0
+        model = fit(X, y, FitConfig(max_depth=1))
+        assert model.feature_bounds[1].tolist() == [5.0, 5.0]
+        clone = deserialize(serialize(model))
+        npt.assert_array_equal(clone.feature_bounds, model.feature_bounds)
+        npt.assert_array_equal(clone.predict(X), model.predict(X))
+
     def test_wrong_format_tag(self):
         with pytest.raises(ModelFormatError, match="format"):
             deserialize('{"format": "something-else"}')
@@ -446,8 +456,8 @@ class TestSerialization:
 
         text = serialize(fit(X, y, FitConfig(max_depth=1)))
 
-        def spline_var(doc):
-            return doc["layers"][1]["variables"][0]
+        def spline_var(doc, j=0):
+            return doc["layers"][1]["variables"][j]
 
         cases = [
             (
@@ -512,6 +522,14 @@ class TestSerialization:
             (
                 lambda d: spline_var(d)["interior"].reverse(),
                 r"model\.layers\[1\]\.variables\[0\]: interior knots must be sorted",
+            ),
+            (
+                lambda d: spline_var(d, 1).update(id=spline_var(d)["id"]),
+                r"model\.layers\[1\]\.variables\[1\]\.id: feature 0 is already in this layer",
+            ),
+            (
+                lambda d: d["feature_bounds"][1].reverse(),
+                r"model\.feature_bounds\[1\]: lo .* lies above hi",
             ),
         ]
         for corrupt, message in cases:

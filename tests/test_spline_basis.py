@@ -10,6 +10,7 @@ from splinecfr.spline_basis import (
     _BLOCK_POINTS,
     DEGREE,
     KnotVector,
+    LayerBases,
     build_knot_vector,
     design_matrix,
     penalty_block,
@@ -19,7 +20,7 @@ from splinecfr.spline_basis import (
 def eval_basis_matrix(kv, x):
     """One variable's basis block, one row per point."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    return design_matrix(x[:, None], [kv])[:, 1:]
+    return design_matrix(x[:, None], LayerBases([kv]))[:, 1:]
 
 
 def basis_row(kv, x):
@@ -370,19 +371,25 @@ class TestExtrapolation:
 class TestDesignMatrix:
     def test_intercept_and_clamped_row(self):
         kv = build_knot_vector([], 0.0, 1.0)
-        mat = design_matrix(np.array([[0.0], [1.0]]), [kv])
+        mat = design_matrix(np.array([[0.0], [1.0]]), LayerBases([kv]))
         npt.assert_allclose(mat[0], [1, 1, 0, 0, 0], atol=1e-12)
         npt.assert_allclose(mat[1], [1, 0, 0, 0, 1], atol=1e-12)
 
     def test_column_count(self):
         kvs = [build_knot_vector([], 0.0, 1.0), build_knot_vector([0.5], 0.0, 1.0)]
         X = np.random.default_rng(0).uniform(0, 1, (7, 2))
-        assert design_matrix(X, kvs).shape == (7, 1 + 4 + 5)
+        assert design_matrix(X, LayerBases(kvs)).shape == (7, 1 + 4 + 5)
 
     def test_dimension_mismatch(self):
         kv = build_knot_vector([], 0.0, 1.0)
         with pytest.raises(ValueError, match="columns"):
-            design_matrix(np.zeros((3, 2)), [kv])
+            design_matrix(np.zeros((3, 2)), LayerBases([kv]))
+
+    @pytest.mark.parametrize("wrap", [list, tuple])
+    def test_bases_must_be_layer_bases(self, wrap):
+        kv = build_knot_vector([0.5], 0.0, 1.0)
+        with pytest.raises(TypeError, match="LayerBases"):
+            design_matrix(np.zeros((3, 1)), wrap([kv]))
 
     @pytest.mark.parametrize("row", [0, 5, _BLOCK_POINTS // 2 + 7])
     @pytest.mark.parametrize("column", [0, 1])
@@ -391,13 +398,13 @@ class TestDesignMatrix:
         X = np.random.default_rng(1).uniform(-2.0, 2.0, (_BLOCK_POINTS // 2 + 9, 2))
         X[row, column] = np.nan
         with pytest.raises(ValueError, match=rf"^X row {row}, column {column}: non-finite"):
-            design_matrix(X, kvs)
+            design_matrix(X, LayerBases(kvs))
 
     @pytest.mark.parametrize("case", list(ORACLE_CASES))
     def test_matches_dense_oracle_bit_for_bit(self, case):
         bases, X = ORACLE_CASES[case]
         expected = oracle_design(X, bases)
-        got = design_matrix(X, bases)
+        got = design_matrix(X, LayerBases(bases))
         assert got.shape == expected.shape
         assert got.tobytes() == expected.tobytes()
         for j, kv in enumerate(bases):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from splinecfr.spline_basis import build_knot_vector, design_matrix
+from splinecfr.spline_basis import LayerBases, build_knot_vector, design_matrix
 from test_spline_basis import oracle_design
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -38,7 +38,7 @@ def problems(draw):
 @hypothesis.given(problems())
 def test_design_matches_dense_oracle(problem):
     bases, X = problem
-    got = design_matrix(X, bases)
+    got = design_matrix(X, LayerBases(bases))
     assert got.tobytes() == oracle_design(X, bases).tobytes()
     start = 1
     for kv in bases:
