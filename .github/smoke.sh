@@ -3,7 +3,8 @@
 # the README quick start, a predict outside the training box (the whole batch,
 # then the same batch through the package root's Python API, then its last
 # 100 rows alone, then its last 50 rows, all outside the box,
-# then one row inside the box alone), a fit and a predict on repeated rows, a
+# then one row inside the box alone), a model fitted and saved through the
+# Python API and predicted by the CLI, a fit and a predict on repeated rows, a
 # fit from a config file, an oos and an ood bench, and a report.
 #
 # Usage: .github/smoke.sh [COMMAND...]    (default: the installed `splinecfr`)
@@ -58,6 +59,25 @@ test "$(tail -n +2 run1/wide_out.csv | cut -d, -f2)" = "$(tail -n 50 run1/wide.c
 python -c "import csv; (r,) = csv.DictReader(open('wide_one.csv')); assert -10 < float(r['x']) < 10"
 splinecfr predict --model run1/model.json --data wide_one.csv --out run1/wide_one.csv
 test "$(tail -n +2 run1/wide_one.csv | cut -d, -f2)" = "$(sed -n '102p' run1/wide.csv | cut -d, -f2)"
+# A model fitted and serialized through the package root, with its column
+# names set as the README's Python API example sets them, is a model.json
+# that the CLI's predict accepts; it writes the API's own y_pred bytes.
+python - <<'PY'
+from dataclasses import replace
+from splinecfr import FitConfig, deserialize, fit, load_csv, serialize
+train = load_csv("sinc.csv", target_column="y")
+model = fit(train.features, train.target, FitConfig(max_depth=3, knots_per_depth=3, norm=1.0))
+model = replace(model, feature_names=train.feature_names, target_name=train.target_name)
+text = serialize(model)
+with open("api_model.json", "w", encoding="utf-8") as fh:
+    fh.write(text)
+y_pred = deserialize(text).predict(load_csv("wide.csv", target_column="y").features)
+with open("api_pred.txt", "w", encoding="utf-8") as fh:
+    fh.write("".join(f"{float(v)!r}\n" for v in y_pred))
+PY
+splinecfr predict --model api_model.json --data wide.csv --out api_wide.csv
+test "$(tail -n +2 api_wide.csv | cut -d, -f2)" = "$(cat api_pred.txt)"
+test "$(wc -l < api_pred.txt)" -eq 200
 { cat sinc.csv; tail -n +2 sinc.csv; } > dup.csv
 splinecfr fit --data dup.csv --target y --out-dir run3 --max-depth 3 --knots 3 --norm 1
 grep -qx 'fitted_depth,3' run3/fit_log.txt

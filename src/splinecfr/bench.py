@@ -17,7 +17,7 @@ from __future__ import annotations
 import time
 import warnings
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -35,9 +35,7 @@ from .data_io import (
 )
 from .errors import DataError, TrainingRmseWarning
 from .evaluation import (
-    MethodSummary,
     PredictionSet,
-    RunReport,
     aggregate,
     cohen_kappa,
     count_beyond_training_max,
@@ -51,6 +49,9 @@ from .fileio import atomic_write_text, csv_text
 
 SPLINE_METHOD = "spline_cfr"
 BASELINE_METHOD = "ols"
+
+# CSV tables, ``{file name: (header, rows)}``, written in insertion order.
+Tables = dict[str, tuple[Sequence[str], Iterable[Sequence]]]
 
 # The baseline is the depth-0 special case of the same fitting routine:
 # plain least squares on the raw features.
@@ -138,73 +139,78 @@ def pairwise_kappa(labels: dict[str, np.ndarray]) -> list[tuple[str, str, float,
     return rows
 
 
-@dataclass(frozen=True, eq=False)
-class BenchResult:
-    reports: list[RunReport]
-    summaries: list[MethodSummary]
-    rank_methods: list[str]
-    rank_run_ids: list[int]
-    ranks: np.ndarray
-    kappa_rows: list[tuple[str, str, float, str]]
-
-
 def _split(ds: Dataset, cfg: ExperimentConfig, seed: int) -> SplitPair:
     if cfg.protocol == "oos":
         return split_out_of_sample(ds, seed)
     return split_out_of_domain(ds, quantile=cfg.quantile, seed=seed)
 
 
-def _score(
-    method: str,
-    run_id: int,
-    seed: int,
-    y_true: np.ndarray,
-    y_pred: np.ndarray,
-    fit_seconds: float,
-    split: SplitPair,
-) -> RunReport:
-    report = RunReport(
-        method_name=method,
-        run_id=run_id,
-        seed=seed,
-        rmse=rmse(y_true, y_pred),
-        mean_relative_error=mean_relative_error(y_true, y_pred),
-        fit_seconds=fit_seconds,
-    )
-    if split.threshold is None:
-        return report
-    p, n_neg = threshold_counts(y_pred, split.threshold)
-    return replace(
-        report,
-        p_count=p,
-        n_count=n_neg,
-        beyond_training_max=count_beyond_training_max(y_pred, split.train.target.max()),
-        threshold=split.threshold,
-    )
+def _score(y_true: np.ndarray, y_pred: np.ndarray, split: SplitPair) -> list:
+    """A method's run_reports.csv cells after method, run_id and seed. The
+    P/N counts, the count of predictions beyond the training maximum and the
+    threshold are only scored on out-of-domain runs."""
+    cells = [rmse(y_true, y_pred), mean_relative_error(y_true, y_pred)]
+    if split.threshold is not None:
+        cells += [
+            *threshold_counts(y_pred, split.threshold),
+            count_beyond_training_max(y_pred, split.train.target.max()),
+            split.threshold,
+        ]
+    return cells
 
 
-def run_benchmark(cfg: ExperimentConfig) -> BenchResult:
+def run_benchmark(cfg: ExperimentConfig) -> Tables:
+    """Score every method on every run; returns the report tables.
+
+    Every run scores the same methods in the same order: spline_cfr, ols,
+    then the prediction files in the order given.
+    """
     ds = load_csv(cfg.data, cfg.target)
     external = load_prediction_files(cfg.predictions, (SPLINE_METHOD, BASELINE_METHOD))
+    methods = [SPLINE_METHOD, BASELINE_METHOD, *external]
 
-    reports: list[RunReport] = []
+    header = ["method", "run_id", "seed", "rmse", "mean_relative_error"]
+    if cfg.protocol == "ood":
+        header += ["p_count", "n_count", "beyond_training_max", "threshold"]
+    rows: list[list] = []
+    timings: list[tuple[str, int, float]] = []
     labels: dict[str, list[np.ndarray]] = {}
     training_rmse: list[tuple[float, ...]] = []
     for run_id in range(cfg.runs):
         seed = cfg.base_seed + run_id
         try:
-            reports.extend(_one_run(cfg, ds, run_id, seed, external, labels, training_rmse))
+            split, scored = _one_run(cfg, ds, run_id, seed, external, training_rmse)
+            for method, (y_true, y_pred, fit_seconds) in zip(methods, scored):
+                rows.append([method, run_id, seed, *_score(y_true, y_pred, split)])
+                timings.append((method, run_id, fit_seconds))
+                if split.threshold is not None:
+                    labels.setdefault(method, []).append(y_pred >= split.threshold)
         except DataError as exc:
             raise DataError(f"run {run_id} (seed {seed}): {exc}") from exc
         except Exception as exc:
             raise RuntimeError(f"run {run_id} (seed {seed}) failed: {exc}") from exc
     _warn_worse_depths(training_rmse)
 
-    summaries = aggregate(reports)
-    methods, run_ids, ranks = rank_matrix(reports)
-    # Only ood runs label predictions; with no labels there are no pairs.
-    kappa_rows = pairwise_kappa({m: np.concatenate(c) for m, c in labels.items()})
-    return BenchResult(reports, summaries, methods, run_ids, ranks, kappa_rows)
+    col = header.index("rmse")
+    table = np.array([row[col] for row in rows]).reshape(cfg.runs, len(methods))
+    tables = {
+        "run_reports.csv": (header, rows),
+        "aggregate.csv": (
+            ["method", "median_rmse", "std_rmse", "runs"],
+            [(m, *summary) for m, summary in zip(methods, aggregate(table))],
+        ),
+        "rank_matrix.csv": (
+            ["run_id", *methods],
+            [(run_id, *ranks) for run_id, ranks in enumerate(rank_matrix(table))],
+        ),
+    }
+    if cfg.protocol == "ood":
+        tables["kappa.csv"] = (
+            KAPPA_HEADER,
+            pairwise_kappa({m: np.concatenate(c) for m, c in labels.items()}),
+        )
+    tables["timings.csv"] = (["method", "run_id", "fit_seconds"], timings)
+    return tables
 
 
 def _warn_worse_depths(training_rmse: list[tuple[float, ...]]) -> None:
@@ -229,13 +235,13 @@ def _one_run(
     run_id: int,
     seed: int,
     external: dict[str, dict[int, PredictionSet]],
-    labels: dict[str, list[np.ndarray]],
     training_rmse: list[tuple[float, ...]],
-) -> list[RunReport]:
+) -> tuple[SplitPair, list[tuple[np.ndarray, np.ndarray, float]]]:
+    """The run's split and each method's (y_true, y_pred, fit_seconds), in
+    method order."""
     split = _split(ds, cfg, seed)
     y_test = split.test.target
-    # (method, y_true, y_pred, fit_seconds), in report order.
-    scored: list[tuple[str, np.ndarray, np.ndarray, float]] = []
+    scored = []
     for method, fit_cfg in ((SPLINE_METHOD, cfg.fit), (BASELINE_METHOD, _BASELINE_CONFIG)):
         start = time.perf_counter()
         with warnings.catch_warnings():
@@ -245,7 +251,7 @@ def _one_run(
         seconds = time.perf_counter() - start
         if method == SPLINE_METHOD:
             training_rmse.append(model.training_rmse)
-        scored.append((method, y_test, model.predict(split.test.features), seconds))
+        scored.append((y_test, model.predict(split.test.features), seconds))
     for name, sets in external.items():
         if run_id not in sets:
             raise DataError(f"prediction file for {name!r} has no rows for this run")
@@ -255,18 +261,11 @@ def _one_run(
                 f"prediction file for {name!r} disagrees with the split's y_true; "
                 "was it generated with the same protocol and seed?"
             )
-        scored.append((name, pset.y_true, pset.y_pred, 0.0))
-    out = []
-    for method, y_true, y_pred, seconds in scored:
-        out.append(_score(method, run_id, seed, y_true, y_pred, seconds, split))
-        if split.threshold is not None:
-            labels.setdefault(method, []).append(y_pred >= split.threshold)
-    return out
+        scored.append((pset.y_true, pset.y_pred, 0.0))
+    return split, scored
 
 
-def write_tables(
-    out_dir: str | Path, tables: dict[str, tuple[Sequence[str], Iterable[Sequence]]]
-) -> list[Path]:
+def write_tables(out_dir: str | Path, tables: Tables) -> list[Path]:
     """Write each ``name: (header, rows)`` as the CSV file ``out_dir/name``;
     returns the written paths."""
     written = []
@@ -277,32 +276,6 @@ def write_tables(
     return written
 
 
-def write_bench_outputs(result: BenchResult, out_dir: str | Path, protocol: str) -> list[Path]:
-    """Write the report tables; returns the written paths."""
-    header = ["method", "run_id", "seed", "rmse", "mean_relative_error"]
-    if protocol == "ood":
-        header += ["p_count", "n_count", "beyond_training_max", "threshold"]
-    rows = []
-    for rep in result.reports:
-        row = [rep.method_name, rep.run_id, rep.seed, rep.rmse, rep.mean_relative_error]
-        if protocol == "ood":
-            row += [rep.p_count, rep.n_count, rep.beyond_training_max, rep.threshold]
-        rows.append(row)
-    tables = {
-        "run_reports.csv": (header, rows),
-        "aggregate.csv": (
-            ["method", "median_rmse", "std_rmse", "runs"],
-            [(s.method_name, s.median_rmse, s.std_rmse, s.run_count) for s in result.summaries],
-        ),
-        "rank_matrix.csv": (
-            ["run_id", *result.rank_methods],
-            [[rid, *result.ranks[i]] for i, rid in enumerate(result.rank_run_ids)],
-        ),
-    }
-    if protocol == "ood":
-        tables["kappa.csv"] = (KAPPA_HEADER, result.kappa_rows)
-    tables["timings.csv"] = (
-        ["method", "run_id", "fit_seconds"],
-        [(r.method_name, r.run_id, r.fit_seconds) for r in result.reports],
-    )
+def write_bench_outputs(tables: Tables, out_dir: str | Path) -> list[Path]:
+    """Write run_benchmark's tables; returns the written paths."""
     return write_tables(out_dir, tables)

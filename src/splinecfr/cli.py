@@ -9,6 +9,7 @@ any flag's value; explicit flags win over the file.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 from dataclasses import fields, replace
@@ -216,13 +217,10 @@ def cmd_bench(args: argparse.Namespace) -> int:
     if not settings.get("data"):
         raise DataError("--data is required")
     cfg = _build(ExperimentConfig, dict(settings, fit=fit_config))
-    result = run_benchmark(cfg)
-    written = write_bench_outputs(result, cfg.out_dir, cfg.protocol)
-    for summary in result.summaries:
-        print(
-            f"{summary.method_name}: median rmse {summary.median_rmse:.4f} "
-            f"(std {summary.std_rmse:.4f}, {summary.run_count} runs)"
-        )
+    tables = run_benchmark(cfg)
+    written = write_bench_outputs(tables, cfg.out_dir)
+    for method, median, std, runs in tables["aggregate.csv"][1]:
+        print(f"{method}: median rmse {median:.4f} (std {std:.4f}, {runs} runs)")
     for path in written:
         print(f"wrote {path}")
     return 0
@@ -248,6 +246,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
+    if not math.isfinite(args.threshold):
+        raise DataError(f"--threshold must be finite, got {args.threshold}")
     per_method = load_prediction_files(args.predictions)
 
     # Pool runs (or take the one selected); check y_true consistency per run.
@@ -276,16 +276,11 @@ def cmd_report(args: argparse.Namespace) -> int:
     summary_rows = []
     for name, pset in pooled.items():
         try:
-            table = top_k_table(pset, args.top_k)
+            rows, summary = top_k_table(pset, args.top_k)
         except ValueError as exc:
             raise DataError(str(exc)) from exc
-        for rank, (idx, t, p) in enumerate(
-            zip(table.row_indices, table.y_true, table.y_pred), start=1
-        ):
-            topk_rows.append((name, rank, int(idx), float(t), float(p)))
-        summary_rows.append(
-            (name, table.mean_true, table.mean_pred, table.mean_relative_error, table.rmse)
-        )
+        topk_rows += [(name, *row) for row in rows]
+        summary_rows.append((name, *summary))
     pn_rows = [(name, *threshold_counts(pset.y_pred, args.threshold))
                for name, pset in pooled.items()]
     kappa_rows = pairwise_kappa(

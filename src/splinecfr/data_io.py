@@ -273,14 +273,16 @@ def split_out_of_domain(ds: Dataset, quantile: float = 0.9, seed: int = 0) -> Sp
 
 def _validated_range(x_range: Sequence[float]) -> tuple[float, float]:
     lo, hi = float(x_range[0]), float(x_range[1])
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError(f"x_range must be finite, got ({lo}, {hi})")
     if not lo < hi:
         raise ValueError(f"x_range must satisfy lo < hi, got ({lo}, {hi})")
     return lo, hi
 
 
 def _grid_dataset(x: np.ndarray, clean: np.ndarray, noise_sd: float, seed: int) -> Dataset:
-    if noise_sd < 0:
-        raise ValueError(f"noise_sd must be non-negative, got {noise_sd}")
+    if not (math.isfinite(noise_sd) and noise_sd >= 0):
+        raise ValueError(f"noise_sd must be finite and non-negative, got {noise_sd}")
     noise = np.random.default_rng(seed).normal(0.0, noise_sd, x.shape[0]) if noise_sd > 0 else 0.0
     y = clean + noise
     return Dataset(

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -27,45 +26,6 @@ class PredictionSet:
             raise ValueError("empty prediction set")
         if not np.isfinite(self.y_true).all() or not np.isfinite(self.y_pred).all():
             raise ValueError(f"{self.method_name}: non-finite values in prediction set")
-
-
-@dataclass(frozen=True)
-class RunReport:
-    """Per-run record for one method. The P/N fields and the count of
-    predictions beyond the training maximum are only filled for
-    out-of-domain runs."""
-
-    method_name: str
-    run_id: int
-    seed: int
-    rmse: float
-    mean_relative_error: float
-    fit_seconds: float
-    p_count: int | None = None
-    n_count: int | None = None
-    beyond_training_max: int | None = None
-    threshold: float | None = None
-
-
-@dataclass(frozen=True)
-class MethodSummary:
-    method_name: str
-    median_rmse: float
-    std_rmse: float
-    run_count: int
-
-
-@dataclass(frozen=True, eq=False)
-class TopKTable:
-    """The k samples a method is most confident are large, plus summaries."""
-
-    row_indices: np.ndarray
-    y_true: np.ndarray
-    y_pred: np.ndarray
-    mean_true: float
-    mean_pred: float
-    mean_relative_error: float
-    rmse: float
 
 
 def _paired(y_true, y_pred) -> tuple[np.ndarray, np.ndarray]:
@@ -141,11 +101,14 @@ def kappa_agreement_label(kappa: float) -> str:
     return next((label for top, label in bands if kappa <= top), "almost-perfect")
 
 
-def top_k_table(predictions: PredictionSet, k: int = 20) -> TopKTable:
+def top_k_table(
+    predictions: PredictionSet, k: int = 20
+) -> tuple[list[tuple[int, int, float, float]], tuple[float, float, float, float]]:
     """The k samples with the largest predicted values, plus subset metrics.
 
-    Sorted by predicted value, descending; ties resolve toward the lower
-    sample index.
+    Returns the rows (rank, row index, y_true, y_pred), rank 1 first, and the
+    subset's (mean true, mean predicted, mean relative error, RMSE). Sorted by
+    predicted value, descending; ties resolve toward the lower sample index.
     """
     n = predictions.y_pred.shape[0]
     if not 1 <= k <= n:
@@ -153,48 +116,17 @@ def top_k_table(predictions: PredictionSet, k: int = 20) -> TopKTable:
     order = np.argsort(-predictions.y_pred, kind="stable")[:k]
     t = predictions.y_true[order]
     p = predictions.y_pred[order]
-    return TopKTable(
-        row_indices=order,
-        y_true=t,
-        y_pred=p,
-        mean_true=float(t.mean()),
-        mean_pred=float(p.mean()),
-        mean_relative_error=mean_relative_error(t, p),
-        rmse=rmse(t, p),
-    )
+    rows = [
+        (rank, int(i), float(a), float(b))
+        for rank, (i, a, b) in enumerate(zip(order, t, p), start=1)
+    ]
+    return rows, (float(t.mean()), float(p.mean()), mean_relative_error(t, p), rmse(t, p))
 
 
-def _grouped_rmse(reports: Sequence[RunReport]) -> dict[str, dict[int, float]]:
-    """method -> run_id -> rmse, preserving first-appearance method order."""
-    if not reports:
-        raise ValueError("no run reports")
-    by_method: dict[str, dict[int, float]] = {}
-    for rep in reports:
-        runs = by_method.setdefault(rep.method_name, {})
-        if rep.run_id in runs:
-            raise ValueError(f"duplicate report for method {rep.method_name!r} run {rep.run_id}")
-        runs[rep.run_id] = rep.rmse
-    return by_method
-
-
-def aggregate(reports: Sequence[RunReport]) -> list[MethodSummary]:
-    """Median and population standard deviation of RMSE per method."""
-    by_method = _grouped_rmse(reports)
-    counts = {len(runs) for runs in by_method.values()}
-    if len(counts) > 1:
-        raise ValueError(f"methods have mismatched run counts: { {m: len(r) for m, r in by_method.items()} }")
-    out = []
-    for method, runs in by_method.items():
-        vals = np.array(list(runs.values()))
-        out.append(
-            MethodSummary(
-                method_name=method,
-                median_rmse=float(np.median(vals)),
-                std_rmse=float(np.std(vals)),
-                run_count=vals.size,
-            )
-        )
-    return out
+def aggregate(table: np.ndarray) -> list[tuple[float, float, int]]:
+    """(median, population standard deviation, run count) of each column of
+    a runs x methods RMSE table."""
+    return [(float(np.median(col)), float(np.std(col)), col.size) for col in table.T]
 
 
 def _average_ranks(values: np.ndarray) -> np.ndarray:
@@ -204,21 +136,11 @@ def _average_ranks(values: np.ndarray) -> np.ndarray:
     return (last - (counts - 1) / 2.0)[inverse]
 
 
-def rank_matrix(reports: Sequence[RunReport]) -> tuple[list[str], list[int], np.ndarray]:
+def rank_matrix(table: np.ndarray) -> np.ndarray:
     """Per-run RMSE ranks across methods.
 
-    Returns (method names, run ids, matrix); matrix[i, j] is the rank of
-    method j in run i, rank 1 being the lowest RMSE. Every method must
-    report the same runs. Each row sums to M(M+1)/2 for M methods.
+    ``table[i, j]`` is method j's RMSE in run i, and the result's [i, j] is
+    its rank in that run, rank 1 being the lowest RMSE. Each row sums to
+    M(M+1)/2 for M methods.
     """
-    by_method = _grouped_rmse(reports)
-    methods = list(by_method)
-    run_ids = sorted(by_method[methods[0]])
-    for method, runs in by_method.items():
-        if sorted(runs) != run_ids:
-            raise ValueError(f"method {method!r} reports different runs than {methods[0]!r}")
-    matrix = np.empty((len(run_ids), len(methods)))
-    for i, rid in enumerate(run_ids):
-        row = np.array([by_method[m][rid] for m in methods])
-        matrix[i] = _average_ranks(row)
-    return methods, run_ids, matrix
+    return np.array([_average_ranks(row) for row in table])

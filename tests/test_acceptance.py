@@ -34,7 +34,6 @@ from splinecfr.data_io import (
     split_out_of_sample,
 )
 from splinecfr.evaluation import (
-    RunReport,
     cohen_kappa,
     rank_matrix,
     rmse,
@@ -239,12 +238,7 @@ def test_property_battery(tmp_path):
     assert cohen_kappa(["P", "P", "N", "N"], ["P", "N", "N", "N"]) == 0.5
 
     # Rank matrix rows always sum to M(M+1)/2.
-    reports = [
-        RunReport(m, rid, rid, float(rng.uniform(1, 9)), 0.0, 0.0)
-        for m in ("a", "b", "c")
-        for rid in range(8)
-    ]
-    _, _, ranks = rank_matrix(reports)
+    ranks = rank_matrix(rng.uniform(1, 9, size=(8, 3)))
     npt.assert_allclose(ranks.sum(axis=1), np.full(8, 6.0))
 
     # Serialized models predict bit-for-bit identically.
@@ -262,8 +256,8 @@ def test_property_battery(tmp_path):
         fit=FitConfig(max_depth=1, knots_per_depth=2),
     )
     for out in ("rep_one", "rep_two"):
-        result = run_benchmark(ExperimentConfig(out_dir=str(tmp_path / out), **cfg))
-        write_bench_outputs(result, tmp_path / out, "oos")
+        tables = run_benchmark(ExperimentConfig(out_dir=str(tmp_path / out), **cfg))
+        write_bench_outputs(tables, tmp_path / out)
     for name in ("run_reports.csv", "aggregate.csv", "rank_matrix.csv"):
         first = (tmp_path / "rep_one" / name).read_bytes()
         second = (tmp_path / "rep_two" / name).read_bytes()

@@ -258,6 +258,19 @@ class TestSynthFitPredict:
         assert not (tmp_path / "g.csv").exists()
 
 
+    @pytest.mark.parametrize(
+        "flags, name",
+        [(["--noise", "nan"], "noise_sd"), (["--noise", "inf"], "noise_sd"),
+         (["--lo", "0", "--hi", "inf"], "x_range")],
+    )
+    def test_synth_rejects_non_finite_settings(self, tmp_path, capsys, flags, name):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["synth", "sinc", "--n", "5", *flags, "--out", str(tmp_path / "s.csv")])
+        assert code == 2
+        assert f"{name} must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "s.csv").exists()
+
 class TestExitCodes:
     def test_missing_data_file(self, capsys):
         assert main(["fit", "--data", "/no/such/file.csv"]) == 2
@@ -642,6 +655,34 @@ class TestBench:
         assert len(perfect) == 2
         assert all(float(r[3]) == 0.0 for r in perfect)
 
+    def test_methods_in_fixed_order_with_files_in_command_line_order(self, tmp_path, toy_csv):
+        ds = load_csv(toy_csv, "y")
+        paths = []
+        for name, shift in (("zeta", 0.5), ("alpha", -0.25)):
+            rows = [
+                (run_id, row_id, float(y), float(y) + shift * (row_id + 1))
+                for run_id, seed in enumerate((5, 6, 7))
+                for row_id, y in enumerate(split_out_of_sample(ds, seed).test.target)
+            ]
+            path = tmp_path / f"{name}.csv"
+            path.write_text(csv_text(["run_id", "row_id", "y_true", "y_pred"], rows))
+            paths.append(str(path))
+
+        out = tmp_path / "bench_order"
+        code = main([
+            "bench", "--data", toy_csv, "--target", "y", "--out-dir", str(out),
+            *self.BENCH_FLAGS, "--predictions", *paths,
+        ])
+        assert code == 0
+        order = ["spline_cfr", "ols", "zeta", "alpha"]
+        _, aggregate_rows = read_rows(out / "aggregate.csv")
+        assert [r[0] for r in aggregate_rows] == order
+        rank_header, rank_rows = read_rows(out / "rank_matrix.csv")
+        assert rank_header == ["run_id", *order]
+        assert [r[0] for r in rank_rows] == ["0", "1", "2"]
+        for row in rank_rows:
+            assert sum(float(cell) for cell in row[1:]) == 4 * 5 / 2
+
     def test_ood_external_predictions_get_the_ood_columns(self, tmp_path, toy_csv):
         ds = load_csv(toy_csv, "y")
         rng = np.random.default_rng(11)
@@ -854,6 +895,16 @@ class TestReport:
         assert header == ["method", "rank", "row_id", "y_true", "y_pred"]
         assert len(topk) == 4  # two methods, k = 2 each
         assert topk[0][:3] == ["alpha", "1", "1"]  # largest prediction first
+
+    @pytest.mark.parametrize("threshold", ["nan", "inf", "-inf"])
+    def test_non_finite_threshold_is_a_usage_error(self, tmp_path, capsys, threshold):
+        a = self.write_predictions(tmp_path / "a.csv", [1.0, 2.0, 3.0, 4.0])
+        out = tmp_path / "rep"
+        code = main(["report", "--predictions", a, f"--threshold={threshold}",
+                     "--out-dir", str(out)])
+        assert code == 2
+        assert "--threshold must be finite" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_single_method_has_no_pairs(self, tmp_path):
         a = self.write_predictions(tmp_path / "only.csv", [1.0, 2.0, 3.0, 4.0])

@@ -330,3 +330,11 @@ class TestGenerators:
             gen_sinc(5, x_range=(2.0, 1.0))
         with pytest.raises(ValueError, match="noise_sd"):
             gen_sinc(5, noise_sd=-1.0)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="noise_sd must be finite"):
+                gen_sinc(5, noise_sd=bad)
+        for x_range in ((0.0, math.inf), (-math.inf, 1.0), (math.nan, 1.0)):
+            with pytest.raises(ValueError, match="x_range must be finite"):
+                gen_sinc(5, x_range=x_range)
+            with pytest.raises(ValueError, match="x_range must be finite"):
+                gen_gamma(5, x_range=x_range)

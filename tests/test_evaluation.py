@@ -7,9 +7,7 @@ import numpy.testing as npt
 import pytest
 
 from splinecfr.evaluation import (
-    MethodSummary,
     PredictionSet,
-    RunReport,
     aggregate,
     cohen_kappa,
     count_beyond_training_max,
@@ -20,17 +18,6 @@ from splinecfr.evaluation import (
     threshold_counts,
     top_k_table,
 )
-
-
-def report(method, run_id, value, seed=0):
-    return RunReport(
-        method_name=method,
-        run_id=run_id,
-        seed=seed,
-        rmse=value,
-        mean_relative_error=0.0,
-        fit_seconds=0.0,
-    )
 
 
 class TestBasicMetrics:
@@ -135,14 +122,12 @@ class TestTopK:
             y_true=np.array([10.0, 20.0, 30.0]),
             y_pred=np.array([1.0, 9.0, 8.0]),
         )
-        table = top_k_table(pred, k=2)
-        npt.assert_array_equal(table.row_indices, [1, 2])
-        npt.assert_array_equal(table.y_true, [20.0, 30.0])
-        npt.assert_array_equal(table.y_pred, [9.0, 8.0])
-        assert table.mean_true == 25.0
-        assert table.mean_pred == 8.5
-        assert table.rmse == pytest.approx(math.sqrt((11.0**2 + 22.0**2) / 2.0))
-        assert table.mean_relative_error == pytest.approx((11.0 / 20.0 + 22.0 / 30.0) / 2.0)
+        rows, (mean_true, mean_pred, mre, subset_rmse) = top_k_table(pred, k=2)
+        assert rows == [(1, 1, 20.0, 9.0), (2, 2, 30.0, 8.0)]
+        assert mean_true == 25.0
+        assert mean_pred == 8.5
+        assert subset_rmse == pytest.approx(math.sqrt((11.0**2 + 22.0**2) / 2.0))
+        assert mre == pytest.approx((11.0 / 20.0 + 22.0 / 30.0) / 2.0)
 
     def test_ties_resolve_to_lower_index(self):
         pred = PredictionSet(
@@ -150,8 +135,8 @@ class TestTopK:
             y_true=np.array([1.0, 2.0, 3.0]),
             y_pred=np.array([5.0, 5.0, 3.0]),
         )
-        table = top_k_table(pred, k=2)
-        npt.assert_array_equal(table.row_indices, [0, 1])
+        rows, _ = top_k_table(pred, k=2)
+        assert [row[1] for row in rows] == [0, 1]
 
     def test_k_out_of_range(self):
         pred = PredictionSet(
@@ -173,60 +158,23 @@ class TestTopK:
 
 class TestAggregate:
     def test_median_and_population_std(self):
-        reports = [report("a", i, v) for i, v in enumerate([1.0, 2.0, 3.0])]
-        (summary,) = aggregate(reports)
-        assert summary == MethodSummary(
-            method_name="a",
-            median_rmse=2.0,
-            std_rmse=math.sqrt(2.0 / 3.0),
-            run_count=3,
-        )
-
-    def test_preserves_first_appearance_order(self):
-        reports = [report("b", 0, 1.0), report("a", 0, 2.0)]
-        assert [s.method_name for s in aggregate(reports)] == ["b", "a"]
-
-    def test_mismatched_run_counts(self):
-        reports = [report("a", 0, 1.0), report("a", 1, 1.0), report("b", 0, 1.0)]
-        with pytest.raises(ValueError, match="mismatched run counts"):
-            aggregate(reports)
-
-    def test_duplicate_run(self):
-        reports = [report("a", 0, 1.0), report("a", 0, 2.0)]
-        with pytest.raises(ValueError, match="duplicate report"):
-            aggregate(reports)
-
-    def test_no_reports(self):
-        with pytest.raises(ValueError, match="no run reports"):
-            aggregate([])
+        # One (median, std, runs) per column, in column order.
+        summaries = aggregate(np.array([[1.0, 2.0], [2.0, 4.0], [3.0, 6.0]]))
+        assert summaries == [(2.0, math.sqrt(2.0 / 3.0), 3), (4.0, math.sqrt(8.0 / 3.0), 3)]
 
 
 class TestRankMatrix:
     def test_two_methods_two_runs(self):
-        reports = [
-            report("fast", 0, 1.0),
-            report("fast", 1, 5.0),
-            report("slow", 0, 2.0),
-            report("slow", 1, 4.0),
-        ]
-        methods, run_ids, matrix = rank_matrix(reports)
-        assert methods == ["fast", "slow"]
-        assert run_ids == [0, 1]
+        # Columns: fast, slow; rows: runs 0 and 1.
+        matrix = rank_matrix(np.array([[1.0, 2.0], [5.0, 4.0]]))
         npt.assert_array_equal(matrix, [[1.0, 2.0], [2.0, 1.0]])
 
     def test_ties_share_average_rank(self):
-        reports = [report("a", 0, 1.0), report("b", 0, 1.0)]
-        _, _, matrix = rank_matrix(reports)
-        npt.assert_array_equal(matrix, [[1.5, 1.5]])
+        npt.assert_array_equal(rank_matrix(np.array([[1.0, 1.0]])), [[1.5, 1.5]])
 
     def test_rows_sum_to_constant(self):
         rng = np.random.default_rng(19)
-        reports = [
-            report(m, rid, float(rng.uniform(1.0, 9.0)))
-            for m in ("a", "b", "c", "d")
-            for rid in range(12)
-        ]
-        _, _, matrix = rank_matrix(reports)
+        matrix = rank_matrix(rng.uniform(1.0, 9.0, size=(12, 4)))
         npt.assert_allclose(matrix.sum(axis=1), np.full(12, 10.0))
 
     def test_ties_against_the_loop_oracle(self):
@@ -247,11 +195,5 @@ class TestRankMatrix:
         rng = np.random.default_rng(23)
         for _ in range(50):
             values = rng.choice([0.0, 1.0, 2.5, 3.0], size=rng.integers(1, 9)).tolist()
-            reports = [report(f"m{j}", 0, v) for j, v in enumerate(values)]
-            _, _, matrix = rank_matrix(reports)
+            matrix = rank_matrix(np.array([values]))
             assert matrix[0].tolist() == average_ranks(values)
-
-    def test_run_misalignment(self):
-        reports = [report("a", 0, 1.0), report("b", 1, 1.0)]
-        with pytest.raises(ValueError, match="different runs"):
-            rank_matrix(reports)
