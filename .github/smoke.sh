@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # End-to-end run of the command-line interface in a fresh temporary directory:
 # the README quick start, a predict outside the training box (the whole batch,
-# then the same batch through the package root's Python API, then its last
-# 100 rows alone, then its last 50 rows, all outside the box,
+# then the same batch read from a pipe, then through the package root's Python
+# API, then its last 100 rows alone, then its last 50 rows, all outside the box,
 # then one row inside the box alone), a model fitted and saved through the
 # Python API and predicted by the CLI, a fit and a predict on repeated rows, a
 # fit from a config file, an oos and an ood bench, and a report.
@@ -28,6 +28,9 @@ test "$(wc -l < run1/pred.csv)" -eq 201
 splinecfr synth sinc --n 200 --lo -20 --hi 20 --out wide.csv
 splinecfr predict --model run1/model.json --data wide.csv --out run1/wide.csv
 test "$(wc -l < run1/wide.csv)" -eq 201
+# A pipe is read as the file is: the same bytes out.
+cat wide.csv | splinecfr predict --model run1/model.json --data /dev/stdin --out run1/wide_pipe.csv
+cmp run1/wide.csv run1/wide_pipe.csv
 python -c "import csv, math; rows = list(csv.DictReader(open('run1/wide.csv'))); assert all(math.isfinite(float(r['y_pred'])) for r in rows)"
 # The package root alone (no module-level name) loads the model and predicts
 # the same y_pred bytes that the CLI wrote.

@@ -35,7 +35,6 @@ from .data_io import (
 )
 from .errors import DataError, TrainingRmseWarning
 from .evaluation import (
-    PredictionSet,
     aggregate,
     cohen_kappa,
     count_beyond_training_max,
@@ -86,16 +85,16 @@ class ExperimentConfig:
 
 def load_prediction_files(
     paths, reserved: tuple[str, ...] = ()
-) -> dict[str, dict[int, PredictionSet]]:
-    """Parse run_id,row_id,y_true,y_pred files into per-run prediction sets,
-    keyed by method name in file order.
+) -> dict[str, dict[int, tuple[np.ndarray, np.ndarray]]]:
+    """Parse run_id,row_id,y_true,y_pred files into per-run (y_true, y_pred)
+    vectors, keyed by method name in file order.
 
     The method name is the file name without its extension; names must be
     unique and must not be one of ``reserved``. Rows within a run are
     ordered by row_id.
     """
     expected = ["run_id", "row_id", "y_true", "y_pred"]
-    out: dict[str, dict[int, PredictionSet]] = {}
+    out: dict[str, dict[int, tuple[np.ndarray, np.ndarray]]] = {}
     for path in paths:
         names, data = read_numeric_table(path, integer_columns=expected[:2])
         if names != expected:
@@ -107,7 +106,7 @@ def load_prediction_files(
         data = data[np.lexsort((data[:, 1], data[:, 0]))]
         run_ids, starts = np.unique(data[:, 0], return_index=True)
         out[name] = {
-            int(rid): PredictionSet(name, rows[:, 2], rows[:, 3])
+            int(rid): (rows[:, 2], rows[:, 3])
             for rid, rows in zip(run_ids, np.split(data, starts[1:]))
         }
     return out
@@ -234,7 +233,7 @@ def _one_run(
     ds: Dataset,
     run_id: int,
     seed: int,
-    external: dict[str, dict[int, PredictionSet]],
+    external: dict[str, dict[int, tuple[np.ndarray, np.ndarray]]],
     training_rmse: list[tuple[float, ...]],
 ) -> tuple[SplitPair, list[tuple[np.ndarray, np.ndarray, float]]]:
     """The run's split and each method's (y_true, y_pred, fit_seconds), in
@@ -255,13 +254,13 @@ def _one_run(
     for name, sets in external.items():
         if run_id not in sets:
             raise DataError(f"prediction file for {name!r} has no rows for this run")
-        pset = sets[run_id]
-        if not same_y_true(pset.y_true, y_test):
+        y_true, y_pred = sets[run_id]
+        if not same_y_true(y_true, y_test):
             raise DataError(
                 f"prediction file for {name!r} disagrees with the split's y_true; "
                 "was it generated with the same protocol and seed?"
             )
-        scored.append((pset.y_true, pset.y_pred, 0.0))
+        scored.append((y_true, y_pred, 0.0))
     return split, scored
 
 

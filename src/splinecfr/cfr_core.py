@@ -514,7 +514,8 @@ def _check_count(reader: _DocReader, values: np.ndarray, expected: int) -> None:
         )
 
 
-def _layer_from_doc(reader: _DocReader, feature_count: int) -> DepthLayer:
+def _layer_from_doc(reader: _DocReader, bounds: np.ndarray) -> DepthLayer:
+    feature_count = bounds.shape[0]
     kind = reader.child("kind").string()
     offset = reader.child("offset").number()
     coef_reader = reader.child("coefficients")
@@ -544,6 +545,9 @@ def _layer_from_doc(reader: _DocReader, feature_count: int) -> DepthLayer:
                 )
             except ValueError as exc:
                 raise ModelFormatError(f"{var.path}: {exc}") from exc
+            if (kv.lo, kv.hi) != tuple(bounds[vid].tolist()):
+                # Extrapolation follows the knot ends; predict's box note reads the bounds.
+                raise ModelFormatError(f"{var.path}: lo and hi differ from feature_bounds[{vid}]")
             bases.append(kv)
         _check_count(coef_reader, coefficients, 1 + sum(kv.basis_count for kv in bases))
         return DepthLayer(AdditiveSplineModel(tuple(ids), LayerBases(bases), coefficients), offset)
@@ -591,7 +595,7 @@ def deserialize(text: str) -> CFracModel:
     layer_readers = root.child("layers").array()
     if not layer_readers:
         raise ModelFormatError("model.layers: expected at least one layer")
-    layers = tuple(_layer_from_doc(r, bounds.shape[0]) for r in layer_readers)
+    layers = tuple(_layer_from_doc(r, bounds) for r in layer_readers)
     if not isinstance(layers[0].model, LinearModel):
         raise ModelFormatError("model.layers[0]: the first layer must be linear")
     return CFracModel(

@@ -30,7 +30,7 @@ from .bench import (
 from .cfr_core import FitConfig, deserialize, fit, serialize
 from .data_io import DEFAULT_TARGET, gen_gamma, gen_sinc, load_csv, read_numeric_table
 from .errors import DataError, SplineCfrError
-from .evaluation import PredictionSet, threshold_counts, top_k_table
+from .evaluation import threshold_counts, top_k_table
 from .fileio import atomic_write_text, csv_text
 
 _BOOL_TRUE = {"1", "true", "yes", "on"}
@@ -251,7 +251,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     per_method = load_prediction_files(args.predictions)
 
     # Pool runs (or take the one selected); check y_true consistency per run.
-    pooled: dict[str, PredictionSet] = {}
+    pooled: dict[str, tuple[np.ndarray, np.ndarray]] = {}
     run_filter = args.run
     reference: dict[int, np.ndarray] = {}
     for name, sets in per_method.items():
@@ -261,30 +261,26 @@ def cmd_report(args: argparse.Namespace) -> int:
                 raise DataError(f"method {name!r} has no rows for run {run_filter}")
             run_ids = [run_filter]
         for rid in run_ids:
-            seen = reference.setdefault(rid, sets[rid].y_true)
-            if not same_y_true(seen, sets[rid].y_true):
+            seen = reference.setdefault(rid, sets[rid][0])
+            if not same_y_true(seen, sets[rid][0]):
                 raise DataError(
                     f"inconsistent y_true across prediction files for run {rid}"
                 )
-        pooled[name] = PredictionSet(
-            method_name=name,
-            y_true=np.concatenate([sets[r].y_true for r in run_ids]),
-            y_pred=np.concatenate([sets[r].y_pred for r in run_ids]),
-        )
+        pooled[name] = tuple(np.concatenate(col) for col in zip(*(sets[r] for r in run_ids)))
 
     topk_rows = []
     summary_rows = []
-    for name, pset in pooled.items():
+    for name, (y_true, y_pred) in pooled.items():
         try:
-            rows, summary = top_k_table(pset, args.top_k)
+            rows, summary = top_k_table(y_true, y_pred, args.top_k)
         except ValueError as exc:
             raise DataError(str(exc)) from exc
         topk_rows += [(name, *row) for row in rows]
         summary_rows.append((name, *summary))
-    pn_rows = [(name, *threshold_counts(pset.y_pred, args.threshold))
-               for name, pset in pooled.items()]
+    pn_rows = [(name, *threshold_counts(y_pred, args.threshold))
+               for name, (_, y_pred) in pooled.items()]
     kappa_rows = pairwise_kappa(
-        {name: pset.y_pred >= args.threshold for name, pset in pooled.items()}
+        {name: y_pred >= args.threshold for name, (_, y_pred) in pooled.items()}
     )
     written = write_tables(args.out_dir, {
         "top_k.csv": (["method", "rank", "row_id", "y_true", "y_pred"], topk_rows),

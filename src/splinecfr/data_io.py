@@ -8,6 +8,7 @@ reproducible from its seed alone.
 from __future__ import annotations
 
 import csv
+import io
 import math
 import warnings
 from dataclasses import dataclass, replace
@@ -83,17 +84,21 @@ def read_numeric_table(
     row's record ends (a quoted cell may span lines).
 
     The body is first read in one ``np.loadtxt`` pass, which keeps no
-    per-cell strings, so the reader needs about as much memory as the
-    returned matrix. That pass returns only a table that meets every rule
+    per-cell strings. That pass returns only a table that meets every rule
     above; otherwise the body is read again cell by cell with ``float()``,
-    which gives the same values or names the first bad cell. A pipe cannot
-    be read twice, so it is read cell by cell from the start.
+    which gives the same values or names the first bad cell. A pipe, such as
+    ``/dev/stdin``, is held once as its undecoded bytes and then read as a
+    file is. A file needs about as much memory as the returned matrix, a pipe
+    about 4 times it.
     """
     try:
         fh = open(path, newline="", encoding="utf-8")
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc.strerror or exc}") from exc
     with fh:
+        if not fh.seekable():
+            # Bytes, not a StringIO: decoded text would take up to 4 bytes a character.
+            fh = io.TextIOWrapper(io.BytesIO(fh.buffer.read()), encoding="utf-8", newline="")
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:
@@ -102,15 +107,26 @@ def read_numeric_table(
         if len(set(names)) != len(names):
             raise DataError(f"{path}: duplicate column names in header")
         integer_cols = [names.index(nm) for nm in integer_columns if nm in names]
-        # A pipe cannot be read twice, so only a seekable file tries numpy first.
-        if fh.seekable():
-            data = _loadtxt_body(fh, len(names), integer_cols)
-            if data is not None:
-                return names, data
-            fh.seek(0)
-            reader = csv.reader(fh)
-            next(reader)  # the header, already checked
+        data = _loadtxt_body(fh, len(names), integer_cols)
+        if data is not None:
+            return names, data
+        fh.seek(0)
+        reader = csv.reader(fh)
+        next(reader)  # the header, already checked
         return names, _float_body(path, reader, names, integer_cols)
+
+
+def _first_bad_cell(data: np.ndarray, integer_cols: list[int]) -> tuple[int, int] | None:
+    """(row, column) of the first non-finite cell of ``data``, else of the first
+    fractional cell of the ``integer_cols`` in the order given, else None."""
+    bad = np.argwhere(~np.isfinite(data))
+    if bad.size:
+        return int(bad[0, 0]), int(bad[0, 1])
+    for j in integer_cols:
+        fractional = np.flatnonzero(data[:, j] != np.floor(data[:, j]))
+        if fractional.size:
+            return int(fractional[0]), j
+    return None
 
 
 def _float_lines(lines: Iterable[str]) -> Iterator[str]:
@@ -141,9 +157,7 @@ def _loadtxt_body(fh: TextIO, width: int, integer_cols: list[int]) -> np.ndarray
             )
     except (ValueError, Warning):
         return None
-    if data.shape[1] != width or not np.isfinite(data).all():
-        return None
-    if any((data[:, j] != np.floor(data[:, j])).any() for j in integer_cols):
+    if data.shape[1] != width or _first_bad_cell(data, integer_cols) is not None:
         return None
     return data
 
@@ -185,19 +199,13 @@ def _float_body(
                         f"{path} line {lineno}, column {names[j]!r}: {what}"
                     ) from None
         raise
-    if not np.isfinite(data).all():
-        i, j = np.argwhere(~np.isfinite(data))[0]
-        raise DataError(
-            f"{path} line {linenos[i]}, column {names[j]!r}: non-finite value"
-        )
-    for j in integer_cols:
-        fractional = np.flatnonzero(data[:, j] != np.floor(data[:, j]))
-        if fractional.size:
-            i = fractional[0]
-            raise DataError(
-                f"{path} line {linenos[i]}, column {names[j]!r}: "
-                f"expected an integer, got {rows[i][j]!r}"
-            )
+    bad = _first_bad_cell(data, integer_cols)
+    if bad is not None:
+        i, j = bad
+        what = "non-finite value"
+        if np.isfinite(data[i, j]):
+            what = f"expected an integer, got {rows[i][j]!r}"
+        raise DataError(f"{path} line {linenos[i]}, column {names[j]!r}: {what}")
     return data
 
 

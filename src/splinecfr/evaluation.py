@@ -2,30 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-
-
-@dataclass(frozen=True, eq=False)
-class PredictionSet:
-    """Aligned true/predicted values for one method on one run."""
-
-    method_name: str
-    y_true: np.ndarray
-    y_pred: np.ndarray
-
-    def __post_init__(self) -> None:
-        if self.y_true.ndim != 1 or self.y_pred.ndim != 1:
-            raise ValueError("y_true and y_pred must be 1-D")
-        if self.y_true.shape != self.y_pred.shape:
-            raise ValueError(
-                f"y_true has {self.y_true.shape[0]} entries, y_pred has {self.y_pred.shape[0]}"
-            )
-        if self.y_true.shape[0] == 0:
-            raise ValueError("empty prediction set")
-        if not np.isfinite(self.y_true).all() or not np.isfinite(self.y_pred).all():
-            raise ValueError(f"{self.method_name}: non-finite values in prediction set")
 
 
 def _paired(y_true, y_pred) -> tuple[np.ndarray, np.ndarray]:
@@ -102,7 +79,7 @@ def kappa_agreement_label(kappa: float) -> str:
 
 
 def top_k_table(
-    predictions: PredictionSet, k: int = 20
+    y_true, y_pred, k: int = 20
 ) -> tuple[list[tuple[int, int, float, float]], tuple[float, float, float, float]]:
     """The k samples with the largest predicted values, plus subset metrics.
 
@@ -110,12 +87,12 @@ def top_k_table(
     subset's (mean true, mean predicted, mean relative error, RMSE). Sorted by
     predicted value, descending; ties resolve toward the lower sample index.
     """
-    n = predictions.y_pred.shape[0]
+    t, p = _paired(y_true, y_pred)
+    n = p.shape[0]
     if not 1 <= k <= n:
         raise ValueError(f"k must be in [1, {n}], got {k}")
-    order = np.argsort(-predictions.y_pred, kind="stable")[:k]
-    t = predictions.y_true[order]
-    p = predictions.y_pred[order]
+    order = np.argsort(-p, kind="stable")[:k]
+    t, p = t[order], p[order]
     rows = [
         (rank, int(i), float(a), float(b))
         for rank, (i, a, b) in enumerate(zip(order, t, p), start=1)

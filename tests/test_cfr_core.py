@@ -531,6 +531,15 @@ class TestSerialization:
                 lambda d: d["feature_bounds"][1].reverse(),
                 r"model\.feature_bounds\[1\]: lo .* lies above hi",
             ),
+            # A layer extrapolates beyond its knot ends; predict's note reads the bounds.
+            (
+                lambda d: spline_var(d).update(lo=-5.0, hi=5.0),
+                r"model\.layers\[1\]\.variables\[0\]: lo and hi differ from feature_bounds\[0\]",
+            ),
+            (
+                lambda d: spline_var(d, 1).update(hi=spline_var(d, 1)["hi"] + 1e-9),
+                r"model\.layers\[1\]\.variables\[1\]: lo and hi differ from feature_bounds\[1\]",
+            ),
         ]
         for corrupt, message in cases:
             doc = json.loads(text)

@@ -9,6 +9,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from splinecfr import data_io
 from splinecfr.data_io import (
     Dataset,
     gen_gamma,
@@ -25,6 +26,47 @@ def write(tmp_path, text, name="data.csv"):
     path = tmp_path / name
     path.write_text(text)
     return str(path)
+
+
+needs_fifo = pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+
+
+def read_through_pipe(path, payload, **kwargs):
+    """read_numeric_table on a named pipe made at ``path``, which a thread
+    fills with the bytes ``payload``."""
+    os.mkfifo(path)
+    writer = threading.Thread(target=path.write_bytes, args=(payload,), daemon=True)
+    writer.start()
+    try:
+        return read_numeric_table(str(path), **kwargs)
+    finally:
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+
+
+def read_file_then_pipe(path, payload, **kwargs):
+    """Read ``payload`` as a file at ``path``, then through a pipe at the same
+    path; returns both outcomes, each (names, data) or the DataError's text."""
+
+    def outcome(read):
+        try:
+            return read()
+        except DataError as exc:
+            return str(exc)
+
+    path.write_bytes(payload)
+    from_file = outcome(lambda: read_numeric_table(str(path), **kwargs))
+    path.unlink()
+    return from_file, outcome(lambda: read_through_pipe(path, payload, **kwargs))
+
+
+def wide_table_payload(rows=3000, cols=82):
+    """A seeded table of floats spread over seven decades, and its CSV bytes."""
+    rng = np.random.default_rng(7)
+    table = rng.normal(size=(rows, cols)) * 10.0 ** rng.integers(-3, 4, size=(rows, cols))
+    lines = [",".join(f"c{j}" for j in range(cols))]
+    lines += [",".join(map(repr, row)) for row in table.tolist()]
+    return table, ("\n".join(lines) + "\n").encode("utf-8")
 
 
 def make_dataset(y, X=None):
@@ -118,8 +160,13 @@ class TestLoadCsv:
     def test_bad_tables_name_the_first_bad_line(self, tmp_path, text, message):
         path = tmp_path / "bad.csv"
         path.write_bytes(text.encode("utf-8"))
-        with pytest.raises(DataError, match=message):
+        with pytest.raises(DataError, match=message) as from_file:
             read_numeric_table(str(path))
+        if hasattr(os, "mkfifo"):  # a pipe names the same line and column
+            path.unlink()
+            with pytest.raises(DataError) as from_pipe:
+                read_through_pipe(path, text.encode("utf-8"))
+            assert str(from_pipe.value) == str(from_file.value)
 
     def test_csv_module_errors_name_the_line(self, tmp_path):
         # The csv module refuses a cell over its field size limit (and, before
@@ -146,36 +193,58 @@ class TestLoadCsv:
         assert got == names
         assert data.tobytes() == np.array([[1.0, 2.5], [3.0, 4.0]]).tobytes()
 
-    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    @needs_fifo
     @pytest.mark.parametrize(
         "text, message",
-        [("a,b\n1_000,2\n3,4\n", None), ("a,b\n1,2\n3,x\n", "line 3, column 'b'")],
+        [
+            ("a,b\n1_000,2\n3,4\n", None),
+            ("a,b\n1,2\n3,x\n", "line 3, column 'b'"),
+            ('a,"b"\n"1_000",2\n3,"4"\n', None),
+            ("a,b\n1000,2\n3,4\n", None),
+        ],
     )
-    def test_pipe_is_read_in_one_pass(self, tmp_path, text, message):
-        # A pipe cannot seek back for the exact reader's second pass.
-        pipe = tmp_path / "pipe.csv"
-        os.mkfifo(pipe)
-        writer = threading.Thread(target=pipe.write_text, args=(text,), daemon=True)
-        writer.start()
-        try:
-            if message is None:
-                _, data = read_numeric_table(str(pipe))
-                assert data.tolist() == [[1000.0, 2.0], [3.0, 4.0]]
-            else:
-                with pytest.raises(DataError, match=message):
-                    read_numeric_table(str(pipe))
-        finally:
-            writer.join(timeout=10)
-        assert not writer.is_alive()
+    def test_pipe_is_read_in_one_pass(self, tmp_path, monkeypatch, text, message):
+        # A pipe is held once as bytes and then read as the file is: numpy's
+        # pass first, the exact reader only where a cell needs it (quotes,
+        # underscores, a bad cell). Both give the file's bits or its message.
+        exact_reads = []
+        float_body = data_io._float_body
+        monkeypatch.setattr(
+            data_io, "_float_body", lambda *a: exact_reads.append(1) or float_body(*a)
+        )
+        from_file, from_pipe = read_file_then_pipe(tmp_path / "t.csv", text.encode("utf-8"))
+        numpy_reads = message is None and "_" not in text and '"' not in text
+        assert exact_reads == ([] if numpy_reads else [1, 1])
+        if message is None:
+            assert from_pipe[0] == from_file[0] == ["a", "b"]
+            assert from_pipe[1].tobytes() == from_file[1].tobytes()
+            assert from_pipe[1].tolist() == [[1000.0, 2.0], [3.0, 4.0]]
+        else:
+            assert message in from_file
+            assert from_pipe == from_file
+
+    @needs_fifo
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("run,x\n0,1\n0.5,2\n", "line 3, column 'run': expected an integer, got '0.5'"),
+            # Non-finite cells come first, then integer columns in the order given.
+            ("run,x\n0.5,1\n1,2.5\n2,inf\n", "line 4, column 'x': non-finite value"),
+            ("run,x\n0.5,1\n1,2.5\n", "line 3, column 'x': expected an integer, got '2.5'"),
+        ],
+    )
+    def test_pipe_checks_integer_columns_as_the_file_does(self, tmp_path, text, message):
+        from_file, from_pipe = read_file_then_pipe(
+            tmp_path / "ids.csv", text.encode("utf-8"), integer_columns=["x", "run"]
+        )
+        assert from_file.endswith(message)
+        assert from_pipe == from_file
 
     def test_reader_memory_is_about_the_table(self, tmp_path):
-        rng = np.random.default_rng(7)
-        table = rng.normal(size=(3000, 82)) * 10.0 ** rng.integers(-3, 4, size=(3000, 82))
+        table, payload = wide_table_payload()
         path = tmp_path / "wide.csv"
-        lines = [",".join(f"c{j}" for j in range(82))]
-        lines += [",".join(map(repr, row)) for row in table.tolist()]
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        del lines
+        path.write_bytes(payload)
+        del payload
         tracemalloc.start()
         try:
             _, data = read_numeric_table(str(path))
@@ -184,6 +253,20 @@ class TestLoadCsv:
             tracemalloc.stop()
         assert data.tobytes() == table.tobytes()
         assert peak < 3 * data.nbytes
+
+    @needs_fifo
+    def test_pipe_reader_memory_is_a_few_tables(self, tmp_path):
+        # The pipe's bytes (2.5 times the matrix here) are held once; read
+        # cell by cell, as numpy's pass avoids, it would take 11 times it.
+        table, payload = wide_table_payload()
+        tracemalloc.start()
+        try:
+            _, data = read_through_pipe(tmp_path / "wide.csv", payload)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert data.tobytes() == table.tobytes()
+        assert peak <= 5 * data.nbytes
 
     def test_missing_target_column(self, tmp_path):
         path = write(tmp_path, "a,b\n1,2\n")

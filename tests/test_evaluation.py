@@ -7,7 +7,6 @@ import numpy.testing as npt
 import pytest
 
 from splinecfr.evaluation import (
-    PredictionSet,
     aggregate,
     cohen_kappa,
     count_beyond_training_max,
@@ -117,12 +116,8 @@ class TestCohenKappa:
 
 class TestTopK:
     def test_frozen_small_table(self):
-        pred = PredictionSet(
-            method_name="m",
-            y_true=np.array([10.0, 20.0, 30.0]),
-            y_pred=np.array([1.0, 9.0, 8.0]),
-        )
-        rows, (mean_true, mean_pred, mre, subset_rmse) = top_k_table(pred, k=2)
+        y_true, y_pred = np.array([10.0, 20.0, 30.0]), np.array([1.0, 9.0, 8.0])
+        rows, (mean_true, mean_pred, mre, subset_rmse) = top_k_table(y_true, y_pred, k=2)
         assert rows == [(1, 1, 20.0, 9.0), (2, 2, 30.0, 8.0)]
         assert mean_true == 25.0
         assert mean_pred == 8.5
@@ -130,30 +125,14 @@ class TestTopK:
         assert mre == pytest.approx((11.0 / 20.0 + 22.0 / 30.0) / 2.0)
 
     def test_ties_resolve_to_lower_index(self):
-        pred = PredictionSet(
-            method_name="m",
-            y_true=np.array([1.0, 2.0, 3.0]),
-            y_pred=np.array([5.0, 5.0, 3.0]),
-        )
-        rows, _ = top_k_table(pred, k=2)
+        rows, _ = top_k_table(np.array([1.0, 2.0, 3.0]), np.array([5.0, 5.0, 3.0]), k=2)
         assert [row[1] for row in rows] == [0, 1]
 
     def test_k_out_of_range(self):
-        pred = PredictionSet(
-            method_name="m", y_true=np.ones(3), y_pred=np.ones(3)
-        )
         with pytest.raises(ValueError, match=r"k must be in \[1, 3\]"):
-            top_k_table(pred, k=4)
+            top_k_table(np.ones(3), np.ones(3), k=4)
         with pytest.raises(ValueError, match="k must be"):
-            top_k_table(pred, k=0)
-
-    def test_prediction_set_validation(self):
-        with pytest.raises(ValueError, match="entries"):
-            PredictionSet("m", np.ones(2), np.ones(3))
-        with pytest.raises(ValueError, match="non-finite"):
-            PredictionSet("m", np.array([1.0, np.nan]), np.ones(2))
-        with pytest.raises(ValueError, match="empty"):
-            PredictionSet("m", np.array([]), np.array([]))
+            top_k_table(np.ones(3), np.ones(3), k=0)
 
 
 class TestAggregate:
