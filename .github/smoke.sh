@@ -3,7 +3,8 @@
 # the README quick start, a predict outside the training box (the whole batch,
 # then the same batch read from a pipe, then through the package root's Python
 # API, then its last 100 rows alone, then its last 50 rows, all outside the box,
-# then one row inside the box alone), a model fitted and saved through the
+# then one row inside the box alone, then a copy holding a byte that is not
+# UTF-8, which is refused), a model fitted and saved through the
 # Python API and predicted by the CLI, a fit and a predict on repeated rows, a
 # fit from a config file, an oos and an ood bench, and a report.
 #
@@ -31,6 +32,14 @@ test "$(wc -l < run1/wide.csv)" -eq 201
 # A pipe is read as the file is: the same bytes out.
 cat wide.csv | splinecfr predict --model run1/model.json --data /dev/stdin --out run1/wide_pipe.csv
 cmp run1/wide.csv run1/wide_pipe.csv
+# A cell holding a byte that is not UTF-8 is an input error (exit code 2)
+# that names its line and column, and no predictions are written.
+{ head -n 4 wide.csv; printf '\377,0\n'; tail -n +6 wide.csv; } > wide_bad.csv
+status=0
+splinecfr predict --model run1/model.json --data wide_bad.csv --out run1/bad.csv 2> bad.err || status=$?
+test "$status" -eq 2
+grep -qF "wide_bad.csv line 5, column 'x': not UTF-8" bad.err
+test ! -e run1/bad.csv
 python -c "import csv, math; rows = list(csv.DictReader(open('run1/wide.csv'))); assert all(math.isfinite(float(r['y_pred'])) for r in rows)"
 # The package root alone (no module-level name) loads the model and predicts
 # the same y_pred bytes that the CLI wrote.

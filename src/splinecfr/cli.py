@@ -29,7 +29,7 @@ from .bench import (
 )
 from .cfr_core import FitConfig, deserialize, fit, serialize
 from .data_io import DEFAULT_TARGET, gen_gamma, gen_sinc, load_csv, read_numeric_table
-from .errors import DataError, SplineCfrError
+from .errors import DataError, ModelFormatError, SplineCfrError
 from .evaluation import threshold_counts, top_k_table
 from .fileio import atomic_write_text, csv_text
 
@@ -50,6 +50,9 @@ def _parse_bool(text: str) -> bool:
 def _load_config_file(path: str) -> dict[str, str]:
     try:
         lines = Path(path).read_text(encoding="utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        line = exc.object.count(b"\n", 0, exc.start) + 1
+        raise DataError(f"{path} line {line}: not UTF-8") from None
     except OSError as exc:
         raise DataError(f"cannot read config file {path}: {exc.strerror or exc}") from exc
     out: dict[str, str] = {}
@@ -170,6 +173,9 @@ def cmd_fit(args: argparse.Namespace) -> int:
 def cmd_predict(args: argparse.Namespace) -> int:
     try:
         text = Path(args.model).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        line = exc.object.count(b"\n", 0, exc.start) + 1
+        raise ModelFormatError(f"{args.model} line {line}: not UTF-8") from None
     except OSError as exc:
         raise DataError(f"cannot read {args.model}: {exc.strerror or exc}") from exc
     model = deserialize(text)

@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import re
 import warnings
 from dataclasses import dataclass, replace
 from typing import Iterable, Iterator, Sequence, TextIO
@@ -22,6 +23,9 @@ DEFAULT_TARGET = "critical_temp"
 
 # Share of each out-of-domain pool that a split keeps.
 _OOD_SUBSAMPLE = 0.5
+# A byte that is not UTF-8 decodes to one of these lone surrogates, a bad cell.
+_TEXT_MODE = {"encoding": "utf-8", "errors": "surrogateescape", "newline": ""}
+_NOT_UTF8 = re.compile("[\udc80-\udcff]")
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,7 +85,8 @@ def read_numeric_table(
     parses it. Every cell must be a finite number, and every cell of a
     column named in ``integer_columns`` a whole number; failures are
     reported with the column name and the physical line on which the
-    row's record ends (a quoted cell may span lines).
+    row's record ends (a quoted cell may span lines). A byte that is not
+    UTF-8 is such a failure, in a cell or in the header.
 
     The body is first read in one ``np.loadtxt`` pass, which keeps no
     per-cell strings. That pass returns only a table that meets every rule
@@ -92,17 +97,19 @@ def read_numeric_table(
     about 4 times it.
     """
     try:
-        fh = open(path, newline="", encoding="utf-8")
+        fh = open(path, **_TEXT_MODE)
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc.strerror or exc}") from exc
     with fh:
         if not fh.seekable():
             # Bytes, not a StringIO: decoded text would take up to 4 bytes a character.
-            fh = io.TextIOWrapper(io.BytesIO(fh.buffer.read()), encoding="utf-8", newline="")
+            fh = io.TextIOWrapper(io.BytesIO(fh.buffer.read()), **_TEXT_MODE)
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:
             raise DataError(f"{path}: empty file, expected a header row")
+        if _NOT_UTF8.search(",".join(header)):
+            raise DataError(f"{path} line {reader.line_num}: header is not UTF-8")
         names = [h.strip() for h in header]
         if len(set(names)) != len(names):
             raise DataError(f"{path}: duplicate column names in header")
@@ -170,24 +177,21 @@ def _float_body(
     first cell that breaks a rule of :func:`read_numeric_table`."""
     linenos: list[int] = []
     rows: list[list[str]] = []
+    stop = None  # what ended reading before the last record, if anything did
     try:
         for row in reader:
             if not row:
                 continue  # tolerate trailing blank lines
             if len(row) != len(names):
-                raise DataError(
-                    f"{path} line {reader.line_num}: "
-                    f"expected {len(names)} cells, got {len(row)}"
-                )
+                stop = f"expected {len(names)} cells, got {len(row)}"
+                break
             linenos.append(reader.line_num)
             rows.append(row)
     except csv.Error as exc:  # e.g. a NUL byte before Python 3.11
-        raise DataError(f"{path} line {reader.line_num}: {exc}") from None
-    if not rows:
-        raise DataError(f"{path}: no data rows")
+        stop = str(exc)
     try:
         # numpy parses each cell as float() does.
-        data = np.array(rows, dtype=float)
+        data = np.array(rows, dtype=float).reshape(len(rows), len(names))
     except ValueError:
         for lineno, row in zip(linenos, rows):
             for j, cell in enumerate(row):
@@ -195,6 +199,7 @@ def _float_body(
                     float(cell)
                 except ValueError:
                     what = "empty cell" if not cell.strip() else f"non-numeric value {cell!r}"
+                    what = "not UTF-8" if _NOT_UTF8.search(cell) else what
                     raise DataError(
                         f"{path} line {lineno}, column {names[j]!r}: {what}"
                     ) from None
@@ -206,6 +211,10 @@ def _float_body(
         if np.isfinite(data[i, j]):
             what = f"expected an integer, got {rows[i][j]!r}"
         raise DataError(f"{path} line {linenos[i]}, column {names[j]!r}: {what}")
+    if stop is not None:  # only once the records above it have passed
+        raise DataError(f"{path} line {reader.line_num}: {stop}")
+    if not rows:
+        raise DataError(f"{path}: no data rows")
     return data
 
 

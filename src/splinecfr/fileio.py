@@ -30,8 +30,6 @@ def atomic_write_text(path: str | Path, text: str) -> None:
 
 
 def format_cell(value) -> str:
-    if value is None:
-        return ""
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):

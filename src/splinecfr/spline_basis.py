@@ -223,11 +223,9 @@ def design_matrix(X, bases: LayerBases) -> np.ndarray:
             flat[at] = (1.0 - side) - rise
             flat[at + 1] = side + rise
             del beyond, side, row, rise, at  # freed before the in-box work
-            within = np.flatnonzero(~outside)
-            if within.size == 0:
-                continue
-        else:
-            within = slice(None)
+        within = np.flatnonzero(~outside)
+        if within.size == 0:
+            continue
         xin = x.ravel()[within]
         if np.isnan(xin).any():
             i, j = np.argwhere(np.isnan(x))[0]

@@ -399,15 +399,29 @@ class TestExitCodes:
         [
             ("x, x ,y\n1,2,3\n4,5,6\n", "duplicate column names in header"),
             ("y\n1\n2\n3\n", "no feature columns besides the target"),
+            # Each \udcff is written as the byte 0xff, which is not UTF-8.
+            ("x,y\n1,2\n3,\udcff\n", "t.csv line 3, column 'y': not UTF-8"),
+            ("x,\udcffy\n1,2\n", "t.csv line 1: header is not UTF-8"),
         ],
-        ids=["repeated-name", "target-only"],
+        ids=["repeated-name", "target-only", "not-utf8-cell", "not-utf8-header"],
     )
     def test_rejected_csv(self, tmp_path, capsys, text, message):
         data = tmp_path / "t.csv"
-        data.write_text(text)
+        data.write_bytes(text.encode("utf-8", "surrogateescape"))
         code = main(["fit", "--data", str(data), "--target", "y", "--out-dir", str(tmp_path)])
         assert code == 2
         assert message in capsys.readouterr().err
+
+    def test_model_document_that_is_not_utf8_names_its_line(self, tmp_path, toy_csv, capsys):
+        bad = tmp_path / "model.json"
+        bad.write_bytes(b'{"format":\n"spline-cfr-model/1",\n"\xff": 1}\n')
+        code = main([
+            "predict", "--model", str(bad), "--data", toy_csv,
+            "--out", str(tmp_path / "p.csv"),
+        ])
+        assert code == 2
+        assert f"{bad} line 3: not UTF-8" in capsys.readouterr().err
+        assert not (tmp_path / "p.csv").exists()
 
     def test_unknown_config_key(self, tmp_path, toy_csv, capsys):
         cfg = tmp_path / "run.cfg"
@@ -561,13 +575,15 @@ class TestConfigFile:
             (" = 3\n", "line 1: empty key"),
             ("max-depth = 1\nmax_depth = 2\n", "line 2: duplicate key 'max_depth'"),
             (None, "cannot read config file"),
+            # \udcff is written as the byte 0xff, which is not UTF-8.
+            ("max-depth = 1\n# \udcff\n", "run.cfg line 2: not UTF-8"),
         ],
-        ids=["bad-boolean", "no-equals", "empty-key", "duplicate-key", "unreadable"],
+        ids=["bad-boolean", "no-equals", "empty-key", "duplicate-key", "unreadable", "not-utf8"],
     )
     def test_rejected_config_file(self, tmp_path, capsys, text, message):
         cfg = tmp_path / "run.cfg"
         if text is not None:
-            cfg.write_text(text)
+            cfg.write_bytes(text.encode("utf-8", "surrogateescape"))
         code = main([
             "fit", "--data", "d.csv", "--out-dir", str(tmp_path), "--config", str(cfg),
         ])

@@ -149,23 +149,36 @@ class TestLoadCsv:
             # Lines are physical lines, not records: a quoted cell spans two.
             ('a,b\n"1\n",2\n3,x\n', r"line 4, column 'b': non-numeric value 'x'"),
             ("a,b\n1,2\n\n3,x\n", r"line 4, column 'b': non-numeric value 'x'"),
+            # A bad cell above a ragged row is the first bad line.
+            ("a,b\n1,2\nx,3\n4\n", r"line 3, column 'a': non-numeric value 'x'"),
+            ("a,b\n1,2\n3,inf\n4\n", r"line 3, column 'b': non-finite value"),
+            # Each \udcff is written as the byte 0xff, which is not UTF-8.
+            ("a,b\n1,2\n3,\udcff\n", r"line 3, column 'b': not UTF-8"),
+            ('a,b\n1,2\n"\n3",4\udcff5\n', r"line 4, column 'b': not UTF-8"),
+            ("a,b\n1_000,2\n\udcff,4\n", r"line 3, column 'a': not UTF-8"),
+            ("a,b\n\u0661,2\n3,\udcff\n", r"line 3, column 'b': not UTF-8"),
+            ("a,\udcffb\n1,2\n", r"line 1: header is not UTF-8"),
         ],
         ids=[
             "comment-line", "comment-in-cell", "blank-line", "blank-line-one-column",
             "header-only", "header-and-blank-lines", "trailing-comma", "wide-rows",
             "nul", "nan", "minus-inf", "infinity", "overflow", "file-separator",
             "unit-separator", "quoted-newline", "blank-line-before-bad-cell",
+            "bad-cell-before-ragged-row", "non-finite-before-ragged-row",
+            "not-utf8", "not-utf8-after-quoted-newline", "not-utf8-beside-underscore",
+            "not-utf8-after-valid-utf8", "not-utf8-header",
         ],
     )
     def test_bad_tables_name_the_first_bad_line(self, tmp_path, text, message):
         path = tmp_path / "bad.csv"
-        path.write_bytes(text.encode("utf-8"))
+        payload = text.encode("utf-8", "surrogateescape")
+        path.write_bytes(payload)
         with pytest.raises(DataError, match=message) as from_file:
             read_numeric_table(str(path))
         if hasattr(os, "mkfifo"):  # a pipe names the same line and column
             path.unlink()
             with pytest.raises(DataError) as from_pipe:
-                read_through_pipe(path, text.encode("utf-8"))
+                read_through_pipe(path, payload)
             assert str(from_pipe.value) == str(from_file.value)
 
     def test_csv_module_errors_name_the_line(self, tmp_path):

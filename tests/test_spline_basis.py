@@ -170,6 +170,12 @@ def oracle_cases():
             X[at, j] = np.repeat(hits, 3)
         return X
 
+    def strictly_inside(kv, n):
+        x = rng.uniform(kv.lo, kv.hi, n)
+        x[rng.choice(n, len(kv.interior), replace=False)] = kv.interior
+        assert ((x > kv.lo) & (x < kv.hi)).all()
+        return x
+
     ties = rng.integers(-2, 10, 300).astype(float)
     dense = build_knot_vector(np.unique(rng.uniform(0.0, 10.0, 37)), 0.0, 10.0)
     knots_hit = np.concatenate([[kv.lo, kv.hi, *kv.interior] for kv in (plain, grid, rand)])
@@ -206,6 +212,12 @@ def oracle_cases():
         # the first block only, so the last block has no in-box point.
         "unsearched_across_blocks": ([grid, rand2], unsearched_across_blocks(grid, rand2)),
         "dense_next_to_bare": ([plain, dense], dense_next_to_bare(plain, dense)),
+        # More points than one block, none at or beyond an end: no block
+        # writes out of its box, and every point is searched.
+        "strictly_inside": (
+            [grid, rand2],
+            np.column_stack([strictly_inside(grid, 12000), strictly_inside(rand2, 12000)]),
+        ),
     }
 
 
