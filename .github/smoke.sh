@@ -11,12 +11,28 @@
 # Usage: .github/smoke.sh [COMMAND...]    (default: the installed `splinecfr`)
 # From a checkout, without installing:
 #   PYTHONPATH="$PWD/src" bash .github/smoke.sh python -m splinecfr.cli
+# or, from the root of the checkout, PYTHONPATH=src.
 set -euo pipefail
 if [ "$#" -eq 0 ]; then
   set -- splinecfr
 fi
 cmd=("$@")
 splinecfr() { "${cmd[@]}" "$@"; }
+
+# The run works in a temporary directory, so a relative PYTHONPATH entry is
+# taken from the directory the script was started in.
+if [ -n "${PYTHONPATH:-}" ]; then
+  IFS=: read -ra entries <<< "$PYTHONPATH"
+  PYTHONPATH=""
+  for entry in "${entries[@]}"; do
+    case "$entry" in
+      /*) ;;
+      *) entry="$PWD/$entry" ;;
+    esac
+    PYTHONPATH="${PYTHONPATH:+$PYTHONPATH:}$entry"
+  done
+  export PYTHONPATH
+fi
 
 work="$(mktemp -d)"
 trap 'rm -rf "$work"' EXIT

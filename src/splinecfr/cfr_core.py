@@ -16,6 +16,14 @@ Layer values are computed once per distinct full feature row, in ``fit``
 and ``predict`` alike, by one row-wise product whose summation order is fixed
 per row (``_row_dot``), and gathered back to every row that repeats it. A
 row's prediction thus does not depend on the batch it is predicted in.
+
+Beyond an end of the training box every spline term is a straight line, so
+a spline layer's value at a row outside the box is its value at the row
+clipped to the box plus one boundary slope per feature times the distance
+to the box. ``predict`` therefore builds spline designs only for the
+distinct clipped rows, and rows pushed out to the same clipped point share
+one design row. Rows inside the box take the design and product of their
+own bytes, as in ``fit``.
 """
 
 from __future__ import annotations
@@ -26,7 +34,8 @@ import math
 import numbers
 import warnings
 from dataclasses import dataclass, replace
-from typing import Sequence
+from functools import cached_property
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -46,9 +55,11 @@ MODEL_FORMAT = "spline-cfr-model/1"
 # Design cells (rows x columns) built per block of rows when predicting: 8
 # MB, below glibc's 32 MB ceiling for its mmap threshold, so a freed block's
 # memory is reused by the next one instead of being mapped and faulted in
-# again. It bounds memory only; no output bit depends on it. Smaller blocks
-# cost time: each design_matrix call has a fixed cost, about 0.07 ms for one
-# row of 81 variables (2-vCPU Xeon, numpy 2.4).
+# again. The boundary-slope pass over rows outside the box takes blocks of
+# the same row count, each under a design block's bytes. It bounds memory
+# only; no output bit depends on it. Smaller blocks cost time: each
+# design_matrix call has a fixed cost, about 0.07 ms for one row of 81
+# variables (2-vCPU Xeon, numpy 2.4).
 _BLOCK_CELLS = 2**20
 # Bytes of sorted rows compared at a time when finding the distinct rows.
 _COMPARE_BYTES = 2**20
@@ -59,10 +70,10 @@ def _row_dot(A: np.ndarray, c: np.ndarray) -> np.ndarray:
 
     BLAS orders ``A @ c`` by the shape and thread split; einsum runs one dot
     kernel per row of a C-contiguous matrix of two or more rows. A lone row
-    gets a stride-0 twin, since its buffered loop would split a long row.
+    is stacked on a copy of itself, since its buffered loop would split a long row.
     """
     A = np.ascontiguousarray(A)
-    twin = np.broadcast_to(A, (2, A.shape[1])) if A.shape[0] == 1 else A
+    twin = np.concatenate((A, A)) if A.shape[0] == 1 else A
     return np.einsum("ij,j->i", twin, c)[: A.shape[0]]
 
 
@@ -117,14 +128,30 @@ class FitConfig:
                 raise ValueError(f"{name} must be {rule}, got {value}")
 
 
+class _ClippedRows(NamedTuple):
+    """The distinct rows ``X[first]`` of a batch grouped by their copies
+    clipped to the training box, for a batch with some row outside it.
+
+    ``rep`` holds one row index of X per clipped group, ``slot`` each
+    distinct row's group and ``moved`` the positions in ``first`` of the
+    rows that clipping changed.
+    """
+
+    rep: np.ndarray
+    slot: np.ndarray
+    moved: np.ndarray
+
+
 @dataclass(frozen=True, eq=False)
 class LinearModel:
     """Intercept-first linear model over all feature columns; ``fit`` gives 0 to constant ones."""
 
     coefficients: np.ndarray
 
-    def evaluate(self, X: np.ndarray, first: np.ndarray) -> np.ndarray:
-        """Values on the rows ``X[first]``."""
+    def evaluate(
+        self, X: np.ndarray, first: np.ndarray, clipped: _ClippedRows | None = None
+    ) -> np.ndarray:
+        """Values on the rows ``X[first]``, taken as they are: ``clipped`` is unused."""
         return self.coefficients[0] + _row_dot(X[first], self.coefficients[1:])
 
 
@@ -143,15 +170,52 @@ class AdditiveSplineModel:
     bases: LayerBases
     coefficients: np.ndarray
 
-    def evaluate(self, X: np.ndarray, first: np.ndarray) -> np.ndarray:
-        """Values on the rows ``X[first]``, one design block of rows at a time."""
-        ids = list(self.variable_ids)
-        out = np.empty(first.shape[0])
+    @cached_property
+    def _end_slopes(self) -> np.ndarray:
+        """Each variable's term slope below lo, then each one's above hi.
+
+        Beyond an end a point writes (1 - rise, rise) or (-rise, 1 + rise)
+        into the end columns a, a + 1, with rise = slope * (x - end), so its
+        term is the term at the end plus slope * (c[a + 1] - c[a]) * (x - end).
+        """
+        end_col = self.bases.end_col
+        c = self.coefficients
+        g = self.bases.slope * (c[end_col + 1] - c[end_col])
+        return np.concatenate([g[0::2], g[1::2]])
+
+    def evaluate(
+        self, X: np.ndarray, first: np.ndarray, clipped: _ClippedRows | None = None
+    ) -> np.ndarray:
+        """Values on the rows ``X[first]``, one design block of rows at a time.
+
+        With ``clipped``, designs are built for the clipped copies of its
+        ``rep`` rows alone, and each moved row adds its distances beyond
+        the ends times ``_end_slopes``. The variables' knot ends are their
+        feature bounds: ``fit`` builds them so and ``deserialize`` checks it.
+        """
+        ids = np.array(self.variable_ids, dtype=np.intp)
+        lo, hi = self.bases.edge[0::2], self.bases.edge[1::2]
+        rows = (first if clipped is None else clipped.rep)[:, None]
+        out = np.empty(rows.shape[0])
         step = max(1, _BLOCK_CELLS // self.coefficients.shape[0])
-        for r0 in range(0, first.shape[0], step):
-            rows = np.ix_(first[r0 : r0 + step], ids)
-            # No name holds the block, so it is freed before the next is built.
-            out[r0 : r0 + step] = _row_dot(design_matrix(X[rows], self.bases), self.coefficients)
+        for r0 in range(0, rows.shape[0], step):
+            cols = X[rows[r0 : r0 + step], ids]
+            if clipped is not None:
+                np.clip(cols, lo, hi, out=cols)
+            # No name holds the design, so it is freed before the next is built.
+            out[r0 : r0 + step] = _row_dot(design_matrix(cols, self.bases), self.coefficients)
+        if clipped is None:
+            return out
+        out = out[clipped.slot]
+        m = ids.shape[0]
+        # 3m < 1 + 4m <= width cells a row: a block stays under a design block's bytes.
+        for r0 in range(0, clipped.moved.shape[0], step):
+            at = clipped.moved[r0 : r0 + step]
+            cols = X[first[at][:, None], ids]
+            beyond = np.empty((at.shape[0], 2 * m))
+            np.minimum(np.subtract(cols, lo, out=beyond[:, :m]), 0.0, out=beyond[:, :m])
+            np.maximum(np.subtract(cols, hi, out=beyond[:, m:]), 0.0, out=beyond[:, m:])
+            out[at] += _row_dot(beyond, self._end_slopes)
         return out
 
 
@@ -199,8 +263,12 @@ class CFracModel:
         """Evaluate every layer's additive model on X (before folding).
 
         Each layer is evaluated once per distinct row of X (rows compared by
-        their bytes) and its values are gathered back to every row. A NaN or
-        infinite cell raises ValueError naming its row and column.
+        their bytes) and its values are gathered back to every row. When
+        some row lies outside the training box, spline layers build designs
+        only for the distinct rows clipped to the box and add each moved
+        row's boundary slopes (see ``_clipped_rows``); rows inside the box
+        get the values of their own design either way. A NaN or infinite
+        cell raises ValueError naming its row and column.
         """
         X = np.asarray(X, dtype=float)
         if X.ndim != 2 or X.shape[1] != self.feature_count:
@@ -212,7 +280,26 @@ class CFracModel:
             i, j = np.argwhere(~np.isfinite(X))[0]
             raise ValueError(f"X row {i}, column {j}: non-finite value {float(X[i, j])!r}")
         first, group, _ = _distinct_rows(X)
-        return [layer.model.evaluate(X, first)[group] for layer in self.layers]
+        clipped = self._clipped_rows(X, first)
+        return [layer.model.evaluate(X, first, clipped)[group] for layer in self.layers]
+
+    def _clipped_rows(self, X: np.ndarray, first: np.ndarray) -> _ClippedRows | None:
+        """The rows ``X[first]`` grouped by their bytes once clipped to
+        ``feature_bounds``, or None when clipping moves no row.
+
+        One clipped copy of those rows is held, and compared with X a block
+        of rows at a time.
+        """
+        box = X[first]
+        np.clip(box, self.feature_bounds[:, 0], self.feature_bounds[:, 1], out=box)
+        moved = np.zeros(first.shape[0], dtype=bool)
+        step = max(1, _COMPARE_BYTES // (X.itemsize * max(1, X.shape[1])))
+        for r0 in range(0, first.shape[0], step):
+            moved[r0 : r0 + step] = (box[r0 : r0 + step] != X[first[r0 : r0 + step]]).any(axis=1)
+        if not moved.any():
+            return None
+        rep, slot, _ = _distinct_rows(box)
+        return _ClippedRows(first[rep], slot, np.flatnonzero(moved))
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         return self._fold(self.layer_values(X))

@@ -634,17 +634,32 @@ class TestRowBlocks:
             return original(cols, bases)
 
         monkeypatch.setattr(cfr_core, "design_matrix", spy)
-        # The second copy of X adds no design rows: each distinct row is built once.
+        # The second copy of X adds no design rows: each distinct row is built
+        # once. X + 5.0 lies above the box on every feature, so all its rows
+        # clip to one point and share one design row.
         pred = model.predict(np.vstack([X, X + 5.0, X]))
         assert np.isfinite(pred).all()
         assert len(rows_seen) >= 3 * model.depth
         assert all(rows <= self.block_rows(width) for rows, width in rows_seen)
-        assert sum(rows for rows, _ in rows_seen) == 2 * X.shape[0] * model.depth
+        assert sum(rows for rows, _ in rows_seen) == (X.shape[0] + 1) * model.depth
 
     def test_zero_rows(self, blocked):
         X, _, model = blocked
         pred = model.predict(np.empty((0, X.shape[1])))
         assert pred.shape == (0,)
+
+    def test_only_a_batch_outside_the_box_groups_its_clipped_rows(self, blocked, monkeypatch):
+        X, _, model = blocked
+        calls = []
+        original = cfr_core._distinct_rows
+        monkeypatch.setattr(cfr_core, "_distinct_rows", lambda a: calls.append(1) or original(a))
+        inside = np.vstack([X, X[::-1]])  # the training rows, their bounds included
+        model.predict(inside)
+        assert len(calls) == 1
+        out = inside.copy()
+        out[7, 1] = model.feature_bounds[1, 0] - 1.0
+        model.predict(out)
+        assert len(calls) == 3
 
 
 class TestBatchIndependence:

@@ -95,6 +95,27 @@ def test_layers_are_linear_outside_the_box(problem, stride):
     assert (np.abs(v2 - 2.0 * v1 + v0) <= 1e-10 * scale).all()
 
 
+@hypothesis.settings(deadline=None, max_examples=60)
+@hypothesis.given(fit_problems(), st.data())
+def test_spline_layers_match_the_dense_design_partly_outside_the_box(problem, data):
+    X, y, config, outside = problem
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TrainingRmseWarning)
+        model = fit(X, y, config)
+    # Each cell stays, or leaves the box below or above: rows leave it on
+    # some features only, on both sides, and in-box rows share the batch.
+    reach = np.abs(outside - X)
+    side = data.draw(st.lists(st.sampled_from([-1.0, 0.0, 1.0]), min_size=X.size, max_size=X.size))
+    batch = np.vstack([X, X + np.reshape(side, X.shape) * reach])
+    sizes = term_sizes(model, batch)
+    for layer, value, size in zip(model.layers, model.layer_values(batch), sizes):
+        g = layer.model
+        if isinstance(g, LinearModel):
+            continue
+        dense = design_matrix(batch[:, list(g.variable_ids)], g.bases) @ g.coefficients
+        assert (np.abs(value - dense) <= 1e-12 * size).all()
+
+
 @pytest.mark.parametrize(
     "block_cells", [cfr_core._BLOCK_CELLS, test_cfr_core.TestRowBlocks.BLOCK_CELLS]
 )
