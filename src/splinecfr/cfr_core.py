@@ -20,10 +20,10 @@ row's prediction thus does not depend on the batch it is predicted in.
 Beyond an end of the training box every spline term is a straight line, so
 a spline layer's value at a row outside the box is its value at the row
 clipped to the box plus one boundary slope per feature times the distance
-to the box. ``predict`` therefore builds spline designs only for the
-distinct clipped rows, and rows pushed out to the same clipped point share
-one design row. Rows inside the box take the design and product of their
-own bytes, as in ``fit``.
+to the box. ``predict`` therefore builds spline designs for the distinct
+rows inside the box and for the distinct clipped copies of the rows outside
+it: rows that clip to the same point share one design row. Rows inside the
+box take the design and product of their own bytes, as in ``fit``.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ import numbers
 import warnings
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -55,13 +55,14 @@ MODEL_FORMAT = "spline-cfr-model/1"
 # Design cells (rows x columns) built per block of rows when predicting: 8
 # MB, below glibc's 32 MB ceiling for its mmap threshold, so a freed block's
 # memory is reused by the next one instead of being mapped and faulted in
-# again. The boundary-slope pass over rows outside the box takes blocks of
-# the same row count, each under a design block's bytes. It bounds memory
-# only; no output bit depends on it. Smaller blocks cost time: each
-# design_matrix call has a fixed cost, about 0.07 ms for one row of 81
-# variables (2-vCPU Xeon, numpy 2.4).
+# again. It bounds memory only; no output bit depends on it. Smaller blocks
+# cost time: each design_matrix call has a fixed cost, about 0.07 ms for one
+# row of 81 variables (2-vCPU Xeon, numpy 2.4).
 _BLOCK_CELLS = 2**20
-# Bytes of sorted rows compared at a time when finding the distinct rows.
+# Bytes of rows read at a time by the row passes: comparing sorted rows when
+# finding the distinct rows, marking the rows outside the training box, and
+# the boundary-slope pass over those rows (whose distances take 2 cells a
+# feature, so it reads a third as many rows).
 _COMPARE_BYTES = 2**20
 
 
@@ -128,30 +129,14 @@ class FitConfig:
                 raise ValueError(f"{name} must be {rule}, got {value}")
 
 
-class _ClippedRows(NamedTuple):
-    """The distinct rows ``X[first]`` of a batch grouped by their copies
-    clipped to the training box, for a batch with some row outside it.
-
-    ``rep`` holds one row index of X per clipped group, ``slot`` each
-    distinct row's group and ``moved`` the positions in ``first`` of the
-    rows that clipping changed.
-    """
-
-    rep: np.ndarray
-    slot: np.ndarray
-    moved: np.ndarray
-
-
 @dataclass(frozen=True, eq=False)
 class LinearModel:
     """Intercept-first linear model over all feature columns; ``fit`` gives 0 to constant ones."""
 
     coefficients: np.ndarray
 
-    def evaluate(
-        self, X: np.ndarray, first: np.ndarray, clipped: _ClippedRows | None = None
-    ) -> np.ndarray:
-        """Values on the rows ``X[first]``, taken as they are: ``clipped`` is unused."""
+    def evaluate(self, X: np.ndarray, first: np.ndarray) -> np.ndarray:
+        """Values on the rows ``X[first]``."""
         return self.coefficients[0] + _row_dot(X[first], self.coefficients[1:])
 
 
@@ -170,52 +155,26 @@ class AdditiveSplineModel:
     bases: LayerBases
     coefficients: np.ndarray
 
-    @cached_property
-    def _end_slopes(self) -> np.ndarray:
-        """Each variable's term slope below lo, then each one's above hi.
-
-        Beyond an end a point writes (1 - rise, rise) or (-rise, 1 + rise)
-        into the end columns a, a + 1, with rise = slope * (x - end), so its
-        term is the term at the end plus slope * (c[a + 1] - c[a]) * (x - end).
-        """
-        end_col = self.bases.end_col
-        c = self.coefficients
-        g = self.bases.slope * (c[end_col + 1] - c[end_col])
-        return np.concatenate([g[0::2], g[1::2]])
-
     def evaluate(
-        self, X: np.ndarray, first: np.ndarray, clipped: _ClippedRows | None = None
+        self, X: np.ndarray, first: np.ndarray, box: np.ndarray | None = None
     ) -> np.ndarray:
         """Values on the rows ``X[first]``, one design block of rows at a time.
 
-        With ``clipped``, designs are built for the clipped copies of its
-        ``rep`` rows alone, and each moved row adds its distances beyond
-        the ends times ``_end_slopes``. The variables' knot ends are their
-        feature bounds: ``fit`` builds them so and ``deserialize`` checks it.
+        With ``box`` (a ``feature_bounds`` matrix), each row is clipped to
+        it before its design is built.
         """
         ids = np.array(self.variable_ids, dtype=np.intp)
-        lo, hi = self.bases.edge[0::2], self.bases.edge[1::2]
-        rows = (first if clipped is None else clipped.rep)[:, None]
-        out = np.empty(rows.shape[0])
+        if box is not None:
+            lo, hi = box[ids].T
+        rows = first[:, None]
+        out = np.empty(first.shape[0])
         step = max(1, _BLOCK_CELLS // self.coefficients.shape[0])
-        for r0 in range(0, rows.shape[0], step):
+        for r0 in range(0, first.shape[0], step):
             cols = X[rows[r0 : r0 + step], ids]
-            if clipped is not None:
-                np.clip(cols, lo, hi, out=cols)
+            if box is not None:
+                np.minimum(np.maximum(cols, lo, out=cols), hi, out=cols)
             # No name holds the design, so it is freed before the next is built.
             out[r0 : r0 + step] = _row_dot(design_matrix(cols, self.bases), self.coefficients)
-        if clipped is None:
-            return out
-        out = out[clipped.slot]
-        m = ids.shape[0]
-        # 3m < 1 + 4m <= width cells a row: a block stays under a design block's bytes.
-        for r0 in range(0, clipped.moved.shape[0], step):
-            at = clipped.moved[r0 : r0 + step]
-            cols = X[first[at][:, None], ids]
-            beyond = np.empty((at.shape[0], 2 * m))
-            np.minimum(np.subtract(cols, lo, out=beyond[:, :m]), 0.0, out=beyond[:, :m])
-            np.maximum(np.subtract(cols, hi, out=beyond[:, m:]), 0.0, out=beyond[:, m:])
-            out[at] += _row_dot(beyond, self._end_slopes)
         return out
 
 
@@ -251,6 +210,21 @@ class CFracModel:
     target_name: str | None = None
     training_rmse: tuple[float, ...] = ()
 
+    def __post_init__(self) -> None:
+        # A spline term is linear beyond its knot ends, and predict adds that
+        # line to the value at the row clipped to feature_bounds: they agree.
+        for d, layer in enumerate(self.layers):
+            g = layer.model
+            if isinstance(g, AdditiveSplineModel):
+                ends = np.reshape(g.bases.edge, (-1, 2))
+                bad = np.flatnonzero((ends != self.feature_bounds[list(g.variable_ids)]).any(1))
+                if bad.size:
+                    j = int(bad[0])
+                    raise ValueError(
+                        f"layers[{d}].variables[{j}]: lo and hi differ from "
+                        f"feature_bounds[{g.variable_ids[j]}]"
+                    )
+
     @property
     def depth(self) -> int:
         return len(self.layers) - 1
@@ -259,16 +233,39 @@ class CFracModel:
     def feature_count(self) -> int:
         return self.feature_bounds.shape[0]
 
+    @cached_property
+    def _end_slopes(self) -> dict[int, np.ndarray]:
+        """Each spline layer's term slopes below every feature's lo, then
+        above every feature's hi (0 for a feature the layer does not use).
+
+        Beyond an end a point writes (1 - rise, rise) or (-rise, 1 + rise)
+        into the end columns a, a + 1, with rise = slope * (x - end), so its
+        term is the term at the end plus slope * (c[a + 1] - c[a]) * (x - end).
+        """
+        m = self.feature_count
+        slopes = {}
+        for d, layer in enumerate(self.layers):
+            g = layer.model
+            if isinstance(g, AdditiveSplineModel):
+                b, c = g.bases, g.coefficients
+                s = b.slope * (c[b.end_col + 1] - c[b.end_col])
+                ids = np.array(g.variable_ids, dtype=np.intp)
+                slopes[d] = np.zeros(2 * m)
+                slopes[d][ids], slopes[d][m + ids] = s[0::2], s[1::2]
+        return slopes
+
     def layer_values(self, X: np.ndarray) -> list[np.ndarray]:
         """Evaluate every layer's additive model on X (before folding).
 
         Each layer is evaluated once per distinct row of X (rows compared by
-        their bytes) and its values are gathered back to every row. When
-        some row lies outside the training box, spline layers build designs
-        only for the distinct rows clipped to the box and add each moved
-        row's boundary slopes (see ``_clipped_rows``); rows inside the box
-        get the values of their own design either way. A NaN or infinite
-        cell raises ValueError naming its row and column.
+        their bytes) and its values are gathered back to every row. A
+        distinct row with a cell outside ``feature_bounds`` takes, in each
+        spline layer, the value at its copy clipped to the box, built once
+        per distinct clipped copy, plus its distances beyond the box times
+        ``_end_slopes``. Rows inside the box get the values of their own
+        design, and a batch with no row outside the box, or a model without
+        spline layers, takes no other step. A NaN or infinite cell raises
+        ValueError naming its row and column.
         """
         X = np.asarray(X, dtype=float)
         if X.ndim != 2 or X.shape[1] != self.feature_count:
@@ -280,26 +277,57 @@ class CFracModel:
             i, j = np.argwhere(~np.isfinite(X))[0]
             raise ValueError(f"X row {i}, column {j}: non-finite value {float(X[i, j])!r}")
         first, group, _ = _distinct_rows(X)
-        clipped = self._clipped_rows(X, first)
-        return [layer.model.evaluate(X, first, clipped)[group] for layer in self.layers]
+        # Only spline layers extend beyond the box; linear ones read rows as they are.
+        outside = self._outside_box(X)[first] if self._end_slopes else None
+        if outside is None or not outside.any():
+            return [layer.model.evaluate(X, first)[group] for layer in self.layers]
 
-    def _clipped_rows(self, X: np.ndarray, first: np.ndarray) -> _ClippedRows | None:
-        """The rows ``X[first]`` grouped by their bytes once clipped to
-        ``feature_bounds``, or None when clipping moves no row.
+        # Inside rows stay their own representatives; the moved rows are
+        # grouped by the bytes of their clipped copies.
+        moved, inside = np.flatnonzero(outside), np.flatnonzero(~outside)
+        lo, hi = self.feature_bounds.T
+        box = X[first[moved]]
+        rep, slot, _ = _distinct_rows(np.clip(box, lo, hi, out=box))
+        del box
+        rows = np.concatenate([first[inside], first[moved][rep]])
+        slot_of = np.empty(first.shape[0], dtype=np.intp)
+        slot_of[inside] = np.arange(inside.shape[0])
+        slot_of[moved] = inside.shape[0] + slot
+        values = [
+            layer.model.evaluate(X, first)
+            if isinstance(layer.model, LinearModel)
+            else layer.model.evaluate(X, rows, self.feature_bounds)[slot_of]
+            for layer in self.layers
+        ]
+        self._add_end_slopes(X, first[moved], moved, values)
+        return [v[group] for v in values]
 
-        One clipped copy of those rows is held, and compared with X a block
-        of rows at a time.
-        """
-        box = X[first]
-        np.clip(box, self.feature_bounds[:, 0], self.feature_bounds[:, 1], out=box)
-        moved = np.zeros(first.shape[0], dtype=bool)
+    def _outside_box(self, X: np.ndarray) -> np.ndarray:
+        """Whether each row of X has a cell outside ``feature_bounds``,
+        marked a block of rows at a time."""
+        lo, hi = self.feature_bounds.T
+        outside = np.empty(X.shape[0], dtype=bool)
         step = max(1, _COMPARE_BYTES // (X.itemsize * max(1, X.shape[1])))
-        for r0 in range(0, first.shape[0], step):
-            moved[r0 : r0 + step] = (box[r0 : r0 + step] != X[first[r0 : r0 + step]]).any(axis=1)
-        if not moved.any():
-            return None
-        rep, slot, _ = _distinct_rows(box)
-        return _ClippedRows(first[rep], slot, np.flatnonzero(moved))
+        for r0 in range(0, X.shape[0], step):
+            block = X[r0 : r0 + step]
+            outside[r0 : r0 + step] = ((block < lo) | (block > hi)).any(axis=1)
+        return outside
+
+    def _add_end_slopes(
+        self, X: np.ndarray, rows: np.ndarray, at: np.ndarray, values: list[np.ndarray]
+    ) -> None:
+        """Add to ``values[d][at]`` the boundary-slope terms of the rows
+        ``X[rows]`` in every spline layer d, a block of rows at a time."""
+        lo, hi = self.feature_bounds.T
+        m = self.feature_count
+        step = max(1, _COMPARE_BYTES // (X.itemsize * max(1, 3 * m)))
+        for r0 in range(0, rows.shape[0], step):
+            block = X[rows[r0 : r0 + step]]
+            beyond = np.empty((block.shape[0], 2 * m))
+            np.minimum(np.subtract(block, lo, out=beyond[:, :m]), 0.0, out=beyond[:, :m])
+            np.maximum(np.subtract(block, hi, out=beyond[:, m:]), 0.0, out=beyond[:, m:])
+            for d, slopes in self._end_slopes.items():
+                values[d][at[r0 : r0 + step]] += _row_dot(beyond, slopes)
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         return self._fold(self.layer_values(X))
@@ -354,12 +382,13 @@ def _distinct_rows(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     Rows of the float64 matrix X are keyed by their bytes, which equal bytes
     always give equal layer values (-0.0 and 0.0 stay apart, a NaN matches
     only the same NaN). Groups are numbered in order of first occurrence. A
-    matrix with no columns and some rows has one group. The keys are
-    argsorted, not sorted, and adjacent rows in that order are gathered and
-    compared ``_COMPARE_BYTES`` at a time, so a C-contiguous X is never copied.
+    matrix of one row, or with no columns and some rows, has one group. The
+    keys are argsorted, not sorted, and adjacent rows in that order are
+    gathered and compared ``_COMPARE_BYTES`` at a time, so a C-contiguous X
+    is never copied.
     """
     n, m = X.shape
-    if m == 0:
+    if m == 0 or n <= 1:
         first = np.arange(min(n, 1))
         return first, np.zeros(n, dtype=np.intp), np.full(first.size, n)
     X = np.ascontiguousarray(X)
@@ -601,8 +630,7 @@ def _check_count(reader: _DocReader, values: np.ndarray, expected: int) -> None:
         )
 
 
-def _layer_from_doc(reader: _DocReader, bounds: np.ndarray) -> DepthLayer:
-    feature_count = bounds.shape[0]
+def _layer_from_doc(reader: _DocReader, feature_count: int) -> DepthLayer:
     kind = reader.child("kind").string()
     offset = reader.child("offset").number()
     coef_reader = reader.child("coefficients")
@@ -632,9 +660,6 @@ def _layer_from_doc(reader: _DocReader, bounds: np.ndarray) -> DepthLayer:
                 )
             except ValueError as exc:
                 raise ModelFormatError(f"{var.path}: {exc}") from exc
-            if (kv.lo, kv.hi) != tuple(bounds[vid].tolist()):
-                # Extrapolation follows the knot ends; predict's box note reads the bounds.
-                raise ModelFormatError(f"{var.path}: lo and hi differ from feature_bounds[{vid}]")
             bases.append(kv)
         _check_count(coef_reader, coefficients, 1 + sum(kv.basis_count for kv in bases))
         return DepthLayer(AdditiveSplineModel(tuple(ids), LayerBases(bases), coefficients), offset)
@@ -682,16 +707,18 @@ def deserialize(text: str) -> CFracModel:
     layer_readers = root.child("layers").array()
     if not layer_readers:
         raise ModelFormatError("model.layers: expected at least one layer")
-    layers = tuple(_layer_from_doc(r, bounds) for r in layer_readers)
+    layers = tuple(_layer_from_doc(r, bounds.shape[0]) for r in layer_readers)
     if not isinstance(layers[0].model, LinearModel):
         raise ModelFormatError("model.layers[0]: the first layer must be linear")
-    return CFracModel(
+    fields = dict(
         norm=root.child("norm").positive(),
-        layers=layers,
-        feature_bounds=bounds,
         training_target_max=root.child("training_target_max").number(),
         denom_floor=root.child("denom_floor").positive(),
         literal_final_offset=root.child("literal_final_offset").boolean(),
         feature_names=feature_names,
         target_name=target_name,
     )
+    try:
+        return CFracModel(layers=layers, feature_bounds=bounds, **fields)
+    except ValueError as exc:  # a spline variable's lo and hi differ from its bounds
+        raise ModelFormatError(f"model.{exc}") from exc

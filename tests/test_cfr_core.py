@@ -547,6 +547,20 @@ class TestSerialization:
             with pytest.raises(ModelFormatError, match=message):
                 deserialize(json.dumps(doc))
 
+    def test_spline_ends_must_match_the_bounds_however_built(self):
+        # predict clips rows to feature_bounds and extends each term from its
+        # knot ends, so a model whose two differ is refused when built.
+        X, y = toy_data(seed=2)
+        model = fit(X, y, FitConfig(max_depth=1))
+        wider = model.feature_bounds.copy()
+        wider[2, 1] += 1.0
+        message = r"layers\[1\]\.variables\[2\]: lo and hi differ from feature_bounds\[2\]"
+        with pytest.raises(ValueError, match=message):
+            replace(model, feature_bounds=wider)
+        fields = {k: getattr(model, k) for k in ("norm", "layers", "training_target_max")}
+        with pytest.raises(ValueError, match=message):
+            CFracModel(feature_bounds=wider, **fields)
+
 
 class TestFitConfigValidation:
     @pytest.mark.parametrize(
@@ -660,6 +674,9 @@ class TestRowBlocks:
         out[7, 1] = model.feature_bounds[1, 0] - 1.0
         model.predict(out)
         assert len(calls) == 3
+        # A model without spline layers reads every row as it is.
+        replace(model, layers=model.layers[:1]).predict(out)
+        assert len(calls) == 4
 
 
 class TestBatchIndependence:
@@ -694,9 +711,11 @@ class TestBatchIndependence:
         self.assert_batch_free(model, batch, full)
 
     def test_block_size_moves_no_bit(self, fitted, monkeypatch):
-        # One design row per block here; every 40th row keeps the run short.
+        # One design row, and one row of each row pass, per block here;
+        # every 40th row keeps the run short.
         model, batch, full = fitted
         monkeypatch.setattr(cfr_core, "_BLOCK_CELLS", TestRowBlocks.BLOCK_CELLS)
+        monkeypatch.setattr(cfr_core, "_COMPARE_BYTES", 8)
         assert TestRowBlocks.block_rows(model.layers[1].model.coefficients.shape[0]) == 1
         self.assert_batch_free(model, batch[::40], full[::40])
 
