@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # End-to-end run of the command-line interface in a fresh temporary directory:
-# the README quick start, a predict outside the training box (the whole batch,
+# the README quick start, a predict outside the training box and the note on
+# stderr that counts its rows outside the box (the whole batch,
 # then the same batch read from a pipe, then through the package root's Python
 # API, then its last 100 rows alone, then its last 50 rows, all outside the box,
 # then one row inside the box alone, then a copy holding a byte that is not
@@ -43,8 +44,9 @@ splinecfr predict --model run1/model.json --data sinc.csv --out run1/pred.csv
 test "$(wc -l < run1/pred.csv)" -eq 201
 # run1 was trained on [-10, 10]; half of [-20, 20] lies outside it.
 splinecfr synth sinc --n 200 --lo -20 --hi 20 --out wide.csv
-splinecfr predict --model run1/model.json --data wide.csv --out run1/wide.csv
+splinecfr predict --model run1/model.json --data wide.csv --out run1/wide.csv 2> wide.err
 test "$(wc -l < run1/wide.csv)" -eq 201
+grep -qxF 'note: 100 of 200 rows lie outside the training box' wide.err
 # A pipe is read as the file is: the same bytes out.
 cat wide.csv | splinecfr predict --model run1/model.json --data /dev/stdin --out run1/wide_pipe.csv
 cmp run1/wide.csv run1/wide_pipe.csv
@@ -79,13 +81,18 @@ test "$(tail -n +2 run1/wide_tail.csv | cut -d, -f2)" = "$(tail -n 100 run1/wide
 # The last 50 rows have x > 10, all outside the box, so predicting them alone
 # searches no knots; they still match the batch where x was searched.
 { head -n 1 wide.csv; tail -n 50 wide.csv; } > wide_out.csv
-splinecfr predict --model run1/model.json --data wide_out.csv --out run1/wide_out.csv
+splinecfr predict --model run1/model.json --data wide_out.csv --out run1/wide_out.csv 2> wide_out.err
+grep -qxF 'note: 50 of 50 rows lie outside the training box' wide_out.err
 test "$(tail -n +2 run1/wide_out.csv | cut -d, -f2)" = "$(tail -n 50 run1/wide.csv | cut -d, -f2)"
 # Row 101 (x near 0.1) lies inside the box; alone, its span is found with no
 # batch around it, and it still gives the y_pred bytes of the whole batch.
 { head -n 1 wide.csv; sed -n '102p' wide.csv; } > wide_one.csv
 python -c "import csv; (r,) = csv.DictReader(open('wide_one.csv')); assert -10 < float(r['x']) < 10"
-splinecfr predict --model run1/model.json --data wide_one.csv --out run1/wide_one.csv
+splinecfr predict --model run1/model.json --data wide_one.csv --out run1/wide_one.csv 2> wide_one.err
+if grep -q '^note:' wide_one.err; then
+  echo "unexpected note for a row inside the box" >&2
+  exit 1
+fi
 test "$(tail -n +2 run1/wide_one.csv | cut -d, -f2)" = "$(sed -n '102p' run1/wide.csv | cut -d, -f2)"
 # A model fitted and serialized through the package root, with its column
 # names set as the README's Python API example sets them, is a model.json

@@ -22,8 +22,10 @@ a spline layer's value at a row outside the box is its value at the row
 clipped to the box plus one boundary slope per feature times the distance
 to the box. ``predict`` therefore builds spline designs for the distinct
 rows inside the box and for the distinct clipped copies of the rows outside
-it: rows that clip to the same point share one design row. Rows inside the
-box take the design and product of their own bytes, as in ``fit``.
+it: rows that clip to the same point share one design row. Every batch
+takes this one path. A spline layer clips each row it builds a design for
+to its knot ends, which equal the box, so rows inside the box take the
+design and product of their own bytes, as in ``fit``.
 """
 
 from __future__ import annotations
@@ -155,24 +157,17 @@ class AdditiveSplineModel:
     bases: LayerBases
     coefficients: np.ndarray
 
-    def evaluate(
-        self, X: np.ndarray, first: np.ndarray, box: np.ndarray | None = None
-    ) -> np.ndarray:
-        """Values on the rows ``X[first]``, one design block of rows at a time.
-
-        With ``box`` (a ``feature_bounds`` matrix), each row is clipped to
-        it before its design is built.
-        """
+    def evaluate(self, X: np.ndarray, first: np.ndarray) -> np.ndarray:
+        """Values on the rows ``X[first]`` clipped to the knot ends, one
+        design block of rows at a time."""
         ids = np.array(self.variable_ids, dtype=np.intp)
-        if box is not None:
-            lo, hi = box[ids].T
+        lo, hi = self.bases.edge[0::2], self.bases.edge[1::2]
         rows = first[:, None]
         out = np.empty(first.shape[0])
         step = max(1, _BLOCK_CELLS // self.coefficients.shape[0])
         for r0 in range(0, first.shape[0], step):
             cols = X[rows[r0 : r0 + step], ids]
-            if box is not None:
-                np.minimum(np.maximum(cols, lo, out=cols), hi, out=cols)
+            np.minimum(np.maximum(cols, lo, out=cols), hi, out=cols)
             # No name holds the design, so it is freed before the next is built.
             out[r0 : r0 + step] = _row_dot(design_matrix(cols, self.bases), self.coefficients)
         return out
@@ -211,8 +206,10 @@ class CFracModel:
     training_rmse: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
-        # A spline term is linear beyond its knot ends, and predict adds that
-        # line to the value at the row clipped to feature_bounds: they agree.
+        # A spline term is linear beyond its knot ends. predict clips rows to
+        # feature_bounds to group them and measures the line from there, and
+        # each spline layer clips its design rows to its knot ends: the two
+        # must agree.
         for d, layer in enumerate(self.layers):
             g = layer.model
             if isinstance(g, AdditiveSplineModel):
@@ -254,36 +251,36 @@ class CFracModel:
                 slopes[d][ids], slopes[d][m + ids] = s[0::2], s[1::2]
         return slopes
 
-    def layer_values(self, X: np.ndarray) -> list[np.ndarray]:
-        """Evaluate every layer's additive model on X (before folding).
-
-        Each layer is evaluated once per distinct row of X (rows compared by
-        their bytes) and its values are gathered back to every row. A
-        distinct row with a cell outside ``feature_bounds`` takes, in each
-        spline layer, the value at its copy clipped to the box, built once
-        per distinct clipped copy, plus its distances beyond the box times
-        ``_end_slopes``. Rows inside the box get the values of their own
-        design, and a batch with no row outside the box, or a model without
-        spline layers, takes no other step. A NaN or infinite cell raises
-        ValueError naming its row and column.
-        """
+    def _feature_matrix(self, X) -> np.ndarray:
+        """X as a float matrix with one column per feature, or ValueError."""
         X = np.asarray(X, dtype=float)
         if X.ndim != 2 or X.shape[1] != self.feature_count:
             raise ValueError(
                 f"expected a 2-D matrix with {self.feature_count} feature columns, "
                 f"got shape {X.shape}"
             )
+        return X
+
+    def layer_values(self, X: np.ndarray) -> list[np.ndarray]:
+        """Evaluate every layer's additive model on X (before folding).
+
+        Each layer is evaluated once per distinct row of X (rows compared by
+        their bytes) and its values are gathered back to every row. A
+        distinct row with a cell outside ``feature_bounds`` (``outside_box``)
+        takes, in each spline layer, the value at its copy clipped to the
+        box, built once per distinct clipped copy, plus its distances beyond
+        the box times ``_end_slopes``. Linear layers read the rows as they
+        are. A NaN or infinite cell raises ValueError naming its row and
+        column.
+        """
+        X = self._feature_matrix(X)
         if not np.isfinite(X).all():
             i, j = np.argwhere(~np.isfinite(X))[0]
             raise ValueError(f"X row {i}, column {j}: non-finite value {float(X[i, j])!r}")
         first, group, _ = _distinct_rows(X)
-        # Only spline layers extend beyond the box; linear ones read rows as they are.
-        outside = self._outside_box(X)[first] if self._end_slopes else None
-        if outside is None or not outside.any():
-            return [layer.model.evaluate(X, first)[group] for layer in self.layers]
-
         # Inside rows stay their own representatives; the moved rows are
         # grouped by the bytes of their clipped copies.
+        outside = self.outside_box(X)[first]
         moved, inside = np.flatnonzero(outside), np.flatnonzero(~outside)
         lo, hi = self.feature_bounds.T
         box = X[first[moved]]
@@ -296,15 +293,16 @@ class CFracModel:
         values = [
             layer.model.evaluate(X, first)
             if isinstance(layer.model, LinearModel)
-            else layer.model.evaluate(X, rows, self.feature_bounds)[slot_of]
+            else layer.model.evaluate(X, rows)[slot_of]
             for layer in self.layers
         ]
         self._add_end_slopes(X, first[moved], moved, values)
         return [v[group] for v in values]
 
-    def _outside_box(self, X: np.ndarray) -> np.ndarray:
-        """Whether each row of X has a cell outside ``feature_bounds``,
+    def outside_box(self, X: np.ndarray) -> np.ndarray:
+        """Whether each row of X has a cell strictly outside ``feature_bounds``,
         marked a block of rows at a time."""
+        X = self._feature_matrix(X)
         lo, hi = self.feature_bounds.T
         outside = np.empty(X.shape[0], dtype=bool)
         step = max(1, _COMPARE_BYTES // (X.itemsize * max(1, X.shape[1])))

@@ -200,8 +200,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
         y_true = data[:, names.index(model.target_name)].copy()
     del data  # predict holds one table: X
     # Counted before predict, so that no mask is held while it runs.
-    lo, hi = model.feature_bounds.T
-    outside = int(((X < lo) | (X > hi)).any(axis=1).sum())
+    outside = int(model.outside_box(X).sum())
     if outside:
         print(
             f"note: {outside} of {X.shape[0]} rows lie outside the training box",

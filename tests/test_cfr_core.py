@@ -300,8 +300,14 @@ class TestPredictMechanics:
 
     def test_feature_count_mismatch(self):
         model = self.make_depth1()
-        with pytest.raises(ValueError, match="feature columns"):
-            model.predict(np.zeros((2, 3)))
+        for evaluate in (model.predict, model.outside_box):
+            with pytest.raises(ValueError, match="feature columns"):
+                evaluate(np.zeros((2, 3)))
+
+    def test_outside_box_marks_rows_strictly_outside_the_bounds(self):
+        model = self.make_depth1()  # feature_bounds [[0, 1]]
+        marked = model.outside_box([[0.0], [1.0], [-0.1], [1.1], [0.5]])
+        assert marked.tolist() == [False, False, True, True, False]
 
 
 def first_worsening_depth(rmses):
@@ -628,15 +634,13 @@ class TestRowBlocks:
     def test_layers_match_the_one_shot_design(self, blocked):
         X, _, model = blocked
         batch = np.vstack([X, X + 5.0, X - 5.0])
-        for layer in model.layers[1:]:
+        values = model.layer_values(batch)
+        for layer, value in zip(model.layers[1:], values[1:]):
             spline = layer.model
             one_shot = design_matrix(batch[:, list(spline.variable_ids)], spline.bases)
             expected = one_shot @ spline.coefficients
             # Only the summation order of the dot products may differ.
-            npt.assert_allclose(
-                spline.evaluate(batch, np.arange(batch.shape[0])), expected, rtol=0.0,
-                atol=1e-13 * np.abs(expected).max(),
-            )
+            npt.assert_allclose(value, expected, rtol=0.0, atol=1e-13 * np.abs(expected).max())
 
     def test_predict_builds_one_block_at_a_time(self, blocked, monkeypatch):
         X, _, model = blocked
@@ -661,22 +665,6 @@ class TestRowBlocks:
         X, _, model = blocked
         pred = model.predict(np.empty((0, X.shape[1])))
         assert pred.shape == (0,)
-
-    def test_only_a_batch_outside_the_box_groups_its_clipped_rows(self, blocked, monkeypatch):
-        X, _, model = blocked
-        calls = []
-        original = cfr_core._distinct_rows
-        monkeypatch.setattr(cfr_core, "_distinct_rows", lambda a: calls.append(1) or original(a))
-        inside = np.vstack([X, X[::-1]])  # the training rows, their bounds included
-        model.predict(inside)
-        assert len(calls) == 1
-        out = inside.copy()
-        out[7, 1] = model.feature_bounds[1, 0] - 1.0
-        model.predict(out)
-        assert len(calls) == 3
-        # A model without spline layers reads every row as it is.
-        replace(model, layers=model.layers[:1]).predict(out)
-        assert len(calls) == 4
 
 
 class TestBatchIndependence:
@@ -703,6 +691,9 @@ class TestBatchIndependence:
         assert ((lo < batch[2]) & (batch[2] < hi)).all()
         for one in (slice(2, 3), slice(n - 3, n - 2)):  # a row inside the box, one outside
             assert_same_bits(model.predict(batch[one]), full[one])
+        inside = batch[: n // 2]  # the table: every row inside the box
+        assert not model.outside_box(inside).any()
+        assert_same_bits(model.predict(inside), full[: n // 2])
         assert_same_bits(model.predict(np.asfortranarray(batch)), full)
 
     def test_slices_permutations_and_layouts(self, fitted):
@@ -761,8 +752,11 @@ class TestDistinctRows:
         X, y, model = fitted
         batch = np.vstack([X, X + 5.0, X - 5.0])
         values = model.layer_values(X)
+        batch_values = model.layer_values(batch)
         resid = y / model.norm - values[0]
-        for above, layer, value in zip(model.layers, model.layers[1:], values[1:]):
+        for above, layer, value, got in zip(
+            model.layers, model.layers[1:], values[1:], batch_values[1:]
+        ):
             target = 1.0 / (resid + above.offset)
             spline = layer.model
             ids = list(spline.variable_ids)
@@ -771,8 +765,7 @@ class TestDistinctRows:
                 design_matrix(X[:, ids], spline.bases), target, self.CONFIG.lam, pens
             )
             expected = design_matrix(batch[:, ids], spline.bases) @ beta
-            npt.assert_allclose(spline.evaluate(batch, np.arange(batch.shape[0])), expected,
-                                rtol=0.0, atol=1e-9 * np.abs(expected).max())
+            npt.assert_allclose(got, expected, rtol=0.0, atol=1e-9 * np.abs(expected).max())
             resid = target - value
 
     def test_all_constant_features_fit_the_mean(self):
