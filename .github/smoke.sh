@@ -6,7 +6,8 @@
 # API, then its last 100 rows alone, then its last 50 rows, all outside the box,
 # then one row inside the box alone, then a copy holding a byte that is not
 # UTF-8, which is refused), a model fitted and saved through the
-# Python API and predicted by the CLI, a fit and a predict on repeated rows, a
+# Python API and predicted by the CLI (the API's replace refusing a target
+# name that is also a feature name), a fit and a predict on repeated rows, a
 # fit from a config file, an oos and an ood bench, and a report.
 #
 # Usage: .github/smoke.sh [COMMAND...]    (default: the installed `splinecfr`)
@@ -103,6 +104,13 @@ from splinecfr import FitConfig, deserialize, fit, load_csv, serialize
 train = load_csv("sinc.csv", target_column="y")
 model = fit(train.features, train.target, FitConfig(max_depth=3, knots_per_depth=3, norm=1.0))
 model = replace(model, feature_names=train.feature_names, target_name=train.target_name)
+# A model whose names break a rule of the document is refused when built.
+try:
+    replace(model, feature_names=("y",), target_name="y")
+except ValueError as exc:
+    assert "target_name" in str(exc), exc
+else:
+    raise AssertionError("a target name that is also a feature name was accepted")
 text = serialize(model)
 with open("api_model.json", "w", encoding="utf-8") as fh:
     fh.write(text)

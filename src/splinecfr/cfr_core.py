@@ -193,6 +193,15 @@ class CFracModel:
     original target units, one entry per layer. :func:`fit` fills it; it is
     not part of the model document, so a model read by :func:`deserialize`
     has an empty record.
+
+    However it is built (:func:`fit`, ``dataclasses.replace``, by hand or
+    :func:`deserialize`), a model keeps the rules of its document: ``norm``
+    and ``denom_floor`` positive, lo <= hi in each bounds row, distinct
+    feature names and a target name that is none of them, a linear first
+    layer, each layer's coefficient count, and each spline variable a feature
+    index once per layer, its knot ends that feature's bounds. A broken rule
+    raises ValueError naming its field, so a model whose fields have their
+    annotated types always saves a document that loads.
     """
 
     norm: float
@@ -206,21 +215,57 @@ class CFracModel:
     training_rmse: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
-        # A spline term is linear beyond its knot ends. predict clips rows to
-        # feature_bounds to group them and measures the line from there, and
-        # each spline layer clips its design rows to its knot ends: the two
-        # must agree.
+        # fit checks these at every depth and deserialize at every load: each is
+        # one pass over its field, and the index at fault is sought only on failure.
+        for name, value in (("norm", self.norm), ("denom_floor", self.denom_floor)):
+            if not value > 0:
+                raise ValueError(f"{name}: expected a positive number, got {value}")
+        m = self.feature_count
+        lo, hi = self.feature_bounds.T
+        if (lo > hi).any():
+            i = int(np.argmax(lo > hi))
+            raise ValueError(f"feature_bounds[{i}]: lo {lo[i]} lies above hi {hi[i]}")
+        names = self.feature_names
+        if names is not None and len(names) != m:
+            raise ValueError(
+                f"feature_names: expected one name per feature_bounds row ({m}), got {len(names)}"
+            )
+        if names is not None and len(set(names)) < m:
+            repeated = sorted({nm for nm in names if names.count(nm) > 1})
+            raise ValueError(f"feature_names: repeated names {repeated}")
+        if self.target_name is not None and self.target_name in (names or ()):
+            raise ValueError(f"target_name: {self.target_name!r} is also a feature name")
+        if not self.layers:
+            raise ValueError("layers: expected at least one layer")
+        if not isinstance(self.layers[0].model, LinearModel):
+            raise ValueError("layers[0]: the first layer must be linear")
         for d, layer in enumerate(self.layers):
             g = layer.model
+            width = 1 + m if isinstance(g, LinearModel) else g.bases.width
+            if g.coefficients.shape[0] != width:
+                raise ValueError(
+                    f"layers[{d}].coefficients: expected {width} entries, "
+                    f"got {g.coefficients.shape[0]}"
+                )
             if isinstance(g, AdditiveSplineModel):
-                ends = np.reshape(g.bases.edge, (-1, 2))
-                bad = np.flatnonzero((ends != self.feature_bounds[list(g.variable_ids)]).any(1))
-                if bad.size:
-                    j = int(bad[0])
-                    raise ValueError(
-                        f"layers[{d}].variables[{j}]: lo and hi differ from "
-                        f"feature_bounds[{g.variable_ids[j]}]"
-                    )
+                self._check_variables(f"layers[{d}].variables", g.variable_ids, g.bases.edge)
+
+    def _check_variables(self, path: str, ids: tuple[int, ...], edge: np.ndarray) -> None:
+        """Distinct feature indices whose knot ends (``edge``) are their bounds."""
+        m = self.feature_count
+        if ids and not 0 <= min(ids) <= max(ids) < m:
+            j = next(j for j, vid in enumerate(ids) if not 0 <= vid < m)
+            raise ValueError(f"{path}[{j}].id: expected a feature index in [0, {m}), got {ids[j]}")
+        if len(set(ids)) < len(ids):
+            j = next(j for j, vid in enumerate(ids) if vid in ids[:j])
+            raise ValueError(f"{path}[{j}].id: feature {ids[j]} is already in this layer")
+        # A spline term is linear beyond its knot ends. predict measures that
+        # line from feature_bounds and each layer clips its design rows to its
+        # knot ends, so the two must agree.
+        bad = (np.reshape(edge, (-1, 2)) != self.feature_bounds[list(ids)]).any(1)
+        if bad.any():
+            j = int(np.argmax(bad))
+            raise ValueError(f"{path}[{j}]: lo and hi differ from feature_bounds[{ids[j]}]")
 
     @property
     def depth(self) -> int:
@@ -591,12 +636,6 @@ class _DocReader:
             raise ModelFormatError(f"{self.path}: expected a finite number, got {value}")
         return value
 
-    def positive(self) -> float:
-        value = self.number()
-        if value <= 0:
-            raise ModelFormatError(f"{self.path}: expected a positive number, got {value}")
-        return value
-
     def integer(self) -> int:
         if not isinstance(self.doc, int) or isinstance(self.doc, bool):
             raise ModelFormatError(f"{self.path}: expected an integer")
@@ -621,35 +660,17 @@ class _DocReader:
         return np.array([item.number() for item in self.array()], dtype=float)
 
 
-def _check_count(reader: _DocReader, values: np.ndarray, expected: int) -> None:
-    if values.shape[0] != expected:
-        raise ModelFormatError(
-            f"{reader.path}: expected {expected} entries, got {values.shape[0]}"
-        )
-
-
-def _layer_from_doc(reader: _DocReader, feature_count: int) -> DepthLayer:
+def _layer_from_doc(reader: _DocReader) -> DepthLayer:
     kind = reader.child("kind").string()
     offset = reader.child("offset").number()
-    coef_reader = reader.child("coefficients")
-    coefficients = coef_reader.numbers()
+    coefficients = reader.child("coefficients").numbers()
     if kind == "linear":
-        _check_count(coef_reader, coefficients, 1 + feature_count)
         return DepthLayer(LinearModel(coefficients), offset)
     if kind == "additive_spline":
         ids = []
         bases = []
         for var in reader.child("variables").array():
-            id_reader = var.child("id")
-            vid = id_reader.integer()
-            if not 0 <= vid < feature_count:
-                raise ModelFormatError(
-                    f"{id_reader.path}: expected a feature index in [0, {feature_count}), "
-                    f"got {vid}"
-                )
-            if vid in ids:
-                raise ModelFormatError(f"{id_reader.path}: feature {vid} is already in this layer")
-            ids.append(vid)
+            ids.append(var.child("id").integer())
             try:
                 kv = build_knot_vector(
                     var.child("interior").numbers(),
@@ -659,13 +680,16 @@ def _layer_from_doc(reader: _DocReader, feature_count: int) -> DepthLayer:
             except ValueError as exc:
                 raise ModelFormatError(f"{var.path}: {exc}") from exc
             bases.append(kv)
-        _check_count(coef_reader, coefficients, 1 + sum(kv.basis_count for kv in bases))
         return DepthLayer(AdditiveSplineModel(tuple(ids), LayerBases(bases), coefficients), offset)
     raise ModelFormatError(f"{reader.path}.kind: unknown layer kind {kind!r}")
 
 
 def deserialize(text: str) -> CFracModel:
-    """Parse a model document; raises ModelFormatError naming the bad field."""
+    """Parse a model document; raises ModelFormatError naming the bad field.
+
+    It reads the format tag, JSON types, rows of [lo, hi] and knot vectors;
+    the other rules are :class:`CFracModel`'s, named here by ``model.`` path.
+    """
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -679,44 +703,21 @@ def deserialize(text: str) -> CFracModel:
     bounds_rows = [row.numbers() for row in root.child("feature_bounds").array()]
     if any(row.shape != (2,) for row in bounds_rows):
         raise ModelFormatError("model.feature_bounds: expected rows of [lo, hi]")
-    bounds = np.array(bounds_rows, dtype=float).reshape(-1, 2)
-    for i, (lo, hi) in enumerate(bounds.tolist()):
-        if lo > hi:
-            raise ModelFormatError(f"model.feature_bounds[{i}]: lo {lo!r} lies above hi {hi!r}")
     names_reader = root.child("feature_names")
-    feature_names = (
-        None
-        if names_reader.doc is None
-        else tuple(item.string() for item in names_reader.array())
-    )
-    if feature_names is not None:
-        if len(feature_names) != bounds.shape[0]:
-            raise ModelFormatError(
-                f"{names_reader.path}: expected one name per feature_bounds row "
-                f"({bounds.shape[0]}), got {len(feature_names)}"
-            )
-        repeated = sorted({nm for nm in feature_names if feature_names.count(nm) > 1})
-        if repeated:
-            raise ModelFormatError(f"{names_reader.path}: repeated names {repeated}")
     target_reader = root.child("target_name")
-    target_name = None if target_reader.doc is None else target_reader.string()
-    if target_name is not None and target_name in (feature_names or ()):
-        raise ModelFormatError(f"{target_reader.path}: {target_name!r} is also a feature name")
-    layer_readers = root.child("layers").array()
-    if not layer_readers:
-        raise ModelFormatError("model.layers: expected at least one layer")
-    layers = tuple(_layer_from_doc(r, bounds.shape[0]) for r in layer_readers)
-    if not isinstance(layers[0].model, LinearModel):
-        raise ModelFormatError("model.layers[0]: the first layer must be linear")
     fields = dict(
-        norm=root.child("norm").positive(),
+        norm=root.child("norm").number(),
+        layers=tuple(_layer_from_doc(r) for r in root.child("layers").array()),
+        feature_bounds=np.array(bounds_rows, dtype=float).reshape(-1, 2),
         training_target_max=root.child("training_target_max").number(),
-        denom_floor=root.child("denom_floor").positive(),
+        denom_floor=root.child("denom_floor").number(),
         literal_final_offset=root.child("literal_final_offset").boolean(),
-        feature_names=feature_names,
-        target_name=target_name,
+        feature_names=None
+        if names_reader.doc is None
+        else tuple(item.string() for item in names_reader.array()),
+        target_name=None if target_reader.doc is None else target_reader.string(),
     )
     try:
-        return CFracModel(layers=layers, feature_bounds=bounds, **fields)
-    except ValueError as exc:  # a spline variable's lo and hi differ from its bounds
+        return CFracModel(**fields)
+    except ValueError as exc:  # a rule of the model, named by its field
         raise ModelFormatError(f"model.{exc}") from exc

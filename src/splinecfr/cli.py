@@ -29,7 +29,7 @@ from .bench import (
 )
 from .cfr_core import FitConfig, deserialize, fit, serialize
 from .data_io import DEFAULT_TARGET, gen_gamma, gen_sinc, load_csv, read_numeric_table
-from .errors import DataError, ModelFormatError, SplineCfrError
+from .errors import DataError, SplineCfrError
 from .evaluation import threshold_counts, top_k_table
 from .fileio import atomic_write_text, csv_text
 
@@ -47,14 +47,19 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"expected a boolean, got {text!r}")
 
 
-def _load_config_file(path: str) -> dict[str, str]:
+def _read_text(path: str, unreadable: str) -> str:
+    """The file's UTF-8 text; DataError names the line of a byte that is not UTF-8."""
     try:
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
+        return Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         line = exc.object.count(b"\n", 0, exc.start) + 1
         raise DataError(f"{path} line {line}: not UTF-8") from None
     except OSError as exc:
-        raise DataError(f"cannot read config file {path}: {exc.strerror or exc}") from exc
+        raise DataError(f"{unreadable}: {exc.strerror or exc}") from exc
+
+
+def _load_config_file(path: str) -> dict[str, str]:
+    lines = _read_text(path, f"cannot read config file {path}").splitlines()
     out: dict[str, str] = {}
     for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
@@ -171,14 +176,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
 
 
 def cmd_predict(args: argparse.Namespace) -> int:
-    try:
-        text = Path(args.model).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        line = exc.object.count(b"\n", 0, exc.start) + 1
-        raise ModelFormatError(f"{args.model} line {line}: not UTF-8") from None
-    except OSError as exc:
-        raise DataError(f"cannot read {args.model}: {exc.strerror or exc}") from exc
-    model = deserialize(text)
+    model = deserialize(_read_text(args.model, f"cannot read {args.model}"))
     if model.feature_names is None:
         raise DataError(f"{args.model}: model document carries no feature names")
     names, data = read_numeric_table(args.data)

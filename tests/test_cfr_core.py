@@ -403,6 +403,13 @@ class TestDepthControl:
         assert rmses[15] < rmses[3]
 
 
+def layers_with(model, d, **changes):
+    """model.layers with layer d's additive model changed."""
+    layers = list(model.layers)
+    layers[d] = DepthLayer(replace(layers[d].model, **changes), layers[d].offset)
+    return tuple(layers)
+
+
 class TestSerialization:
     def test_round_trip_is_bit_exact(self):
         X, y = toy_data(n=50, seed=2)
@@ -553,19 +560,74 @@ class TestSerialization:
             with pytest.raises(ModelFormatError, match=message):
                 deserialize(json.dumps(doc))
 
-    def test_spline_ends_must_match_the_bounds_however_built(self):
+    RULES = {
+        "norm-negative": (lambda m: {"norm": -1.0}, r"norm: expected a positive number"),
+        "norm-zero": (lambda m: {"norm": 0.0}, r"norm: expected a positive number"),
+        "denom-floor": (lambda m: {"denom_floor": 0.0}, r"denom_floor: expected a positive"),
+        "bounds-reversed": (
+            lambda m: {"feature_bounds": m.feature_bounds[:, ::-1].copy()},
+            r"feature_bounds\[0\]: lo .* lies above hi",
+        ),
+        "name-count": (
+            lambda m: {"feature_names": ("a", "b")},
+            r"feature_names: expected one name per feature_bounds row \(3\), got 2",
+        ),
+        "repeated-names": (
+            lambda m: {"feature_names": ("a", "b", "a")},
+            r"feature_names: repeated names \['a'\]",
+        ),
+        "target-is-a-feature": (
+            lambda m: {"feature_names": ("a", "b", "c"), "target_name": "b"},
+            r"target_name: 'b' is also a feature name",
+        ),
+        "no-layers": (lambda m: {"layers": ()}, r"layers: expected at least one layer"),
+        "spline-first": (
+            lambda m: {"layers": m.layers[1:]},
+            r"layers\[0\]: the first layer must be linear",
+        ),
+        "linear-coefficients": (
+            lambda m: {"layers": layers_with(m, 0, coefficients=np.ones(3))},
+            r"layers\[0\]\.coefficients: expected 4 entries, got 3",
+        ),
+        "spline-coefficients": (
+            lambda m: {"layers": layers_with(m, 1, coefficients=np.ones(2))},
+            r"layers\[1\]\.coefficients: expected \d+ entries",
+        ),
+        "id-above-range": (
+            lambda m: {"layers": layers_with(m, 1, variable_ids=(0, 3, 2))},
+            r"layers\[1\]\.variables\[1\]\.id: expected a feature index in \[0, 3\), got 3",
+        ),
+        "id-below-range": (
+            lambda m: {"layers": layers_with(m, 1, variable_ids=(-1, 1, 2))},
+            r"layers\[1\]\.variables\[0\]\.id: .*got -1",
+        ),
+        "repeated-id": (
+            lambda m: {"layers": layers_with(m, 1, variable_ids=(0, 1, 0))},
+            r"layers\[1\]\.variables\[2\]\.id: feature 0 is already in this layer",
+        ),
         # predict clips rows to feature_bounds and extends each term from its
-        # knot ends, so a model whose two differ is refused when built.
+        # knot ends, so the two must agree.
+        "knot-ends": (
+            lambda m: {"feature_bounds": m.feature_bounds + [[0.0, 0.0], [0.0, 0.0], [0.0, 1.0]]},
+            r"layers\[1\]\.variables\[2\]: lo and hi differ from feature_bounds\[2\]",
+        ),
+    }
+
+    @pytest.mark.parametrize("rule", RULES)
+    def test_model_rules_hold_however_built(self, rule):
+        # A model that breaks a rule of the model document is refused when it
+        # is built, so it can never be serialized into a document that fails
+        # to load.
+        changes, message = self.RULES[rule]
         X, y = toy_data(seed=2)
         model = fit(X, y, FitConfig(max_depth=1))
-        wider = model.feature_bounds.copy()
-        wider[2, 1] += 1.0
-        message = r"layers\[1\]\.variables\[2\]: lo and hi differ from feature_bounds\[2\]"
+        assert model.layers[1].model.variable_ids == (0, 1, 2)
         with pytest.raises(ValueError, match=message):
-            replace(model, feature_bounds=wider)
-        fields = {k: getattr(model, k) for k in ("norm", "layers", "training_target_max")}
+            replace(model, **changes(model))
+        needed = ("norm", "layers", "feature_bounds", "training_target_max")
+        fields = {k: getattr(model, k) for k in needed}
         with pytest.raises(ValueError, match=message):
-            CFracModel(feature_bounds=wider, **fields)
+            CFracModel(**{**fields, **changes(model)})
 
 
 class TestFitConfigValidation:

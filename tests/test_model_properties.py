@@ -1,6 +1,7 @@
 """Property tests of the out-of-domain split and of fitted models."""
 
 import warnings
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -62,12 +63,16 @@ def fit_problems(draw):
 
 
 @hypothesis.settings(deadline=None, max_examples=60)
-@hypothesis.given(fit_problems())
-def test_small_fits_round_trip_and_extrapolate_finitely(problem):
+@hypothesis.given(fit_problems(), st.data())
+def test_small_fits_round_trip_and_extrapolate_finitely(problem, data):
     X, y, config, outside = problem
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", TrainingRmseWarning)
         model = fit(X, y, config)
+    # Distinct feature names and a target name, set as the CLI's fit sets them.
+    m = X.shape[1]
+    names = data.draw(st.lists(st.text(), min_size=m + 1, max_size=m + 1, unique=True))
+    model = replace(model, feature_names=tuple(names[:m]), target_name=names[m])
     text = serialize(model)
     loaded = deserialize(text)
     assert serialize(loaded) == text
