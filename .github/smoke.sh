@@ -7,8 +7,9 @@
 # then one row inside the box alone, then a copy holding a byte that is not
 # UTF-8, which is refused), a model fitted and saved through the
 # Python API and predicted by the CLI (the API's replace refusing a target
-# name that is also a feature name), a fit and a predict on repeated rows, a
-# fit from a config file, an oos and an ood bench, and a report.
+# name that is also a feature name, and a feature name that is not a
+# string), a fit and a predict on repeated rows, a fit from a config file,
+# an oos and an ood bench, and a report.
 #
 # Usage: .github/smoke.sh [COMMAND...]    (default: the installed `splinecfr`)
 # From a checkout, without installing:
@@ -111,6 +112,12 @@ except ValueError as exc:
     assert "target_name" in str(exc), exc
 else:
     raise AssertionError("a target name that is also a feature name was accepted")
+try:
+    replace(model, feature_names=(1,))
+except ValueError as exc:
+    assert "feature_names[0]" in str(exc), exc
+else:
+    raise AssertionError("a feature name that is not a string was accepted")
 text = serialize(model)
 with open("api_model.json", "w", encoding="utf-8") as fh:
     fh.write(text)

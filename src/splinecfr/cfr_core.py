@@ -5,12 +5,14 @@ The model is a simple continued fraction
     f(x) = norm * ( g_0(x) - C_0 + 1 / ( g_1(x) - C_1 + 1 / ( ... + 1/g_d(x) )))
 
 where g_0 is linear in the features and every deeper g_i is an additive
-cubic-spline model. Layers are fit one depth at a time: after fitting g_i,
-its residuals are shifted positive by an offset C_i and inverted to become
-the next layer's training target. The deepest layer's offset is dropped at
-evaluation time (see ``literal_final_offset`` to keep it). ``fit`` grows the
-model it returns one layer per depth and scores each depth with that model's
-``_fold``, the one fold for training values and predictions alike.
+cubic-spline model. A layer is its additive model g_i (``LinearModel`` or
+``AdditiveSplineModel``) carrying its offset C_i as ``offset``. Layers are
+fit one depth at a time: after fitting g_i, its residuals are shifted
+positive by C_i and inverted to become the next layer's training target. The
+deepest layer's offset is dropped at evaluation time (see
+``literal_final_offset`` to keep it). ``fit`` grows the model it returns one
+layer per depth and scores each depth with that model's ``_fold``, the one
+fold for training values and predictions alike.
 
 Layer values are computed once per distinct full feature row, in ``fit``
 and ``predict`` alike, by one row-wise product whose summation order is fixed
@@ -23,9 +25,10 @@ clipped to the box plus one boundary slope per feature times the distance
 to the box. ``predict`` therefore builds spline designs for the distinct
 rows inside the box and for the distinct clipped copies of the rows outside
 it: rows that clip to the same point share one design row. Every batch
-takes this one path. A spline layer clips each row it builds a design for
-to its knot ends, which equal the box, so rows inside the box take the
-design and product of their own bytes, as in ``fit``.
+takes this one path, and a model without a spline layer takes no box pass.
+A spline layer clips each row it builds a design for to its knot ends,
+which equal the box, so rows inside the box take the design and product of
+their own bytes, as in ``fit``.
 """
 
 from __future__ import annotations
@@ -136,6 +139,7 @@ class LinearModel:
     """Intercept-first linear model over all feature columns; ``fit`` gives 0 to constant ones."""
 
     coefficients: np.ndarray
+    offset: float = 0.0
 
     def evaluate(self, X: np.ndarray, first: np.ndarray) -> np.ndarray:
         """Values on the rows ``X[first]``."""
@@ -156,6 +160,7 @@ class AdditiveSplineModel:
     variable_ids: tuple[int, ...]
     bases: LayerBases
     coefficients: np.ndarray
+    offset: float = 0.0
 
     def evaluate(self, X: np.ndarray, first: np.ndarray) -> np.ndarray:
         """Values on the rows ``X[first]`` clipped to the knot ends, one
@@ -174,16 +179,11 @@ class AdditiveSplineModel:
 
 
 @dataclass(frozen=True, eq=False)
-class DepthLayer:
-    model: LinearModel | AdditiveSplineModel
-    offset: float
-
-
-@dataclass(frozen=True, eq=False)
 class CFracModel:
     """A fitted continued-fraction regressor.
 
-    ``layers[0]`` is the linear layer; deeper entries are spline layers.
+    ``layers`` holds one additive model g_i per layer, each carrying its offset
+    C_i as ``offset``; ``layers[0]`` is linear, deeper entries are spline layers.
     ``feature_bounds`` records the training min/max of every feature column
     (constant columns included). ``feature_names``/``target_name`` are
     optional metadata used by the CLI to match CSV columns.
@@ -196,16 +196,17 @@ class CFracModel:
 
     However it is built (:func:`fit`, ``dataclasses.replace``, by hand or
     :func:`deserialize`), a model keeps the rules of its document: ``norm``
-    and ``denom_floor`` positive, lo <= hi in each bounds row, distinct
-    feature names and a target name that is none of them, a linear first
-    layer, each layer's coefficient count, and each spline variable a feature
-    index once per layer, its knot ends that feature's bounds. A broken rule
-    raises ValueError naming its field, so a model whose fields have their
-    annotated types always saves a document that loads.
+    and ``denom_floor`` finite and positive, ``training_target_max`` and each
+    layer's offset finite, ``literal_final_offset`` a bool, lo <= hi in each
+    bounds row, distinct string feature names and a string target name that
+    is none of them, a linear first layer, each layer's coefficient count,
+    and each spline variable a feature index once per layer, its knot ends
+    that feature's bounds. A broken rule raises ValueError naming its field,
+    so a model that builds, its arrays finite, saves a document that loads.
     """
 
     norm: float
-    layers: tuple[DepthLayer, ...]
+    layers: tuple[LinearModel | AdditiveSplineModel, ...]
     feature_bounds: np.ndarray
     training_target_max: float
     denom_floor: float = 1e-6
@@ -217,15 +218,26 @@ class CFracModel:
     def __post_init__(self) -> None:
         # fit checks these at every depth and deserialize at every load: each is
         # one pass over its field, and the index at fault is sought only on failure.
-        for name, value in (("norm", self.norm), ("denom_floor", self.denom_floor)):
-            if not value > 0:
+        scalars = (("norm", True), ("denom_floor", True), ("training_target_max", False))
+        for name, positive in scalars:
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name}: expected a finite number, got {value}")
+            if positive and not value > 0:
                 raise ValueError(f"{name}: expected a positive number, got {value}")
+        if not isinstance(self.literal_final_offset, bool):
+            raise ValueError("literal_final_offset: expected a boolean")
         m = self.feature_count
         lo, hi = self.feature_bounds.T
         if (lo > hi).any():
             i = int(np.argmax(lo > hi))
             raise ValueError(f"feature_bounds[{i}]: lo {lo[i]} lies above hi {hi[i]}")
         names = self.feature_names
+        not_str = [i for i, nm in enumerate(names or ()) if not isinstance(nm, str)]
+        if not_str:
+            raise ValueError(f"feature_names[{not_str[0]}]: expected a string")
+        if not isinstance(self.target_name, (str, type(None))):
+            raise ValueError("target_name: expected a string")
         if names is not None and len(names) != m:
             raise ValueError(
                 f"feature_names: expected one name per feature_bounds row ({m}), got {len(names)}"
@@ -237,10 +249,11 @@ class CFracModel:
             raise ValueError(f"target_name: {self.target_name!r} is also a feature name")
         if not self.layers:
             raise ValueError("layers: expected at least one layer")
-        if not isinstance(self.layers[0].model, LinearModel):
+        if not isinstance(self.layers[0], LinearModel):
             raise ValueError("layers[0]: the first layer must be linear")
-        for d, layer in enumerate(self.layers):
-            g = layer.model
+        for d, g in enumerate(self.layers):
+            if not math.isfinite(g.offset):
+                raise ValueError(f"layers[{d}].offset: expected a finite number, got {g.offset}")
             width = 1 + m if isinstance(g, LinearModel) else g.bases.width
             if g.coefficients.shape[0] != width:
                 raise ValueError(
@@ -286,8 +299,7 @@ class CFracModel:
         """
         m = self.feature_count
         slopes = {}
-        for d, layer in enumerate(self.layers):
-            g = layer.model
+        for d, g in enumerate(self.layers):
             if isinstance(g, AdditiveSplineModel):
                 b, c = g.bases, g.coefficients
                 s = b.slope * (c[b.end_col + 1] - c[b.end_col])
@@ -315,14 +327,16 @@ class CFracModel:
         takes, in each spline layer, the value at its copy clipped to the
         box, built once per distinct clipped copy, plus its distances beyond
         the box times ``_end_slopes``. Linear layers read the rows as they
-        are. A NaN or infinite cell raises ValueError naming its row and
-        column.
+        are, and a model without a spline layer marks no row. A NaN or
+        infinite cell raises ValueError naming its row and column.
         """
         X = self._feature_matrix(X)
         if not np.isfinite(X).all():
             i, j = np.argwhere(~np.isfinite(X))[0]
             raise ValueError(f"X row {i}, column {j}: non-finite value {float(X[i, j])!r}")
         first, group, _ = _distinct_rows(X)
+        if not self._end_slopes:  # no spline layer, so no row is clipped
+            return [g.evaluate(X, first)[group] for g in self.layers]
         # Inside rows stay their own representatives; the moved rows are
         # grouped by the bytes of their clipped copies.
         outside = self.outside_box(X)[first]
@@ -336,10 +350,8 @@ class CFracModel:
         slot_of[inside] = np.arange(inside.shape[0])
         slot_of[moved] = inside.shape[0] + slot
         values = [
-            layer.model.evaluate(X, first)
-            if isinstance(layer.model, LinearModel)
-            else layer.model.evaluate(X, rows)[slot_of]
-            for layer in self.layers
+            g.evaluate(X, first) if isinstance(g, LinearModel) else g.evaluate(X, rows)[slot_of]
+            for g in self.layers
         ]
         self._add_end_slopes(X, first[moved], moved, values)
         return [v[group] for v in values]
@@ -512,12 +524,11 @@ def fit(X, y, config: FitConfig | None = None) -> CFracModel:
     coefficients = np.zeros(1 + m)  # a column constant on the training rows keeps 0
     coefficients[1:][spline_vars] = beta[1:] / scale
     coefficients[0] = beta[0] - coefficients[1:][spline_vars] @ shift
-    linear = LinearModel(coefficients)
-    values = [linear.evaluate(X, first)[group]]
+    values = [LinearModel(coefficients).evaluate(X, first)[group]]
     resid = y0 - values[0]
     model = CFracModel(
         norm=config.norm,
-        layers=(DepthLayer(linear, compute_offset(resid, config.offset_epsilon)),),
+        layers=(LinearModel(coefficients, compute_offset(resid, config.offset_epsilon)),),
         feature_bounds=np.column_stack([lo, hi]),
         training_target_max=float(y.max()),
         denom_floor=config.denom_floor,
@@ -543,7 +554,7 @@ def fit(X, y, config: FitConfig | None = None) -> CFracModel:
         del design
         resid = target - values[-1]
         offset = compute_offset(resid, config.offset_epsilon)
-        layer = DepthLayer(AdditiveSplineModel(tuple(spline_vars), bases, beta), offset)
+        layer = AdditiveSplineModel(tuple(spline_vars), bases, beta, offset)
         deeper = replace(model, layers=model.layers + (layer,))
         train_pred = deeper._fold(values)
         depth_rmse = rmse(y, train_pred)
@@ -579,18 +590,17 @@ def training_rmse_by_depth(model: CFracModel, X, y) -> list[float]:
 # ---------------------------------------------------------------------------
 
 
-def _layer_to_doc(layer: DepthLayer) -> dict:
-    model = layer.model
-    linear = isinstance(model, LinearModel)
+def _layer_to_doc(layer: LinearModel | AdditiveSplineModel) -> dict:
+    linear = isinstance(layer, LinearModel)
     doc = {
         "kind": "linear" if linear else "additive_spline",
         "offset": layer.offset,
-        "coefficients": model.coefficients.tolist(),
+        "coefficients": layer.coefficients.tolist(),
     }
     if not linear:
         doc["variables"] = [
             {"id": vid, "lo": kv.lo, "hi": kv.hi, "interior": list(kv.interior)}
-            for vid, kv in zip(model.variable_ids, model.bases)
+            for vid, kv in zip(layer.variable_ids, layer.bases)
         ]
     return doc
 
@@ -641,11 +651,6 @@ class _DocReader:
             raise ModelFormatError(f"{self.path}: expected an integer")
         return self.doc
 
-    def boolean(self) -> bool:
-        if not isinstance(self.doc, bool):
-            raise ModelFormatError(f"{self.path}: expected a boolean")
-        return self.doc
-
     def string(self) -> str:
         if not isinstance(self.doc, str):
             raise ModelFormatError(f"{self.path}: expected a string")
@@ -660,12 +665,12 @@ class _DocReader:
         return np.array([item.number() for item in self.array()], dtype=float)
 
 
-def _layer_from_doc(reader: _DocReader) -> DepthLayer:
+def _layer_from_doc(reader: _DocReader) -> LinearModel | AdditiveSplineModel:
     kind = reader.child("kind").string()
     offset = reader.child("offset").number()
     coefficients = reader.child("coefficients").numbers()
     if kind == "linear":
-        return DepthLayer(LinearModel(coefficients), offset)
+        return LinearModel(coefficients, offset)
     if kind == "additive_spline":
         ids = []
         bases = []
@@ -680,15 +685,16 @@ def _layer_from_doc(reader: _DocReader) -> DepthLayer:
             except ValueError as exc:
                 raise ModelFormatError(f"{var.path}: {exc}") from exc
             bases.append(kv)
-        return DepthLayer(AdditiveSplineModel(tuple(ids), LayerBases(bases), coefficients), offset)
+        return AdditiveSplineModel(tuple(ids), LayerBases(bases), coefficients, offset)
     raise ModelFormatError(f"{reader.path}.kind: unknown layer kind {kind!r}")
 
 
 def deserialize(text: str) -> CFracModel:
     """Parse a model document; raises ModelFormatError naming the bad field.
 
-    It reads the format tag, JSON types, rows of [lo, hi] and knot vectors;
-    the other rules are :class:`CFracModel`'s, named here by ``model.`` path.
+    It reads the format tag, the JSON objects, arrays and numbers, rows of
+    [lo, hi] and knot vectors; the other rules, the types of names and flags
+    among them, are :class:`CFracModel`'s, named here by ``model.`` path.
     """
     try:
         doc = json.loads(text)
@@ -704,18 +710,17 @@ def deserialize(text: str) -> CFracModel:
     if any(row.shape != (2,) for row in bounds_rows):
         raise ModelFormatError("model.feature_bounds: expected rows of [lo, hi]")
     names_reader = root.child("feature_names")
-    target_reader = root.child("target_name")
     fields = dict(
         norm=root.child("norm").number(),
         layers=tuple(_layer_from_doc(r) for r in root.child("layers").array()),
         feature_bounds=np.array(bounds_rows, dtype=float).reshape(-1, 2),
         training_target_max=root.child("training_target_max").number(),
         denom_floor=root.child("denom_floor").number(),
-        literal_final_offset=root.child("literal_final_offset").boolean(),
+        literal_final_offset=root.child("literal_final_offset").doc,
         feature_names=None
         if names_reader.doc is None
-        else tuple(item.string() for item in names_reader.array()),
-        target_name=None if target_reader.doc is None else target_reader.string(),
+        else tuple(item.doc for item in names_reader.array()),
+        target_name=root.child("target_name").doc,
     )
     try:
         return CFracModel(**fields)

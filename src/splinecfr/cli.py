@@ -162,7 +162,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
 
     rows: list[tuple] = []
     for d, (layer, train_rmse) in enumerate(zip(model.layers, model.training_rmse)):
-        knots = sum(len(kv.interior) for kv in getattr(layer.model, "bases", ()))
+        knots = sum(len(kv.interior) for kv in getattr(layer, "bases", ()))
         rows.append((d, train_rmse, knots, layer.offset))
     rows += [
         ("fitted_depth", model.depth),

@@ -57,10 +57,6 @@ class Dataset:
     def n(self) -> int:
         return self.features.shape[0]
 
-    @property
-    def m(self) -> int:
-        return self.features.shape[1]
-
     def take(self, indices: np.ndarray) -> "Dataset":
         return replace(self, features=self.features[indices], target=self.target[indices])
 

@@ -69,7 +69,7 @@ needs_reference_data = pytest.mark.skipif(
 @pytest.fixture(scope="module")
 def uci():
     ds = load_csv(reference_data_path(), "critical_temp")
-    assert ds.n == 21263 and ds.m == 81, "unexpected table shape; wrong file?"
+    assert ds.features.shape == (21263, 81), "unexpected table shape; wrong file?"
     return ds
 
 

@@ -16,7 +16,6 @@ from splinecfr import cfr_core, spline_basis
 from splinecfr.cfr_core import (
     AdditiveSplineModel,
     CFracModel,
-    DepthLayer,
     FitConfig,
     LinearModel,
     compute_offset,
@@ -152,14 +151,14 @@ class TestFit:
         X, y = toy_data()
         model = fit(X, y, FitConfig(max_depth=2))
         assert model.depth == 2
-        assert isinstance(model.layers[0].model, LinearModel)
-        assert all(isinstance(l.model.__class__, type) for l in model.layers)
-        assert isinstance(model.layers[1].model, AdditiveSplineModel)
+        assert isinstance(model.layers[0], LinearModel)
+        assert all(isinstance(l, AdditiveSplineModel) for l in model.layers[1:])
+        assert isinstance(model.layers[1], AdditiveSplineModel)
 
     def test_knot_sets_accumulate(self):
         X, y = toy_data(n=60, seed=8)
         model = fit(X, y, FitConfig(max_depth=4, knots_per_depth=4))
-        spline_layers = [l.model for l in model.layers[1:]]
+        spline_layers = model.layers[1:]
         for shallow, deep in zip(spline_layers, spline_layers[1:]):
             for kv_s, kv_d in zip(shallow.bases, deep.bases):
                 assert set(kv_s.interior) <= set(kv_d.interior)
@@ -169,7 +168,7 @@ class TestFit:
         k = 3
         model = fit(X, y, FitConfig(max_depth=5, knots_per_depth=k))
         for depth, layer in enumerate(model.layers[1:], start=1):
-            for kv in layer.model.bases:
+            for kv in layer.bases:
                 assert len(kv.interior) <= k * depth
 
     def test_offsets_bounded_below_and_targets_in_range(self):
@@ -193,7 +192,7 @@ class TestFit:
         y = rng.normal(size=30)
         model = fit(X, y, FitConfig(max_depth=2, norm=1.0))
         for layer in model.layers[1:]:
-            assert layer.model.variable_ids == (0,)
+            assert layer.variable_ids == (0,)
 
     def test_constant_columns_get_linear_coefficient_zero(self):
         # The intercept alone carries a column that never varied in training,
@@ -202,9 +201,9 @@ class TestFit:
         with_constant = np.insert(X, 1, 5.0, axis=1)
         config = FitConfig(max_depth=2, norm=1.0)
         model = fit(with_constant, y, config)
-        linear = model.layers[0].model.coefficients
+        linear = model.layers[0].coefficients
         assert linear[2] == 0.0
-        assert_same_bits(np.delete(linear, 2), fit(X, y, config).layers[0].model.coefficients)
+        assert_same_bits(np.delete(linear, 2), fit(X, y, config).layers[0].coefficients)
         moved = np.insert(X, 1, -3.0, axis=1)
         batch = np.vstack([with_constant, with_constant + 4.0])
         assert_same_bits(model.predict(np.vstack([moved, moved + 4.0])), model.predict(batch))
@@ -214,7 +213,7 @@ class TestFit:
         y = np.linspace(0, 1, 10)
         model = fit(X, y, FitConfig(max_depth=2, norm=1.0))
         for layer in model.layers[1:]:
-            assert layer.model.variable_ids == ()
+            assert layer.variable_ids == ()
         pred = model.predict(X)
         assert np.isfinite(pred).all()
         # intercept-only layers yield one constant prediction
@@ -253,7 +252,7 @@ class TestPredictMechanics:
         g1 = LinearModel(np.array([g1_const, 0.0]))
         return CFracModel(
             norm=norm,
-            layers=(DepthLayer(g0, c0), DepthLayer(g1, 1.0)),
+            layers=(replace(g0, offset=c0), replace(g1, offset=1.0)),
             feature_bounds=np.array([[0.0, 1.0]]),
             training_target_max=1.0,
         )
@@ -287,11 +286,26 @@ class TestPredictMechanics:
         pred = model.predict(np.array([[0.5]]))
         npt.assert_allclose(pred, [10.0 * -1e6], atol=1e-3)
 
+    def test_linear_only_fraction_takes_no_box_pass(self, monkeypatch):
+        # With no spline layer nothing extrapolates, so rows outside
+        # feature_bounds are read as they are, with no marking or clipping:
+        # 10 x on both sides of [0, 1].
+        model = self.make_depth1()
+        groupings = []
+        original = cfr_core._distinct_rows
+        monkeypatch.setattr(
+            cfr_core, "_distinct_rows", lambda X: groupings.append(X.shape) or original(X)
+        )
+        monkeypatch.setattr(CFracModel, "outside_box", lambda self, X: pytest.fail("box pass"))
+        X = np.array([[-2.0], [0.25], [3.0], [-2.0]])
+        npt.assert_allclose(model.predict(X), [-20.0, 2.5, 30.0, -20.0], atol=1e-12)
+        assert groupings == [X.shape]  # the distinct rows of X, and no clipped copies
+
     def test_depth_zero_identity(self):
         g0 = LinearModel(np.array([0.0, 1.0]))
         model = CFracModel(
             norm=1.0,
-            layers=(DepthLayer(g0, 123.0),),  # offset present but unused
+            layers=(replace(g0, offset=123.0),),  # offset present but unused
             feature_bounds=np.array([[0.0, 1.0]]),
             training_target_max=1.0,
         )
@@ -404,9 +418,9 @@ class TestDepthControl:
 
 
 def layers_with(model, d, **changes):
-    """model.layers with layer d's additive model changed."""
+    """model.layers with layer d changed."""
     layers = list(model.layers)
-    layers[d] = DepthLayer(replace(layers[d].model, **changes), layers[d].offset)
+    layers[d] = replace(layers[d], **changes)
     return tuple(layers)
 
 
@@ -515,6 +529,19 @@ class TestSerialization:
                 r"model\.literal_final_offset: expected a boolean",
             ),
             (lambda d: d.update(target_name=3), r"model\.target_name: expected a string"),
+            (lambda d: d.update(target_name=["t"]), r"model\.target_name: expected a string"),
+            (
+                lambda d: d.update(feature_names=["a", 2, "c"]),
+                r"model\.feature_names\[1\]: expected a string",
+            ),
+            (
+                lambda d: d.update(feature_names=[["a"], "b", "c"]),
+                r"model\.feature_names\[0\]: expected a string",
+            ),
+            (
+                lambda d: d["layers"][1].update(offset=10**400),
+                r"model\.layers\[1\]\.offset: expected a finite number, got inf",
+            ),
             (
                 lambda d: d["layers"][1].update(coefficients=5),
                 r"model\.layers\[1\]\.coefficients: expected an array",
@@ -581,6 +608,34 @@ class TestSerialization:
             r"target_name: 'b' is also a feature name",
         ),
         "no-layers": (lambda m: {"layers": ()}, r"layers: expected at least one layer"),
+        # Without the rules below, a model would make serialize raise (a
+        # non-finite float) or save a document that deserialize refuses.
+        "norm-infinite": (lambda m: {"norm": math.inf}, r"norm: expected a finite number, got inf"),
+        "denom-floor-infinite": (
+            lambda m: {"denom_floor": math.inf},
+            r"denom_floor: expected a finite number, got inf",
+        ),
+        "target-max-nan": (
+            lambda m: {"training_target_max": math.nan},
+            r"training_target_max: expected a finite number, got nan",
+        ),
+        "offset-infinite": (
+            lambda m: {"layers": layers_with(m, 1, offset=-math.inf)},
+            r"layers\[1\]\.offset: expected a finite number, got -inf",
+        ),
+        "linear-offset-nan": (
+            lambda m: {"layers": layers_with(m, 0, offset=math.nan)},
+            r"layers\[0\]\.offset: expected a finite number, got nan",
+        ),
+        "name-type": (
+            lambda m: {"feature_names": (1, 2, 3)},
+            r"feature_names\[0\]: expected a string",
+        ),
+        "target-name-type": (lambda m: {"target_name": 5}, r"target_name: expected a string"),
+        "literal-final-offset-type": (
+            lambda m: {"literal_final_offset": 1},
+            r"literal_final_offset: expected a boolean",
+        ),
         "spline-first": (
             lambda m: {"layers": m.layers[1:]},
             r"layers\[0\]: the first layer must be linear",
@@ -621,7 +676,7 @@ class TestSerialization:
         changes, message = self.RULES[rule]
         X, y = toy_data(seed=2)
         model = fit(X, y, FitConfig(max_depth=1))
-        assert model.layers[1].model.variable_ids == (0, 1, 2)
+        assert model.layers[1].variable_ids == (0, 1, 2)
         with pytest.raises(ValueError, match=message):
             replace(model, **changes(model))
         needed = ("norm", "layers", "feature_bounds", "training_target_max")
@@ -686,7 +741,7 @@ class TestRowBlocks:
     def test_fit_spans_at_least_three_blocks(self, blocked):
         X, _, model = blocked
         for layer in model.layers[1:]:
-            assert X.shape[0] > 2 * self.block_rows(layer.model.coefficients.shape[0])
+            assert X.shape[0] > 2 * self.block_rows(layer.coefficients.shape[0])
 
     def test_training_rmse_is_recomputed_bit_for_bit(self, blocked):
         X, y, model = blocked
@@ -697,8 +752,7 @@ class TestRowBlocks:
         X, _, model = blocked
         batch = np.vstack([X, X + 5.0, X - 5.0])
         values = model.layer_values(batch)
-        for layer, value in zip(model.layers[1:], values[1:]):
-            spline = layer.model
+        for spline, value in zip(model.layers[1:], values[1:]):
             one_shot = design_matrix(batch[:, list(spline.variable_ids)], spline.bases)
             expected = one_shot @ spline.coefficients
             # Only the summation order of the dot products may differ.
@@ -769,7 +823,7 @@ class TestBatchIndependence:
         model, batch, full = fitted
         monkeypatch.setattr(cfr_core, "_BLOCK_CELLS", TestRowBlocks.BLOCK_CELLS)
         monkeypatch.setattr(cfr_core, "_COMPARE_BYTES", 8)
-        assert TestRowBlocks.block_rows(model.layers[1].model.coefficients.shape[0]) == 1
+        assert TestRowBlocks.block_rows(model.layers[1].coefficients.shape[0]) == 1
         self.assert_batch_free(model, batch[::40], full[::40])
 
 
@@ -816,11 +870,10 @@ class TestDistinctRows:
         values = model.layer_values(X)
         batch_values = model.layer_values(batch)
         resid = y / model.norm - values[0]
-        for above, layer, value, got in zip(
+        for above, spline, value, got in zip(
             model.layers, model.layers[1:], values[1:], batch_values[1:]
         ):
             target = 1.0 / (resid + above.offset)
-            spline = layer.model
             ids = list(spline.variable_ids)
             pens = [penalty_block(kv.basis_count) for kv in spline.bases]
             beta = penalized_least_squares(
@@ -839,10 +892,10 @@ class TestDistinctRows:
         values = model.layer_values(X)
         resid = y - values[0]
         for above, layer, value in zip(model.layers, model.layers[1:], values[1:]):
-            assert layer.model.variable_ids == ()
+            assert layer.variable_ids == ()
             target = 1.0 / (resid + above.offset)
             expected = least_squares(np.ones((12, 1)), target)
-            npt.assert_allclose(layer.model.coefficients, expected, rtol=1e-12)
+            npt.assert_allclose(layer.coefficients, expected, rtol=1e-12)
             resid = target - value
         assert np.isfinite(model.predict(X)).all()
 
@@ -922,7 +975,7 @@ class TestLinearLayer:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             model, values, expected = self.values_and_oracle(X, y, X)
-        assert np.isfinite(model.layers[0].model.coefficients).all()
+        assert np.isfinite(model.layers[0].coefficients).all()
         npt.assert_allclose(values, expected, rtol=0.0, atol=1e-8 * np.abs(expected).max())
 
 
@@ -1013,7 +1066,7 @@ class TestMemory:
 
     @staticmethod
     def design_bytes(model, rows):
-        return rows * model.layers[-1].model.coefficients.shape[0] * 8
+        return rows * model.layers[-1].coefficients.shape[0] * 8
 
     @staticmethod
     def traced_peak(func, *args):
@@ -1072,7 +1125,7 @@ class TestMemory:
         X, y = toy_data(n=60, seed=5)
         model = fit(X, y, FitConfig(max_depth=2, norm=1.0))
         model.predict(X + 5.0)  # extrapolates from every boundary
-        refs = [weakref.ref(kv) for layer in model.layers[1:] for kv in layer.model.bases]
+        refs = [weakref.ref(kv) for layer in model.layers[1:] for kv in layer.bases]
         assert len(refs) == 6
         del model
         gc.collect()
@@ -1088,12 +1141,12 @@ class TestMemory:
         per_model = len(builds)
         copy = deserialize(serialize(model))
         assert per_model > 0 and len(builds) == 2 * per_model
-        tables = [dict(vars(layer.model.bases)) for m in (model, copy) for layer in m.layers[1:]]
+        tables = [dict(vars(layer.bases)) for m in (model, copy) for layer in m.layers[1:]]
         for m in (model, copy):
             m.predict(np.vstack([X, X + 5.0]))
             m.predict(X[:1])
         assert len(builds) == 2 * per_model
-        after = [vars(layer.model.bases) for m in (model, copy) for layer in m.layers[1:]]
+        after = [vars(layer.bases) for m in (model, copy) for layer in m.layers[1:]]
         assert all(a[k] is v for a, t in zip(after, tables) for k, v in t.items())
         refs = [weakref.ref(v) for t in tables for v in t.values() if isinstance(v, np.ndarray)]
         assert len(refs) == 4 * 7

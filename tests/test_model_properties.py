@@ -113,8 +113,7 @@ def test_spline_layers_match_the_dense_design_partly_outside_the_box(problem, da
     side = data.draw(st.lists(st.sampled_from([-1.0, 0.0, 1.0]), min_size=X.size, max_size=X.size))
     batch = np.vstack([X, X + np.reshape(side, X.shape) * reach])
     sizes = term_sizes(model, batch)
-    for layer, value, size in zip(model.layers, model.layer_values(batch), sizes):
-        g = layer.model
+    for g, value, size in zip(model.layers, model.layer_values(batch), sizes):
         if isinstance(g, LinearModel):
             continue
         dense = design_matrix(batch[:, list(g.variable_ids)], g.bases) @ g.coefficients
@@ -149,8 +148,7 @@ def test_repeated_rows_predict_as_their_distinct_rows(block_cells, problem, data
 def term_sizes(model, X):
     """Per layer and row, the sum of |coefficient * column| over all terms."""
     sizes = []
-    for layer in model.layers:
-        g = layer.model
+    for g in model.layers:
         if isinstance(g, LinearModel):
             design = np.hstack([np.ones((X.shape[0], 1)), X])
         else:
