@@ -5,7 +5,8 @@
 # then the same batch read from a pipe, then through the package root's Python
 # API, then its last 100 rows alone, then its last 50 rows, all outside the box,
 # then one row inside the box alone, then a copy holding a byte that is not
-# UTF-8, which is refused), a model fitted and saved through the
+# UTF-8, which is refused), three copies of the model with one bad number
+# each, which are refused, a model fitted and saved through the
 # Python API and predicted by the CLI (the API's replace refusing a target
 # name that is also a feature name, and a feature name that is not a
 # string), a fit and a predict on repeated rows, a fit from a config file,
@@ -60,6 +61,32 @@ splinecfr predict --model run1/model.json --data wide_bad.csv --out run1/bad.csv
 test "$status" -eq 2
 grep -qF "wide_bad.csv line 5, column 'x': not UTF-8" bad.err
 test ! -e run1/bad.csv
+# A model document with one bad number is an input error (exit code 2) that
+# names the item: a spline coefficient set to true or to the NaN token, and
+# an interior knot given as a string.
+python - <<'PY'
+import json
+edits = {
+    "bad_true": lambda d: d["layers"][1]["coefficients"].__setitem__(1, True),
+    "bad_nan": lambda d: d["layers"][1]["coefficients"].__setitem__(1, float("nan")),
+    "bad_knot": lambda d: d["layers"][1]["variables"][0]["interior"].__setitem__(0, "0.5"),
+}
+for name, edit in edits.items():
+    with open("run1/model.json", encoding="utf-8") as fh:
+        doc = json.load(fh)
+    edit(doc)
+    with open(f"{name}.json", "w", encoding="utf-8") as fh:
+        json.dump(doc, fh)  # float("nan") is written as the NaN token
+PY
+for bad in 'bad_true:coefficients[1]: expected a number' \
+           'bad_nan:coefficients[1]: expected a finite number, got nan' \
+           'bad_knot:variables[0].interior[0]: expected a number'; do
+  status=0
+  splinecfr predict --model "${bad%%:*}.json" --data sinc.csv --out run1/bad.csv 2> bad.err || status=$?
+  test "$status" -eq 2
+  grep -qxF "error: model.layers[1].${bad#*:}" bad.err
+  test ! -e run1/bad.csv
+done
 python -c "import csv, math; rows = list(csv.DictReader(open('run1/wide.csv'))); assert all(math.isfinite(float(r['y_pred'])) for r in rows)"
 # The package root alone (no module-level name) loads the model and predicts
 # the same y_pred bytes that the CLI wrote.

@@ -26,9 +26,13 @@ to the box. ``predict`` therefore builds spline designs for the distinct
 rows inside the box and for the distinct clipped copies of the rows outside
 it: rows that clip to the same point share one design row. Every batch
 takes this one path, and a model without a spline layer takes no box pass.
-A spline layer clips each row it builds a design for to its knot ends,
-which equal the box, so rows inside the box take the design and product of
-their own bytes, as in ``fit``.
+Spline layers that read the same variables in the same order (all of them,
+in a fitted model) share one pass over those rows: each block of rows is
+gathered from X and clipped to the knot ends once, and every such layer
+writes its design from that block into one reused buffer and takes its
+product there. The knot ends equal the box, so rows inside the box take the
+design and product of their own bytes, as in ``fit``. No clipped copy of
+the whole batch is held.
 """
 
 from __future__ import annotations
@@ -60,9 +64,10 @@ MODEL_FORMAT = "spline-cfr-model/1"
 # Design cells (rows x columns) built per block of rows when predicting: 8
 # MB, below glibc's 32 MB ceiling for its mmap threshold, so a freed block's
 # memory is reused by the next one instead of being mapped and faulted in
-# again. It bounds memory only; no output bit depends on it. Smaller blocks
-# cost time: each design_matrix call has a fixed cost, about 0.07 ms for one
-# row of 81 variables (2-vCPU Xeon, numpy 2.4).
+# again. Layers that share a block take its rows from the widest of them. It
+# bounds memory only; no output bit depends on it. Smaller blocks cost time:
+# each design_matrix call has a fixed cost, about 0.07 ms for one row of 81
+# variables (2-vCPU Xeon, numpy 2.4.6, median of 20 rounds of 100 calls).
 _BLOCK_CELLS = 2**20
 # Bytes of rows read at a time by the row passes: comparing sorted rows when
 # finding the distinct rows, marking the rows outside the training box, and
@@ -161,21 +166,6 @@ class AdditiveSplineModel:
     bases: LayerBases
     coefficients: np.ndarray
     offset: float = 0.0
-
-    def evaluate(self, X: np.ndarray, first: np.ndarray) -> np.ndarray:
-        """Values on the rows ``X[first]`` clipped to the knot ends, one
-        design block of rows at a time."""
-        ids = np.array(self.variable_ids, dtype=np.intp)
-        lo, hi = self.bases.edge[0::2], self.bases.edge[1::2]
-        rows = first[:, None]
-        out = np.empty(first.shape[0])
-        step = max(1, _BLOCK_CELLS // self.coefficients.shape[0])
-        for r0 in range(0, first.shape[0], step):
-            cols = X[rows[r0 : r0 + step], ids]
-            np.minimum(np.maximum(cols, lo, out=cols), hi, out=cols)
-            # No name holds the design, so it is freed before the next is built.
-            out[r0 : r0 + step] = _row_dot(design_matrix(cols, self.bases), self.coefficients)
-        return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -349,12 +339,49 @@ class CFracModel:
         slot_of = np.empty(first.shape[0], dtype=np.intp)
         slot_of[inside] = np.arange(inside.shape[0])
         slot_of[moved] = inside.shape[0] + slot
+        spline = self._spline_values(X, rows)
         values = [
-            g.evaluate(X, first) if isinstance(g, LinearModel) else g.evaluate(X, rows)[slot_of]
-            for g in self.layers
+            spline[d][slot_of] if d in spline else g.evaluate(X, first)
+            for d, g in enumerate(self.layers)
         ]
         self._add_end_slopes(X, first[moved], moved, values)
         return [v[group] for v in values]
+
+    def _spline_values(self, X: np.ndarray, rows: np.ndarray) -> dict[int, np.ndarray]:
+        """Each spline layer d's values on the rows ``X[rows]`` clipped to its
+        knot ends, keyed by d.
+
+        Layers that read the same variables, in the same order, share each
+        block of rows: it is gathered and clipped once, its row count set by
+        the widest of them, and each layer writes its design from it into
+        the group's one buffer in turn.
+        """
+        groups: dict[tuple[int, ...], dict[int, AdditiveSplineModel]] = {}
+        for d, g in enumerate(self.layers):
+            if isinstance(g, AdditiveSplineModel):
+                groups.setdefault(g.variable_ids, {})[d] = g
+        values = {}
+        for ids, layers in groups.items():
+            # Every layer's knot ends are its variables' feature_bounds rows.
+            lo, hi = self.feature_bounds[list(ids)].T
+            at, cols = rows[:, None], np.array(ids, dtype=np.intp)
+            widest = max(g.bases.width for g in layers.values())
+            step = max(1, _BLOCK_CELLS // widest)
+            # Every design of the group is written into the head of one buffer.
+            # Allocated per call, designs of several widths landed wherever the
+            # heap had room: perfbench's predict_extrapolate peak RSS read
+            # 80-82 MB in 8 of 12 runs from checkouts at 6 paths, against
+            # 71-77 MB at one buffer and before the blocks were shared.
+            space = np.empty(min(step, rows.shape[0]) * widest)
+            values.update((d, np.empty(rows.shape[0])) for d in layers)
+            for r0 in range(0, rows.shape[0], step):
+                block = X[at[r0 : r0 + step], cols]
+                np.minimum(np.maximum(block, lo, out=block), hi, out=block)
+                for d, g in layers.items():
+                    design = space[: block.shape[0] * g.bases.width].reshape(block.shape[0], -1)
+                    design_matrix(block, g.bases, out=design)
+                    values[d][r0 : r0 + step] = _row_dot(design, g.coefficients)
+        return values
 
     def outside_box(self, X: np.ndarray) -> np.ndarray:
         """Whether each row of X has a cell strictly outside ``feature_bounds``,
@@ -662,6 +689,16 @@ class _DocReader:
         return [_DocReader(v, f"{self.path}[{i}]") for i, v in enumerate(self.doc)]
 
     def numbers(self) -> np.ndarray:
+        # A list of JSON numbers alone is read in one pass. Anything else, a
+        # non-finite value or an integer beyond the float range goes item by
+        # item, so its message names the item at fault.
+        if isinstance(self.doc, list) and set(map(type, self.doc)) <= {int, float}:
+            try:
+                values = np.array(self.doc, dtype=float)
+            except OverflowError:
+                values = None
+            if values is not None and np.isfinite(values).all():
+                return values
         return np.array([item.number() for item in self.array()], dtype=float)
 
 

@@ -1,6 +1,7 @@
 """Knot selection, offsets, the fitting loop, depth control, serialization."""
 
 import gc
+import json
 import math
 import re
 import tracemalloc
@@ -27,7 +28,7 @@ from splinecfr.cfr_core import (
 )
 from splinecfr.errors import ModelFormatError, TrainingRmseWarning
 from splinecfr.solver import least_squares, penalized_least_squares
-from splinecfr.spline_basis import build_knot_vector, design_matrix, penalty_block
+from splinecfr.spline_basis import LayerBases, build_knot_vector, design_matrix, penalty_block
 from test_solver import augmented_least_squares
 
 
@@ -685,6 +686,71 @@ class TestSerialization:
             CFracModel(**{**fields, **changes(model)})
 
 
+class TestNumberArrays:
+    """deserialize reads a list of JSON numbers in one typed pass; a list
+    with any other item is read item by item, and both refuse the same items
+    with the same ``model.<path>[i]`` message."""
+
+    BAD = {
+        "true": "expected a number",
+        '"1.5"': "expected a number",
+        "null": "expected a number",
+        "[1.0]": "expected a number",
+        "{}": "expected a number",
+        "NaN": "expected a finite number, got nan",
+        "Infinity": "expected a finite number, got inf",
+        "-Infinity": "expected a finite number, got -inf",
+        "1" + "0" * 400: "expected a finite number, got inf",
+    }
+    PLACES = {
+        "linear": (lambda d: d["layers"][0]["coefficients"], "model.layers[0].coefficients"),
+        "spline": (lambda d: d["layers"][1]["coefficients"], "model.layers[1].coefficients"),
+        "interior": (
+            lambda d: d["layers"][1]["variables"][1]["interior"],
+            "model.layers[1].variables[1].interior",
+        ),
+        "bounds": (lambda d: d["feature_bounds"][2], "model.feature_bounds[2]"),
+    }
+
+    @pytest.fixture(scope="class")
+    def text(self):
+        X, y = toy_data(n=30)
+        return serialize(fit(X, y, FitConfig(max_depth=1)))
+
+    @pytest.mark.parametrize("place", PLACES)
+    @pytest.mark.parametrize("token", BAD)
+    def test_bad_item_is_named(self, text, place, token):
+        items, path = self.PLACES[place]
+        doc = json.loads(text)
+        assert len(items(doc)) >= 2
+        items(doc)[1] = "@bad@"
+        bad = json.dumps(doc).replace('"@bad@"', token)
+        message = f"{path}[1]: {self.BAD[token]}"
+        with pytest.raises(ModelFormatError) as exc:
+            deserialize(bad)
+        assert str(exc.value) == message
+        # The item-by-item reader alone gives the same message.
+        reader = cfr_core._DocReader(items(json.loads(bad)), path)
+        with pytest.raises(ModelFormatError) as exc:
+            [item.number() for item in reader.array()]
+        assert str(exc.value) == message
+
+    def test_integers_read_as_float_reads_them(self, monkeypatch):
+        items = json.loads(f"[-0, {2**53 + 1}, {2**70}, {-(2**63) - 1}, 3, -0.0, 0.1]")
+        assert [type(v) for v in items] == [int] * 5 + [float] * 2
+        expected = np.array([float(v) for v in items])
+
+        def refuse(self):
+            raise AssertionError("a list of numbers was read item by item")
+
+        # A list of JSON numbers alone never reaches the item reader.
+        monkeypatch.setattr(cfr_core._DocReader, "number", refuse)
+        got = cfr_core._DocReader(items, "model.x").numbers()
+        assert got.dtype == np.float64
+        assert got.tobytes() == expected.tobytes()
+        assert cfr_core._DocReader([], "model.x").numbers().shape == (0,)
+
+
 class TestFitConfigValidation:
     @pytest.mark.parametrize(
         "kwargs",
@@ -763,9 +829,9 @@ class TestRowBlocks:
         rows_seen = []
         original = cfr_core.design_matrix
 
-        def spy(cols, bases):
+        def spy(cols, bases, **kwargs):
             rows_seen.append((cols.shape[0], 1 + sum(kv.basis_count for kv in bases)))
-            return original(cols, bases)
+            return original(cols, bases, **kwargs)
 
         monkeypatch.setattr(cfr_core, "design_matrix", spy)
         # The second copy of X adds no design rows: each distinct row is built
@@ -782,6 +848,93 @@ class TestRowBlocks:
         pred = model.predict(np.empty((0, X.shape[1])))
         assert pred.shape == (0,)
 
+
+class TestSharedBlocks:
+    """Spline layers that read equal variable tuples share each block of rows;
+    layers that read another set, or the same set in another order, do not."""
+
+    BLOCK_CELLS = 200
+
+    @staticmethod
+    def model():
+        rng = np.random.default_rng(31)
+        bounds = np.array([[-1.0, 1.0], [0.0, 2.0], [-3.0, 0.5], [5.0, 6.0]])
+
+        def layer(ids, knots):
+            bases = LayerBases(
+                build_knot_vector(np.linspace(*bounds[j], knots + 2)[1:-1], *bounds[j])
+                for j in ids
+            )
+            return AdditiveSplineModel(ids, bases, rng.normal(size=bases.width), 1.5)
+
+        layers = (
+            LinearModel(rng.normal(size=5), 0.5),
+            layer((0, 1, 2), 3),  # 22 columns
+            layer((2, 0, 1), 3),  # the same set in another order
+            layer((0, 3), 1),  # another set
+            layer((0, 1, 2), 0),  # 13 columns, in the first layer's blocks
+        )
+        return CFracModel(1.0, layers, bounds, training_target_max=1.0)
+
+    @staticmethod
+    def batch(model):
+        rng = np.random.default_rng(32)
+        lo, hi = model.feature_bounds.T
+        inside = lo + (hi - lo) * rng.random((60, 4))
+        inside[::7, 1], inside[::5, 2] = hi[1], lo[2]
+        outside = inside + (hi - lo) * rng.uniform(-2.0, 2.0, inside.shape)
+        return inside, np.vstack([inside, outside, inside[:9]])
+
+    @pytest.fixture(autouse=True)
+    def small_blocks(self, monkeypatch):
+        monkeypatch.setattr(cfr_core, "_BLOCK_CELLS", self.BLOCK_CELLS)
+
+    def test_layers_match_the_dense_oracle(self):
+        model = self.model()
+        inside, _ = self.batch(model)
+        lo, hi = model.feature_bounds.T
+        for g, value in zip(model.layers[1:], model.layer_values(inside)[1:]):
+            ids = list(g.variable_ids)
+            design = design_matrix(np.clip(inside[:, ids], lo[ids], hi[ids]), g.bases)
+            assert_same_bits(value, cfr_core._row_dot(design, g.coefficients))
+
+    def test_layers_match_their_own_model(self):
+        # Outside the box as well, a layer's values do not depend on the
+        # layers it shares blocks with.
+        model = self.model()
+        _, batch = self.batch(model)
+        values = model.layer_values(batch)
+        for d, g in enumerate(model.layers[1:], start=1):
+            alone = replace(model, layers=(model.layers[0], g))
+            assert_same_bits(values[d], alone.layer_values(batch)[1])
+
+    def test_each_block_is_gathered_once_per_variable_tuple(self, monkeypatch):
+        model = self.model()
+        _, batch = self.batch(model)
+        calls = []
+        original = cfr_core.design_matrix
+
+        def spy(block, bases, **kwargs):
+            calls.append((block, bases))
+            return original(block, bases, **kwargs)
+
+        monkeypatch.setattr(cfr_core, "design_matrix", spy)
+        model.predict(batch)
+        layers = model.layers[1:]
+        blocks = [[b for b, bases in calls if bases is g.bases] for g in layers]
+        widest = {}
+        for g in layers:
+            widest[g.variable_ids] = max(widest.get(g.variable_ids, 0), g.bases.width)
+        for g, seen in zip(layers, blocks):
+            assert len(seen) > 2
+            assert max(b.shape[0] for b in seen) == self.BLOCK_CELLS // widest[g.variable_ids]
+        first, other_order, other_set, second = blocks
+        # The narrower layer takes the rows of the wider one's blocks, fewer
+        # than its own width would give it.
+        narrow, wide = layers[3].bases.width, layers[0].bases.width
+        assert self.BLOCK_CELLS // narrow > self.BLOCK_CELLS // wide
+        assert all(a is b for a, b in zip(first, second, strict=True))
+        assert not {id(b) for b in first} & {id(b) for b in other_order + other_set}
 
 class TestBatchIndependence:
     """A row's prediction depends on the row and the model, not on its batch."""

@@ -403,6 +403,14 @@ class TestDesignMatrix:
         with pytest.raises(TypeError, match="LayerBases"):
             design_matrix(np.zeros((3, 1)), wrap([kv]))
 
+    @pytest.mark.parametrize(
+        "out", [np.zeros((3, 6)), np.zeros((3, 5), dtype=np.float32), np.zeros((5, 3)).T]
+    )
+    def test_out_must_be_a_contiguous_design(self, out):
+        kv = build_knot_vector([], 0.0, 1.0)
+        with pytest.raises(ValueError, match=r"out must be a C-contiguous float64 array"):
+            design_matrix(np.zeros((3, 1)), LayerBases([kv]), out=out)
+
     @pytest.mark.parametrize("row", [0, 5, _BLOCK_POINTS // 2 + 7])
     @pytest.mark.parametrize("column", [0, 1])
     def test_nan_names_its_row_and_column(self, row, column):
@@ -419,6 +427,10 @@ class TestDesignMatrix:
         got = design_matrix(X, LayerBases(bases))
         assert got.shape == expected.shape
         assert got.tobytes() == expected.tobytes()
+        # A reused buffer is cleared before it is written.
+        out = np.full(expected.shape, np.nan)
+        assert design_matrix(X, LayerBases(bases), out=out) is out
+        assert out.tobytes() == expected.tobytes()
         for j, kv in enumerate(bases):
             assert eval_basis_matrix(kv, X[:, j]).tobytes() == oracle_basis(kv, X[:, j]).tobytes()
 
