@@ -21,18 +21,19 @@ row's prediction thus does not depend on the batch it is predicted in.
 
 Beyond an end of the training box every spline term is a straight line, so
 a spline layer's value at a row outside the box is its value at the row
-clipped to the box plus one boundary slope per feature times the distance
-to the box. ``predict`` therefore builds spline designs for the distinct
-rows inside the box and for the distinct clipped copies of the rows outside
-it: rows that clip to the same point share one design row. Every batch
-takes this one path, and a model without a spline layer takes no box pass.
-Spline layers that read the same variables in the same order (all of them,
-in a fitted model) share one pass over those rows: each block of rows is
-gathered from X and clipped to the knot ends once, and every such layer
-writes its design from that block into one reused buffer and takes its
-product there. The knot ends equal the box, so rows inside the box take the
-design and product of their own bytes, as in ``fit``. No clipped copy of
-the whole batch is held.
+clipped to the box plus one boundary slope per feature (``_end_slopes``)
+times the distance to the box. This is the one place that line is computed:
+``design_matrix`` refuses a point beyond a knot end. ``predict`` therefore
+builds spline designs for the distinct rows inside the box and for the
+distinct clipped copies of the rows outside it: rows that clip to the same
+point share one design row. Every batch takes this one path, and a model
+without a spline layer takes no box pass. Spline layers that read the same
+variables in the same order (all of them, in a fitted model) share one pass
+over those rows: each block of rows is gathered from X and clipped to the
+knot ends once, and every such layer writes its design from that block into
+one reused buffer and takes its product there. The knot ends equal the box,
+so rows inside the box take the design and product of their own bytes, as
+in ``fit``. No clipped copy of the whole batch is held.
 """
 
 from __future__ import annotations
@@ -262,9 +263,8 @@ class CFracModel:
         if len(set(ids)) < len(ids):
             j = next(j for j, vid in enumerate(ids) if vid in ids[:j])
             raise ValueError(f"{path}[{j}].id: feature {ids[j]} is already in this layer")
-        # A spline term is linear beyond its knot ends. predict measures that
-        # line from feature_bounds and each layer clips its design rows to its
-        # knot ends, so the two must agree.
+        # predict clips each layer's design rows to its knot ends and measures
+        # the line beyond them from feature_bounds, so the two must agree.
         bad = (np.reshape(edge, (-1, 2)) != self.feature_bounds[list(ids)]).any(1)
         if bad.any():
             j = int(np.argmax(bad))
@@ -283,9 +283,10 @@ class CFracModel:
         """Each spline layer's term slopes below every feature's lo, then
         above every feature's hi (0 for a feature the layer does not use).
 
-        Beyond an end a point writes (1 - rise, rise) or (-rise, 1 + rise)
-        into the end columns a, a + 1, with rise = slope * (x - end), so its
-        term is the term at the end plus slope * (c[a + 1] - c[a]) * (x - end).
+        At a clamped end only the outermost basis functions, in columns a and
+        a + 1 (``end_col``), have slopes, -s and +s with s = p/w (``slope``,
+        w the end span's width): beyond the end a term with coefficients c
+        is its value there plus s * (c[a + 1] - c[a]) * (x - end).
         """
         m = self.feature_count
         slopes = {}

@@ -1,30 +1,25 @@
 """Clamped cubic B-spline bases, design matrices, and difference penalties.
 
-Basis values strictly inside (lo, hi) come from the Cox-de Boor recurrence.
-At and beyond lo and hi every basis function is continued linearly from the
-nearest boundary (boundary value plus one-sided derivative), so spline terms
-extrapolate as straight lines instead of dropping to zero. The boundary
-values and derivatives have a closed form at a clamped end: the outermost
-basis function is 1 there, and only the two outermost functions have a
-slope, -p/w and +p/w for degree p and end span width w.
+A design covers only its knot ends' box: every point lies in [lo, hi] of its
+variable. Beyond an end a spline term is the line along its end tangent,
+which ``CFracModel`` adds from the closed-form slopes in ``LayerBases``: only
+the two outermost basis functions have one, -p/w and +p/w (w the end span).
 
 Designs are assembled from local support. At any point at most degree+1 = 4
 basis functions of a variable are nonzero: those of the knot span ``mu`` that
-holds the point, columns ``mu-3 .. mu`` of the variable's block. One kernel
-finds the span and those four values: for a point strictly inside (lo, hi)
-the span follows from how many interior knots lie at or below it, counted
-for all variables of a call at once against a padded knot table, and
-``_span_values`` runs the recurrence there, returning the values of all
-points as one (degree+1, N) array. ``design_matrix`` allocates the final
-matrix once and, one block of rows at a time with all variables together,
-writes every in-box point's four cells with one assignment, through a view
-of the matrix whose row i holds the four cells from flat index i. A point x
-at or outside an end writes two cells at its variable's end columns from
-that closed form, with slope s = p/w and step = x - end: at or below lo the
-block's first two take 1 - s*step and s*step, at or above hi its last two
-take -s*step and 1 + s*step, so a point at an end gets an exact unit row.
-Every other entry stays zero, exactly as a dense evaluation of every basis
-function would leave it.
+holds the point, columns ``mu-3 .. mu`` of the variable's block. For a point
+strictly inside (lo, hi) the span follows from how many interior knots lie at
+or below it, counted for all variables of a call at once against a padded
+knot table, and ``_span_values`` runs the Cox-de Boor recurrence there,
+returning the values of all points as one (degree+1, N) array.
+``design_matrix`` allocates the final matrix once and, one block of rows at
+a time with all variables together, writes every in-box point's four cells
+with one assignment, through a view of the matrix whose row i holds the four
+cells from flat index i. A point at an end writes the 1 of its exact unit
+row, in its block's first or last column. A point beyond an end, infinite or
+NaN raises ValueError naming its row and column; only the points at or
+beyond an end, and the NaNs among the rest, are tested for it. Every other
+entry stays zero, as a dense evaluation of every basis function leaves it.
 
 The module keeps no state between calls except the read-only penalty
 matrices, cached per size. A knot vector caches its own read-only augmented
@@ -36,6 +31,7 @@ the models that hold them, so nothing keyed on a knot vector outlives them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterable
@@ -104,17 +100,17 @@ def _frozen(values) -> np.ndarray:
 class LayerBases(tuple):
     """One layer's knot vectors, one per variable in design column order.
 
-    It iterates as the tuple of its ``KnotVector``s and holds the read-only
-    tables :func:`design_matrix` reads, built here once: the design ``width``;
-    ``knots``, the augmented knot vectors back to back; ``interior``, (kmax, m)
-    with variable j's interior knots in column j, then +inf; each variable's
-    ``first_col`` and the index of its first span in ``knots``,
-    ``span_offset``. Entry 2j + side of ``edge``, ``slope`` and ``end_col`` is
-    variable j at lo (side 0) or hi: the end, the slope p/w of the two
-    outermost basis functions (w the end span's width), and the first of the
-    two columns a point at or beyond that end writes. They are built with the
-    tuple, not on first use: a table allocated between two designs would sit
-    in the space the first one freed, and the next design could not reuse it.
+    It iterates as the tuple of its ``KnotVector``s and holds read-only
+    tables, built here once: the design ``width``; ``knots``, the augmented
+    knot vectors back to back; ``interior``, (kmax, m) with variable j's
+    interior knots in column j, then +inf; each variable's ``first_col`` and
+    the index of its first span in ``knots``, ``span_offset``. Entry 2j +
+    side of ``edge``, ``slope`` and ``end_col`` is variable j at lo (side 0)
+    or hi: the end, the slope p/w of the two outermost basis functions (w
+    the end span's width), and the first of their two columns. They are
+    built with the tuple, not on first use: a table allocated between two
+    designs would sit in the space the first one freed, and the next design
+    could not reuse it.
     """
 
     def __new__(cls, bases: Iterable[KnotVector]):
@@ -167,6 +163,14 @@ def _span_values(t: np.ndarray, x: np.ndarray, mu: np.ndarray) -> np.ndarray:
     return vals
 
 
+def _raise_outside(x: np.ndarray, r0: int, lo: np.ndarray, hi: np.ndarray) -> None:
+    """Name the first cell of the block ``x``, rows from ``r0``, outside [lo, hi]."""
+    i, j = np.argwhere(~((x >= lo) & (x <= hi)))[0]
+    v, ends = float(x[i, j]), [float(lo[j]), float(hi[j])]
+    what = f"{v!r} lies outside {ends}" if math.isfinite(v) else f"non-finite value {v!r}"
+    raise ValueError(f"X row {r0 + i}, column {j}: {what}")
+
+
 # Points (row, variable) per block of the design. All variables of a row
 # are written together, so the scattered writes of one block stay inside a
 # few MB of the design.
@@ -180,12 +184,10 @@ def design_matrix(X, bases: LayerBases, out: np.ndarray | None = None) -> np.nda
     anything else raises TypeError. ``X`` must have exactly one column per
     knot vector in it. The result has 1 + sum(basis_count) columns and is
     allocated once, or is ``out`` (a C-contiguous float64 array of that
-    shape, else ValueError) cleared and written over; each point writes only
-    the degree+1 values of its span in each block. A point at or outside an
-    end writes the values at the nearest boundary plus its distance to it
-    times the boundary derivative: two cells addressed from its variable's
-    end columns, the block's first two below and its last two above. A NaN
-    cell raises ValueError naming its row and column.
+    shape, else ValueError) cleared and written over. Each point must lie in
+    its variable's [lo, hi] and writes only the degree+1 values of its span
+    in each block, its exact unit row at an end. A cell beyond an end,
+    infinite or NaN raises ValueError naming its row and column.
     """
     if not isinstance(bases, LayerBases):
         raise TypeError(f"bases must be a LayerBases, got {type(bases).__name__}")
@@ -207,8 +209,7 @@ def design_matrix(X, bases: LayerBases, out: np.ndarray | None = None) -> np.nda
     out[:, 0] = 1.0
     if n == 0 or m == 0:
         return out
-    edge, slope, end_col = bases.edge, bases.slope, bases.end_col
-    lo, hi = edge[0::2], edge[1::2]
+    lo, hi = bases.edge[0::2], bases.edge[1::2]
     # The interior knots at or below each point, counted for the whole call
     # before any block's temporaries exist. A point strictly inside (lo, hi)
     # has its first value in column first_col + count, from the knot span
@@ -226,25 +227,22 @@ def design_matrix(X, bases: LayerBases, out: np.ndarray | None = None) -> np.nda
     for r0 in range(0, n, rows):
         x = X[r0 : r0 + rows]
         above = (x >= hi).ravel()
-        outside = (x <= lo).ravel() | above
-        if outside.any():
-            beyond = np.flatnonzero(outside)
-            side = above[beyond]
-            row = 2 * (beyond % m) + side
-            rise = slope[row] * (x.ravel()[beyond] - edge[row])
-            # Below lo the block's first two cells take (1 - rise, rise),
-            # above hi its last two take (-rise, 1 + rise); the rest stay zero.
-            at = (r0 + beyond // m) * width + end_col[row]
-            flat[at] = (1.0 - side) - rise
-            flat[at + 1] = side + rise
-            del beyond, side, row, rise, at  # freed before the in-box work
-        within = np.flatnonzero(~outside)
+        ends = (x <= lo).ravel() | above
+        if ends.any():
+            at = np.flatnonzero(ends)
+            side = above[at]
+            row = 2 * (at % m) + side
+            if (x.ravel()[at] != bases.edge[row]).any():
+                _raise_outside(x, r0, lo, hi)
+            # The unit row of the end: a 1 in the block's first or last column.
+            flat[(r0 + at // m) * width + bases.end_col[row] + side] = 1.0
+            del at, side, row  # freed before the in-box work
+        within = np.flatnonzero(~ends)
         if within.size == 0:
             continue
         xin = x.ravel()[within]
         if np.isnan(xin).any():
-            i, j = np.argwhere(np.isnan(x))[0]
-            raise ValueError(f"X row {r0 + i}, column {j}: non-finite value nan")
+            _raise_outside(x, r0, lo, hi)
         cnt = count[r0 : r0 + x.shape[0]]
         row_at = (np.arange(r0, r0 + x.shape[0]) * width)[:, None]
         pos = (row_at + bases.first_col + cnt).ravel()[within]

@@ -19,7 +19,10 @@ import pytest
 
 from splinecfr.bench import ExperimentConfig, run_benchmark, write_bench_outputs
 from splinecfr.cfr_core import (
+    AdditiveSplineModel,
+    CFracModel,
     FitConfig,
+    LinearModel,
     deserialize,
     fit,
     select_knots,
@@ -167,15 +170,41 @@ def test_property_battery(tmp_path):
     """Exhaustive desk-scale properties, all in one sweep."""
     rng = np.random.default_rng(2024)
 
-    # Basis functions sum to one everywhere, extensions included.
+    # Basis functions sum to one on [lo, hi], its ends included.
     for _ in range(1000):
         interior = tuple(
             float(v) for v in np.unique(rng.uniform(0.05, 0.95, size=rng.integers(0, 8)))
         )
         kv = build_knot_vector(interior, 0.0, 1.0)
-        x = float(rng.uniform(-0.25, 1.25))
+        x = min(max(float(rng.uniform(-0.25, 1.25)), 0.0), 1.0)
         total = design_matrix(np.array([[x]]), LayerBases([kv]))[0, 1:].sum()
         assert abs(total - 1.0) < 1e-9, f"partition of unity off by {total - 1.0:.2e} at {x}"
+
+    # So a spline layer with equal coefficients inside each block is flat,
+    # its end slopes are 0, and rows pushed out of the box predict what
+    # their copies clipped to it do.
+    flat_rng = np.random.default_rng(2025)
+    for _ in range(50):
+        m = int(flat_rng.integers(1, 4))
+        bounds = np.sort(flat_rng.uniform(-5.0, 5.0, (m, 2)), axis=1)
+        lo, hi = bounds.T
+        knots = lo + (hi - lo) * np.sort(flat_rng.uniform(0.05, 0.95, (4, m)), axis=0)
+        bases = LayerBases(map(build_knot_vector, knots.T, lo, hi))
+        levels = flat_rng.uniform(0.5, 2.0, m)
+        blocks = [np.full(kv.basis_count, level) for kv, level in zip(bases, levels)]
+        c = np.concatenate([flat_rng.uniform(0.0, 1.0, 1), *blocks])
+        spline = AdditiveSplineModel(tuple(range(m)), bases, c)
+        model = CFracModel(1.0, (LinearModel(np.zeros(m + 1)), spline), bounds, 1.0)
+        inside = lo + (hi - lo) * flat_rng.random((20, m))
+        pushed = inside + (hi - lo) * flat_rng.uniform(-3.0, 3.0, (20, m))
+        assert model.outside_box(pushed).any()
+        npt.assert_allclose(
+            model.predict(pushed),
+            model.predict(np.clip(pushed, lo, hi)),
+            rtol=1e-12,
+            atol=0.0,
+            err_msg="a flat spline layer is not flat beyond the box",
+        )
 
     # Penalized solve at lambda 0 is ordinary least squares, and for small
     # systems it matches explicit inversion of the regularized normal matrix.

@@ -9,11 +9,13 @@ To regenerate after a change that is meant to move outputs (and says so in
 CHANGES.md): ``PYTHONPATH=src python tests/test_golden.py``.
 """
 
+import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import reference_model
 from splinecfr.cfr_core import FitConfig, deserialize, fit, serialize
 from splinecfr.errors import TrainingRmseWarning
 
@@ -53,6 +55,10 @@ def golden_batch(X):
     return np.vstack([rows, rows + side * push])
 
 
+def golden_document():
+    return json.loads((GOLDEN / "model.json").read_text(encoding="utf-8"))
+
+
 def predictions_text(pred):
     return "".join(f"{float(v)!r}\n" for v in pred)
 
@@ -68,6 +74,31 @@ def test_predictions_unchanged():
     model = deserialize((GOLDEN / "model.json").read_text(encoding="utf-8"))
     expected = (GOLDEN / "predictions.txt").read_text(encoding="utf-8")
     assert predictions_text(model.predict(golden_batch(X))) == expected
+
+
+def test_reference_evaluator_reads_the_golden_document():
+    # The reference shares no code with predict and reads the document
+    # itself, so a wrong reference cannot match the pinned bytes too.
+    X, _ = golden_table()
+    pred, size = reference_model.predict(golden_document(), golden_batch(X))
+    lines = (GOLDEN / "predictions.txt").read_text(encoding="utf-8").splitlines()
+    expected = np.array([float(line) for line in lines])
+    assert pred.shape == expected.shape
+    assert (np.abs(pred - expected) <= 1e-12 * size).all()
+
+
+@pytest.mark.parametrize("literal_final_offset", [False, True])
+def test_reference_evaluator_folds_as_predict(literal_final_offset):
+    # The pinned document's denominators never reach its floor; a floor of 1
+    # reaches some, so the fold's floor and final offset are checked too.
+    X, _ = golden_table()
+    batch = golden_batch(X)
+    doc = golden_document()
+    doc.update(denom_floor=1.0, literal_final_offset=literal_final_offset)
+    assert (np.abs(reference_model.layer_terms(doc, batch)[-1][0]) < 1.0).any()
+    pred, size = reference_model.predict(doc, batch)
+    got = deserialize(json.dumps(doc)).predict(batch)
+    assert (np.abs(got - pred) <= 1e-12 * size).all()
 
 
 def test_fit_reports_the_pinned_collapse():

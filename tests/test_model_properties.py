@@ -1,5 +1,6 @@
 """Property tests of the out-of-domain split and of fitted models."""
 
+import json
 import warnings
 from dataclasses import replace
 from unittest import mock
@@ -8,11 +9,11 @@ import numpy as np
 import pytest
 
 import test_cfr_core
+from reference_model import layer_terms
 from splinecfr import cfr_core
-from splinecfr.cfr_core import FitConfig, LinearModel, deserialize, fit, serialize
+from splinecfr.cfr_core import FitConfig, deserialize, fit, serialize
 from splinecfr.data_io import Dataset, split_out_of_domain
 from splinecfr.errors import TrainingRmseWarning
-from splinecfr.spline_basis import design_matrix
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -112,11 +113,8 @@ def test_spline_layers_match_the_dense_design_partly_outside_the_box(problem, da
     reach = np.abs(outside - X)
     side = data.draw(st.lists(st.sampled_from([-1.0, 0.0, 1.0]), min_size=X.size, max_size=X.size))
     batch = np.vstack([X, X + np.reshape(side, X.shape) * reach])
-    sizes = term_sizes(model, batch)
-    for g, value, size in zip(model.layers, model.layer_values(batch), sizes):
-        if isinstance(g, LinearModel):
-            continue
-        dense = design_matrix(batch[:, list(g.variable_ids)], g.bases) @ g.coefficients
+    reference = layer_terms(json.loads(serialize(model)), batch)
+    for value, (dense, size) in zip(model.layer_values(batch), reference):
         assert (np.abs(value - dense) <= 1e-12 * size).all()
 
 
@@ -147,11 +145,4 @@ def test_repeated_rows_predict_as_their_distinct_rows(block_cells, problem, data
 
 def term_sizes(model, X):
     """Per layer and row, the sum of |coefficient * column| over all terms."""
-    sizes = []
-    for g in model.layers:
-        if isinstance(g, LinearModel):
-            design = np.hstack([np.ones((X.shape[0], 1)), X])
-        else:
-            design = design_matrix(X[:, list(g.variable_ids)], g.bases)
-        sizes.append(np.abs(design) @ np.abs(g.coefficients))
-    return np.array(sizes)
+    return np.array([size for _, size in layer_terms(json.loads(serialize(model)), X)])

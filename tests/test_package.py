@@ -1,4 +1,8 @@
-"""The package's public names."""
+"""The package's public names and what its modules import."""
+
+import ast
+import sys
+from pathlib import Path
 
 import splinecfr
 import splinecfr.bench
@@ -74,3 +78,20 @@ def test_module_names_the_benchmark_harness_wraps_stay():
     ]
     assert missing == []
     assert callable(splinecfr.cfr_core.CFracModel.predict)
+
+
+def test_modules_import_only_the_standard_library_and_numpy():
+    # numpy is the one runtime dependency pyproject.toml declares; a module
+    # that imports anything else (scipy, say) breaks an install from it.
+    allowed = set(sys.stdlib_module_names) | {"numpy", "splinecfr"}
+    found = []
+    for path in sorted(Path(splinecfr.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            found += [f"{path.name}: {name}" for name in names if name.split(".")[0] not in allowed]
+    assert found == []

@@ -1,11 +1,14 @@
 """Knot vectors, basis evaluation, design matrices, penalties."""
 
 import math
+import re
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+from reference_model import closed_form_end_slopes, oracle_basis, oracle_design, recurrence_rows
+from splinecfr.cfr_core import AdditiveSplineModel, CFracModel, LinearModel
 from splinecfr.spline_basis import (
     _BLOCK_POINTS,
     DEGREE,
@@ -42,33 +45,6 @@ def random_knot_vector(rng):
     return build_knot_vector(interior, lo, hi)
 
 
-def recurrence_rows(t, degree, pts):
-    """Dense Cox-de Boor at ``degree`` on knot vector ``t``: every basis
-    function at every point, points outside [t[0], t[-1]] on the end spans."""
-    count = len(t) - degree - 1
-    n = pts.shape[0]
-    last = int(np.searchsorted(t, t[-1], side="left")) - 1
-    mu = np.clip(np.searchsorted(t, pts, side="right") - 1, degree, last)
-    vals = np.zeros((n, degree + 1))
-    vals[:, 0] = 1.0
-    left = np.zeros((n, degree + 1))
-    right = np.zeros((n, degree + 1))
-    for j in range(1, degree + 1):
-        left[:, j] = pts - t[mu + 1 - j]
-        right[:, j] = t[mu + j] - pts
-        saved = np.zeros(n)
-        for r in range(j):
-            den = right[:, r + 1] + left[:, j - r]
-            temp = np.divide(vals[:, r], den, out=np.zeros(n), where=den != 0.0)
-            vals[:, r] = saved + right[:, r + 1] * temp
-            saved = left[:, j - r] * temp
-        vals[:, j] = saved
-    out = np.zeros((n, count))
-    cols = mu[:, None] - degree + np.arange(degree + 1)[None, :]
-    np.put_along_axis(out, cols, vals, axis=1)
-    return out
-
-
 def recurrence_end_slopes(kv):
     """Derivatives of every basis function at lo and hi (one row each), from
     the recurrence one degree lower: basis function i has derivative
@@ -85,42 +61,34 @@ def recurrence_end_slopes(kv):
     return der
 
 
-def closed_form_end_slopes(kv):
-    """Closed form of the clamped end derivatives: only the two outermost
-    basis functions move, by -+p over the width of the end span."""
-    t, p, n = kv.augmented, DEGREE, kv.basis_count
-    der = np.zeros((2, n))
-    der[0, [0, 1]] = [-p / (t[p + 1] - kv.lo), p / (t[p + 1] - kv.lo)]
-    der[1, [n - 2, n - 1]] = [-p / (kv.hi - t[n - 1]), p / (kv.hi - t[n - 1])]
-    return der
+def clip_to_ends(X, bases):
+    """X with every cell moved onto its knot vector's [lo, hi]."""
+    lo = np.array([kv.lo for kv in bases])
+    hi = np.array([kv.hi for kv in bases])
+    return np.clip(X, lo, hi)
 
 
-def oracle_basis(kv, x):
-    """Dense reference: every basis function at every point. Rows inside
-    (lo, hi) come from the recurrence; rows at or outside an end continue the
-    end rows linearly with the closed-form end values and slopes."""
-    n = kv.basis_count
-    val = np.eye(n)[[0, n - 1]]
-    der = closed_form_end_slopes(kv)
+def first_beyond(X, bases):
+    """(row, column) of the first cell, row by row, outside its [lo, hi], or None."""
+    for i, row in enumerate(X):
+        for j, (v, kv) in enumerate(zip(row, bases)):
+            if not kv.lo <= v <= kv.hi:
+                return i, j
+    return None
+
+
+def spline_model(kv, coefficients):
+    """A model whose one spline layer is the term on ``kv`` with intercept
+    and ``coefficients``, read from its only feature."""
+    layer = AdditiveSplineModel((0,), LayerBases([kv]), np.asarray(coefficients, dtype=float))
+    linear = LinearModel(np.zeros(2))
+    return CFracModel(1.0, (linear, layer), np.array([[kv.lo, kv.hi]]), training_target_max=1.0)
+
+
+def spline_values(kv, coefficients, x):
+    """The spline layer of :func:`spline_model` at the points x."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    out = np.zeros((x.shape[0], n))
-    below = x <= kv.lo
-    above = x >= kv.hi
-    inside = ~(below | above)
-    if inside.any():
-        out[inside] = recurrence_rows(kv.augmented, DEGREE, x[inside])
-    if below.any():
-        out[below] = val[0] + (x[below] - kv.lo)[:, None] * der[0]
-    if above.any():
-        out[above] = val[1] + (x[above] - kv.hi)[:, None] * der[1]
-    return out
-
-
-def oracle_design(X, bases):
-    """Intercept plus one dense basis block per variable, stacked."""
-    blocks = [np.ones((X.shape[0], 1))]
-    blocks += [oracle_basis(kv, X[:, j]) for j, kv in enumerate(bases)]
-    return np.hstack(blocks)
+    return spline_model(kv, coefficients).layer_values(x[:, None])[1]
 
 
 def oracle_cases():
@@ -306,7 +274,7 @@ class TestEvalBasis:
     def test_matrix_matches_scalar(self):
         rng = np.random.default_rng(3)
         kv = build_knot_vector([1.0, 2.5], 0.0, 4.0)
-        xs = rng.uniform(-2, 6, 50)  # includes out-of-domain points
+        xs = np.concatenate([rng.uniform(0, 4, 50), [0.0, 1.0, 2.5, 4.0]])  # ends and knots
         mat = eval_basis_matrix(kv, xs)
         for i, x in enumerate(xs):
             npt.assert_allclose(mat[i], basis_row(kv, x), atol=1e-12)
@@ -329,24 +297,29 @@ class TestExtrapolation:
         val_lo, val_hi = eval_basis_matrix(kv, [lo, hi])
         npt.assert_array_equal(val_lo, np.eye(n)[0])
         npt.assert_array_equal(val_hi, np.eye(n)[n - 1])
-        # The design extends with the closed-form slopes; the recurrence one
-        # degree lower derives them independently.
+        # The line beyond an end takes the closed-form slopes; the recurrence
+        # one degree lower derives them independently.
         npt.assert_allclose(
             recurrence_end_slopes(kv), closed_form_end_slopes(kv), rtol=1e-12, atol=0.0
         )
+        # Rows just beyond an end come from the oracle (a design refuses
+        # them), rows at and inside it from the design.
         h = 1e-6
-        for bound in (lo, hi):
-            inside = basis_row(kv, bound)
-            outside = basis_row(kv, bound - h if bound == lo else bound + h)
-            npt.assert_allclose(outside, inside, atol=1e-4)
+        for bound, out in ((lo, -h), (hi, h)):
+            with pytest.raises(ValueError, match="lies outside"):
+                basis_row(kv, bound + out)
+            at, inside = eval_basis_matrix(kv, [bound, bound - out])
+            beyond = oracle_basis(kv, bound + out)[0]
+            npt.assert_allclose(beyond, at, atol=1e-4)
             # one-sided slopes on both sides of the boundary agree
-            if bound == lo:
-                slope_out = (inside - basis_row(kv, lo - h)) / h
-                slope_in = (basis_row(kv, lo + h) - inside) / h
-            else:
-                slope_out = (basis_row(kv, hi + h) - inside) / h
-                slope_in = (inside - basis_row(kv, hi - h)) / h
-            npt.assert_allclose(slope_out, slope_in, atol=1e-4)
+            npt.assert_allclose((beyond - at) / out, (at - inside) / out, atol=1e-4)
+        # A model's spline layer, which adds the line beyond the box itself,
+        # is as smooth across the ends.
+        c = np.random.default_rng(n).normal(size=n + 1)
+        for bound, out in ((lo, -h), (hi, h)):
+            beyond, at, inside = spline_values(kv, c, [bound + out, bound, bound - out])
+            slopes = (beyond - at) / out, (at - inside) / out
+            npt.assert_allclose(*slopes, atol=1e-4 * np.abs(c).sum())
 
     @pytest.mark.parametrize("seed", range(8))
     def test_recurrence_slopes_match_closed_form(self, seed):
@@ -369,15 +342,26 @@ class TestExtrapolation:
 
     def test_linear_outside(self):
         kv = build_knot_vector([0.4], 0.0, 1.0)
+        c = np.random.default_rng(4).normal(size=kv.basis_count + 1)
         for a, b in ((-3.0, -1.0), (2.0, 5.0)):
-            ra, rb = basis_row(kv, a), basis_row(kv, b)
-            mid = basis_row(kv, (a + b) / 2)
+            for x in (a, b, (a + b) / 2):
+                with pytest.raises(ValueError, match="lies outside"):
+                    basis_row(kv, x)
+            ra, mid, rb = oracle_basis(kv, [a, (a + b) / 2, b])
             npt.assert_allclose(mid, (ra + rb) / 2, atol=1e-12)
+            va, vmid, vb = spline_values(kv, c, [a, (a + b) / 2, b])
+            npt.assert_allclose(vmid, (va + vb) / 2, atol=1e-12 * np.abs(c).sum() * abs(b))
 
     def test_partition_of_unity_survives_extension(self):
         kv = build_knot_vector([0.2, 0.9], 0.0, 1.0)
-        for x in (-10.0, -0.5, 1.5, 25.0):
-            assert abs(basis_row(kv, x).sum() - 1.0) < 1e-9
+        xs = [-10.0, -0.5, 1.5, 25.0]
+        for x in xs:
+            with pytest.raises(ValueError, match="lies outside"):
+                basis_row(kv, x)
+        assert (np.abs(oracle_basis(kv, xs).sum(axis=1) - 1.0) < 1e-9).all()
+        # Equal coefficients make a flat term, so its line beyond the box is flat too.
+        flat = spline_values(kv, np.r_[0.0, np.ones(kv.basis_count)], xs)
+        assert (np.abs(flat - 1.0) < 1e-9).all()
 
 
 class TestDesignMatrix:
@@ -414,15 +398,25 @@ class TestDesignMatrix:
     @pytest.mark.parametrize("row", [0, 5, _BLOCK_POINTS // 2 + 7])
     @pytest.mark.parametrize("column", [0, 1])
     def test_nan_names_its_row_and_column(self, row, column):
+        # NaN, the infinities, the float just below lo and a point above hi.
         kvs = [build_knot_vector([0.5], 0.0, 1.0), build_knot_vector([], -1.0, 1.0)]
-        X = np.random.default_rng(1).uniform(-2.0, 2.0, (_BLOCK_POINTS // 2 + 9, 2))
-        X[row, column] = np.nan
-        with pytest.raises(ValueError, match=rf"^X row {row}, column {column}: non-finite"):
-            design_matrix(X, LayerBases(kvs))
+        lo, hi = kvs[column].lo, kvs[column].hi
+        for value in (np.nan, np.inf, -np.inf, np.nextafter(lo, -np.inf), hi + 0.25):
+            X = np.random.default_rng(1).uniform(0.0, 1.0, (_BLOCK_POINTS // 2 + 9, 2))
+            X[row, column] = value
+            if np.isfinite(value):
+                message = re.escape(f"{float(value)!r} lies outside [{lo!r}, {hi!r}]")
+            else:
+                message = f"non-finite value {value!r}"
+            with pytest.raises(ValueError, match=rf"^X row {row}, column {column}: {message}$"):
+                design_matrix(X, LayerBases(kvs))
 
     @pytest.mark.parametrize("case", list(ORACLE_CASES))
     def test_matches_dense_oracle_bit_for_bit(self, case):
+        # A cell beyond an end is moved onto it, so those cells take the
+        # end's unit row.
         bases, X = ORACLE_CASES[case]
+        X = clip_to_ends(X, bases)
         expected = oracle_design(X, bases)
         got = design_matrix(X, LayerBases(bases))
         assert got.shape == expected.shape
@@ -433,6 +427,16 @@ class TestDesignMatrix:
         assert out.tobytes() == expected.tobytes()
         for j, kv in enumerate(bases):
             assert eval_basis_matrix(kv, X[:, j]).tobytes() == oracle_basis(kv, X[:, j]).tobytes()
+
+    @pytest.mark.parametrize(
+        "case", [case for case, (b, X) in ORACLE_CASES.items() if first_beyond(X, b)]
+    )
+    def test_refuses_the_first_point_beyond_an_end(self, case):
+        bases, X = ORACLE_CASES[case]
+        i, j = first_beyond(X, bases)
+        value = re.escape(repr(float(X[i, j])))
+        with pytest.raises(ValueError, match=rf"^X row {i}, column {j}: {value} lies outside"):
+            design_matrix(X, LayerBases(bases))
 
 
 class TestPenaltyBlock:

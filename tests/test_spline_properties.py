@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
+from reference_model import oracle_design
 from splinecfr.spline_basis import LayerBases, build_knot_vector, design_matrix
-from test_spline_basis import oracle_design
+from test_spline_basis import clip_to_ends, first_beyond
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -37,11 +38,20 @@ def problems(draw):
 @hypothesis.settings(deadline=None)
 @hypothesis.given(problems())
 def test_design_matches_dense_oracle(problem):
+    # The design takes the drawn points moved onto the box and refuses the
+    # first one beyond it; the oracle's rows keep the partition of unity
+    # beyond the box as well.
     bases, X = problem
-    got = design_matrix(X, LayerBases(bases))
-    assert got.tobytes() == oracle_design(X, bases).tobytes()
-    start = 1
+    inside = clip_to_ends(X, bases)
+    got = design_matrix(inside, LayerBases(bases))
+    assert got.tobytes() == oracle_design(inside, bases).tobytes()
+    beyond = first_beyond(X, bases)
+    if beyond is not None:
+        with pytest.raises(ValueError, match=rf"^X row {beyond[0]}, column {beyond[1]}: "):
+            design_matrix(X, LayerBases(bases))
+    start, dense = 1, oracle_design(X, bases)
     for kv in bases:
-        block = got[:, start : start + kv.basis_count]
-        assert np.abs(block.sum(axis=1) - 1.0).max(initial=0.0) <= 1e-9
+        for design in (got, dense):
+            block = design[:, start : start + kv.basis_count]
+            assert np.abs(block.sum(axis=1) - 1.0).max(initial=0.0) <= 1e-9
         start += kv.basis_count
