@@ -14,10 +14,11 @@ deepest layer's offset is dropped at evaluation time (see
 layer per depth and scores each depth with that model's ``_fold``, the one
 fold for training values and predictions alike.
 
-Layer values are computed once per distinct full feature row, in ``fit``
-and ``predict`` alike, by one row-wise product whose summation order is fixed
-per row (``_row_dot``), and gathered back to every row that repeats it. A
-row's prediction thus does not depend on the batch it is predicted in.
+Spline layer values are computed once per distinct full feature row, in
+``fit`` and ``predict`` alike, and gathered back to every row that repeats
+it; the linear layer is computed on every row as it is. Each is one row-wise
+product whose summation order is fixed per row (``_row_dot``), so a row's
+prediction does not depend on the batch it is predicted in.
 
 Beyond an end of the training box every spline term is a straight line, so
 a spline layer's value at a row outside the box is its value at the row
@@ -97,6 +98,15 @@ def _require_integers(config, *names: str) -> None:
             raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
+def _require_finite(path: str, values: np.ndarray) -> None:
+    """Raise ValueError naming the first non-finite entry, as ``path[i][j]``."""
+    bad = ~np.isfinite(values)
+    if bad.any():
+        at = tuple(np.argwhere(bad)[0])
+        index = "".join(f"[{i}]" for i in at)
+        raise ValueError(f"{path}{index}: expected a finite number, got {values[at]}")
+
+
 @dataclass(frozen=True)
 class FitConfig:
     """Hyperparameters for :func:`fit`.
@@ -147,9 +157,9 @@ class LinearModel:
     coefficients: np.ndarray
     offset: float = 0.0
 
-    def evaluate(self, X: np.ndarray, first: np.ndarray) -> np.ndarray:
-        """Values on the rows ``X[first]``."""
-        return self.coefficients[0] + _row_dot(X[first], self.coefficients[1:])
+    def evaluate(self, X: np.ndarray) -> np.ndarray:
+        """Values on the rows of X."""
+        return self.coefficients[0] + _row_dot(X, self.coefficients[1:])
 
 
 @dataclass(frozen=True, eq=False)
@@ -188,12 +198,13 @@ class CFracModel:
     However it is built (:func:`fit`, ``dataclasses.replace``, by hand or
     :func:`deserialize`), a model keeps the rules of its document: ``norm``
     and ``denom_floor`` finite and positive, ``training_target_max`` and each
-    layer's offset finite, ``literal_final_offset`` a bool, lo <= hi in each
-    bounds row, distinct string feature names and a string target name that
-    is none of them, a linear first layer, each layer's coefficient count,
-    and each spline variable a feature index once per layer, its knot ends
-    that feature's bounds. A broken rule raises ValueError naming its field,
-    so a model that builds, its arrays finite, saves a document that loads.
+    layer's offset and coefficients finite, ``literal_final_offset`` a bool,
+    ``feature_bounds`` an (m, 2) array of finite rows with lo <= hi, distinct
+    string feature names and a string target name that is none of them, a
+    linear first layer, each layer's coefficient count, and each spline
+    variable a feature index once per layer, its knot ends that feature's
+    bounds. A broken rule raises ValueError naming its field, so a model that
+    builds saves a document that loads.
     """
 
     norm: float
@@ -218,8 +229,14 @@ class CFracModel:
                 raise ValueError(f"{name}: expected a positive number, got {value}")
         if not isinstance(self.literal_final_offset, bool):
             raise ValueError("literal_final_offset: expected a boolean")
+        bounds = self.feature_bounds
+        if not isinstance(bounds, np.ndarray) or bounds.shape[1:] != (2,):
+            raise ValueError(
+                f"feature_bounds: expected rows of [lo, hi], got shape {np.shape(bounds)}"
+            )
+        _require_finite("feature_bounds", bounds)
         m = self.feature_count
-        lo, hi = self.feature_bounds.T
+        lo, hi = bounds.T
         if (lo > hi).any():
             i = int(np.argmax(lo > hi))
             raise ValueError(f"feature_bounds[{i}]: lo {lo[i]} lies above hi {hi[i]}")
@@ -251,6 +268,7 @@ class CFracModel:
                     f"layers[{d}].coefficients: expected {width} entries, "
                     f"got {g.coefficients.shape[0]}"
                 )
+            _require_finite(f"layers[{d}].coefficients", g.coefficients)
             if isinstance(g, AdditiveSplineModel):
                 self._check_variables(f"layers[{d}].variables", g.variable_ids, g.bases.edge)
 
@@ -312,22 +330,23 @@ class CFracModel:
     def layer_values(self, X: np.ndarray) -> list[np.ndarray]:
         """Evaluate every layer's additive model on X (before folding).
 
-        Each layer is evaluated once per distinct row of X (rows compared by
-        their bytes) and its values are gathered back to every row. A
-        distinct row with a cell outside ``feature_bounds`` (``outside_box``)
-        takes, in each spline layer, the value at its copy clipped to the
-        box, built once per distinct clipped copy, plus its distances beyond
-        the box times ``_end_slopes``. Linear layers read the rows as they
-        are, and a model without a spline layer marks no row. A NaN or
-        infinite cell raises ValueError naming its row and column.
+        Each spline layer is evaluated once per distinct row of X (rows
+        compared by their bytes) and its values are gathered back to every
+        row. A distinct row with a cell outside ``feature_bounds``
+        (``outside_box``) takes, in each spline layer, the value at its copy
+        clipped to the box, built once per distinct clipped copy, plus its
+        distances beyond the box times ``_end_slopes``. Linear layers read
+        every row as it is, and a model without a spline layer groups and
+        marks no row. A NaN or infinite cell raises ValueError naming its
+        row and column.
         """
         X = self._feature_matrix(X)
         if not np.isfinite(X).all():
             i, j = np.argwhere(~np.isfinite(X))[0]
             raise ValueError(f"X row {i}, column {j}: non-finite value {float(X[i, j])!r}")
+        if not self._end_slopes:  # no spline layer, so no row is grouped
+            return [g.evaluate(X) for g in self.layers]
         first, group, _ = _distinct_rows(X)
-        if not self._end_slopes:  # no spline layer, so no row is clipped
-            return [g.evaluate(X, first)[group] for g in self.layers]
         # Inside rows stay their own representatives; the moved rows are
         # grouped by the bytes of their clipped copies.
         outside = self.outside_box(X)[first]
@@ -340,13 +359,11 @@ class CFracModel:
         slot_of = np.empty(first.shape[0], dtype=np.intp)
         slot_of[inside] = np.arange(inside.shape[0])
         slot_of[moved] = inside.shape[0] + slot
-        spline = self._spline_values(X, rows)
-        values = [
-            spline[d][slot_of] if d in spline else g.evaluate(X, first)
-            for d, g in enumerate(self.layers)
-        ]
+        values = {d: v[slot_of] for d, v in self._spline_values(X, rows).items()}
         self._add_end_slopes(X, first[moved], moved, values)
-        return [v[group] for v in values]
+        return [
+            values[d][group] if d in values else g.evaluate(X) for d, g in enumerate(self.layers)
+        ]
 
     def _spline_values(self, X: np.ndarray, rows: np.ndarray) -> dict[int, np.ndarray]:
         """Each spline layer d's values on the rows ``X[rows]`` clipped to its
@@ -397,7 +414,7 @@ class CFracModel:
         return outside
 
     def _add_end_slopes(
-        self, X: np.ndarray, rows: np.ndarray, at: np.ndarray, values: list[np.ndarray]
+        self, X: np.ndarray, rows: np.ndarray, at: np.ndarray, values: dict[int, np.ndarray]
     ) -> None:
         """Add to ``values[d][at]`` the boundary-slope terms of the rows
         ``X[rows]`` in every spline layer d, a block of rows at a time."""
@@ -438,10 +455,6 @@ def select_knots(residuals, k: int) -> list[int]:
     one, zero counting as positive. The walk stops after k picks.
     """
     r = np.asarray(residuals, dtype=float)
-    if r.ndim != 1 or r.size == 0:
-        raise ValueError("residuals must be a non-empty 1-D vector")
-    if k < 1:
-        raise ValueError(f"k must be at least 1, got {k}")
     order = np.argsort(-np.abs(r), kind="stable")
     # A sample differs in sign from the last one taken exactly when it
     # differs from the one just before it in this order.
@@ -451,12 +464,7 @@ def select_knots(residuals, k: int) -> list[int]:
 
 def compute_offset(residuals, offset_epsilon: float) -> float:
     """|min residual| plus slack; added before inverting residuals."""
-    r = np.asarray(residuals, dtype=float)
-    if r.ndim != 1 or r.size == 0:
-        raise ValueError("residuals must be a non-empty 1-D vector")
-    if offset_epsilon <= 0:
-        raise ValueError(f"offset_epsilon must be positive, got {offset_epsilon}")
-    return abs(float(r.min())) + offset_epsilon
+    return abs(float(np.min(residuals))) + offset_epsilon
 
 
 def _distinct_rows(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -552,7 +560,7 @@ def fit(X, y, config: FitConfig | None = None) -> CFracModel:
     coefficients = np.zeros(1 + m)  # a column constant on the training rows keeps 0
     coefficients[1:][spline_vars] = beta[1:] / scale
     coefficients[0] = beta[0] - coefficients[1:][spline_vars] @ shift
-    values = [LinearModel(coefficients).evaluate(X, first)[group]]
+    values = [LinearModel(coefficients).evaluate(X)]
     resid = y0 - values[0]
     model = CFracModel(
         norm=config.norm,

@@ -16,6 +16,14 @@ C = diag(counts), the identity without counts: design row i may stand for
 targets, so a design of the distinct rows gives the normal equations of the
 full one exactly (Wood, Goude and Shaw, "Generalized additive models for
 large data sets", JRSS C 2015, with exact counts in place of bins).
+
+``cfr_core.fit`` is the one caller, and it checks the table and the config
+before any solve, so nothing here checks them again. Short of overflow in
+fit's own arithmetic (a feature range or an inverted residual beyond the
+float64 range), every call receives a finite float64 design of at least one
+row, a finite target with one entry per row, a finite ``lam >= 0``, blocks
+that tile every column but the intercept, and counts that are None or
+integers >= 1, one per row.
 """
 
 from __future__ import annotations
@@ -34,33 +42,10 @@ JITTER = 1e-10
 _GRAM_BLOCK_CELLS = 2**21
 
 
-def _check_system(A, y) -> tuple[np.ndarray, np.ndarray]:
-    A = np.asarray(A, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if A.ndim != 2:
-        raise ValueError(f"design matrix must be 2-D, got ndim={A.ndim}")
-    if y.ndim != 1:
-        raise ValueError(f"target must be 1-D, got ndim={y.ndim}")
-    if A.shape[0] != y.shape[0]:
-        raise ValueError(f"design has {A.shape[0]} rows but target has {y.shape[0]}")
-    if A.shape[0] == 0 or A.shape[1] == 0:
-        raise ValueError("empty system")
-    if not np.isfinite(A).all():
-        raise ValueError("design matrix contains non-finite values")
-    if not np.isfinite(y).all():
-        raise ValueError("target contains non-finite values")
-    return A, y
-
-
 def _weighted_gram(B: np.ndarray, counts) -> np.ndarray:
     """B' diag(counts) B, from sqrt(counts)-scaled blocks of rows."""
-    c = np.asarray(counts, dtype=float)
-    if c.ndim != 1 or c.shape[0] != B.shape[0]:
-        raise ValueError(f"counts must be 1-D with {B.shape[0]} entries, got shape {c.shape}")
-    if not (np.isfinite(c) & (c >= 1.0)).all():
-        raise ValueError("counts must be finite and at least 1")
     g = np.zeros((B.shape[1], B.shape[1]))
-    w = np.sqrt(c)
+    w = np.sqrt(counts)
     step = max(1, _GRAM_BLOCK_CELLS // B.shape[1])
     for r0 in range(0, B.shape[0], step):
         block = B[r0 : r0 + step] * w[r0 : r0 + step, None]
@@ -81,15 +66,7 @@ def penalized_least_squares(
     With counts, the solution is the one of the design with every row
     repeated as many times as it is counted.
     """
-    B, y = _check_system(B, y)
-    if lam < 0:
-        raise ValueError(f"penalty weight must be non-negative, got {lam}")
     col = B.shape[1] - sum(pen.shape[0] for pen in penalties)
-    if penalties and col not in (0, 1):
-        raise ValueError(
-            f"penalty blocks cover {B.shape[1] - col} columns but the design has "
-            f"{B.shape[1]}; expected them to tile all columns or all but an intercept"
-        )
     g = B.T @ B if counts is None else _weighted_gram(B, counts)
     g[np.diag_indices_from(g)] += JITTER
     for pen in penalties:

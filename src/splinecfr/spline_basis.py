@@ -259,10 +259,6 @@ def penalty_block(basis_count: int) -> np.ndarray:
     pays a positive amount. Needs at least three coefficients. The matrix is
     cached per size and read-only.
     """
-    if basis_count < 3:
-        raise ValueError(
-            f"second-difference penalty needs at least 3 coefficients, got {basis_count}"
-        )
     d = np.zeros((basis_count - 2, basis_count))
     idx = np.arange(basis_count - 2)
     d[idx, idx] = 1.0

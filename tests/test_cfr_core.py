@@ -3,6 +3,7 @@
 import gc
 import json
 import math
+import numbers
 import re
 import tracemalloc
 import warnings
@@ -14,7 +15,7 @@ import numpy.testing as npt
 import pytest
 
 from reference_model import oracle_design
-from splinecfr import cfr_core, spline_basis
+from splinecfr import bench, cfr_core, spline_basis
 from splinecfr.cfr_core import (
     AdditiveSplineModel,
     CFracModel,
@@ -30,6 +31,7 @@ from splinecfr.cfr_core import (
 from splinecfr.errors import ModelFormatError, TrainingRmseWarning
 from splinecfr.solver import least_squares, penalized_least_squares
 from splinecfr.spline_basis import LayerBases, build_knot_vector, design_matrix, penalty_block
+from test_golden import golden_table
 from test_solver import augmented_least_squares
 
 
@@ -78,12 +80,6 @@ class TestSelectKnots:
             k = int(rng.integers(1, 8))
             assert select_knots(r, k) == sign_walk_oracle(list(r), k)
 
-    def test_bad_inputs(self):
-        with pytest.raises(ValueError, match="non-empty"):
-            select_knots([], 2)
-        with pytest.raises(ValueError, match="k must be"):
-            select_knots([1.0], 0)
-
 
 class TestComputeOffset:
     def test_negative_minimum(self):
@@ -94,10 +90,6 @@ class TestComputeOffset:
 
     def test_all_zero(self):
         assert compute_offset([0.0, 0.0, 0.0], 1e-6) == pytest.approx(1e-6)
-
-    def test_epsilon_must_be_positive(self):
-        with pytest.raises(ValueError, match="positive"):
-            compute_offset([1.0], 0.0)
 
 
 def assert_same_bits(actual, expected):
@@ -290,8 +282,8 @@ class TestPredictMechanics:
 
     def test_linear_only_fraction_takes_no_box_pass(self, monkeypatch):
         # With no spline layer nothing extrapolates, so rows outside
-        # feature_bounds are read as they are, with no marking or clipping:
-        # 10 x on both sides of [0, 1].
+        # feature_bounds are read as they are, with no grouping, marking or
+        # clipping: 10 x on both sides of [0, 1].
         model = self.make_depth1()
         groupings = []
         original = cfr_core._distinct_rows
@@ -301,7 +293,7 @@ class TestPredictMechanics:
         monkeypatch.setattr(CFracModel, "outside_box", lambda self, X: pytest.fail("box pass"))
         X = np.array([[-2.0], [0.25], [3.0], [-2.0]])
         npt.assert_allclose(model.predict(X), [-20.0, 2.5, 30.0, -20.0], atol=1e-12)
-        assert groupings == [X.shape]  # the distinct rows of X, and no clipped copies
+        assert groupings == []  # linear layers read every row, repeats included
 
     def test_depth_zero_identity(self):
         g0 = LinearModel(np.array([0.0, 1.0]))
@@ -424,6 +416,13 @@ def layers_with(model, d, **changes):
     layers = list(model.layers)
     layers[d] = replace(layers[d], **changes)
     return tuple(layers)
+
+
+def nan_at(values, k):
+    """A copy of values with entry k NaN."""
+    values = values.copy()
+    values[k] = math.nan
+    return values
 
 
 class TestSerialization:
@@ -621,6 +620,22 @@ class TestSerialization:
             lambda m: {"training_target_max": math.nan},
             r"training_target_max: expected a finite number, got nan",
         ),
+        "bounds-shape": (
+            lambda m: {"feature_bounds": np.zeros((3, 3))},
+            r"feature_bounds: expected rows of \[lo, hi\], got shape \(3, 3\)",
+        ),
+        # A linear-only model: no knot end is there to disagree with the bound.
+        "bounds-nan": (
+            lambda m: {
+                "layers": m.layers[:1],
+                "feature_bounds": m.feature_bounds + [[0.0, 0.0], [0.0, math.nan], [0.0, 0.0]],
+            },
+            r"feature_bounds\[1\]\[1\]: expected a finite number, got nan",
+        ),
+        "coefficient-nan": (
+            lambda m: {"layers": layers_with(m, 1, coefficients=nan_at(m.layers[1].coefficients, 4))},
+            r"layers\[1\]\.coefficients\[4\]: expected a finite number, got nan",
+        ),
         "offset-infinite": (
             lambda m: {"layers": layers_with(m, 1, offset=-math.inf)},
             r"layers\[1\]\.offset: expected a finite number, got -inf",
@@ -784,6 +799,97 @@ class TestFitConfigValidation:
 
     def test_accepts_numpy_integers(self):
         assert FitConfig(max_depth=np.int64(2), knots_per_depth=np.int32(3)).max_depth == 2
+
+
+def edge_tables():
+    """The golden fixture and tables at the edges of what fit accepts."""
+    X, y = golden_table()
+    return {
+        "golden": (X, y),
+        "every-row-repeated": (np.repeat(X, 2, axis=0), np.repeat(y, 2)),
+        "one-constant-column": (np.insert(X, 1, 3.0, axis=1), y),
+        "all-columns-constant": (np.full_like(X, 3.0), y),
+        "two-rows": (X[:2], y[:2]),
+        "scales-1e-8-and-1e8": (X * [1e-8, 1e8, 1.0], y),
+    }
+
+
+class TestFitGuarantees:
+    """The routines fit runs at each depth check none of their inputs: fit
+    and FitConfig check the table and the settings once, and every call fit
+    makes must then pass what the routine takes for granted. Each
+    ``check_<routine>`` takes the table's row count n, then the call's
+    arguments."""
+
+    TABLES = edge_tables()
+    CONFIGS = (FitConfig(), FitConfig(auto_depth=True), bench._BASELINE_CONFIG)
+    ROUTINES = (
+        "penalized_least_squares",
+        "least_squares",
+        "select_knots",
+        "compute_offset",
+        "penalty_block",
+    )
+
+    @staticmethod
+    def finite(v, ndim):
+        assert isinstance(v, np.ndarray) and v.dtype == np.float64 and v.ndim == ndim
+        assert v.size >= 1 and np.isfinite(v).all()
+
+    def check_system(self, n, B, y, counts):
+        self.finite(B, 2)
+        self.finite(y, 1)
+        assert y.shape == B.shape[:1]
+        if counts is None:
+            assert B.shape[0] == n
+        else:
+            assert np.issubdtype(counts.dtype, np.integer) and counts.shape == y.shape
+            assert counts.min() >= 1 and counts.sum() == n
+
+    def check_penalized_least_squares(self, n, B, y, lam, penalties, counts):
+        self.check_system(n, B, y, counts)
+        assert math.isfinite(lam) and lam >= 0.0
+        assert all(pen.shape == (pen.shape[0],) * 2 for pen in penalties)
+        assert 1 + sum(pen.shape[0] for pen in penalties) == B.shape[1]
+
+    def check_least_squares(self, n, A, y, counts):
+        self.check_system(n, A, y, counts)
+
+    def check_select_knots(self, n, residuals, k):
+        self.finite(residuals, 1)
+        assert residuals.shape == (n,)
+        assert isinstance(k, numbers.Integral) and k >= 1
+
+    def check_compute_offset(self, n, residuals, offset_epsilon):
+        self.finite(residuals, 1)
+        assert residuals.shape == (n,)
+        assert math.isfinite(offset_epsilon) and offset_epsilon > 0.0
+
+    def check_penalty_block(self, n, basis_count):
+        assert isinstance(basis_count, numbers.Integral) and basis_count >= 4
+
+    @pytest.mark.parametrize("table", TABLES)
+    def test_every_call_passes_what_its_routine_assumes(self, table, monkeypatch):
+        X, y = self.TABLES[table]
+        reached = set()
+
+        def spy(name, routine):
+            def checked(*args):
+                getattr(self, f"check_{name}")(X.shape[0], *args)
+                reached.add(name)
+                return routine(*args)
+
+            return checked
+
+        for name in self.ROUTINES:
+            monkeypatch.setattr(cfr_core, name, spy(name, getattr(cfr_core, name)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", TrainingRmseWarning)
+            for config in self.CONFIGS:
+                fit(X, y, config)
+        # Every check ran; a table with no varying column has no spline block.
+        unused = {"penalty_block"} if table == "all-columns-constant" else set()
+        assert reached == set(self.ROUTINES) - unused
 
 
 class TestRowBlocks:

@@ -1,4 +1,4 @@
-"""The package's public names and what its modules import."""
+"""The package's public names, what its modules import and who calls what."""
 
 import ast
 import sys
@@ -95,3 +95,38 @@ def test_modules_import_only_the_standard_library_and_numpy():
                 continue
             found += [f"{path.name}: {name}" for name in names if name.split(".")[0] not in allowed]
     assert found == []
+
+
+def test_only_fit_calls_the_routines_that_trust_their_inputs():
+    # The solver, knot selection, offsets and penalty blocks check none of
+    # their arguments, because fit checks the table and FitConfig the
+    # settings before any of them runs (tests/test_cfr_core.py,
+    # TestFitGuarantees). A second caller would have to bring its own checks.
+    routines = {
+        "penalized_least_squares",
+        "least_squares",
+        "select_knots",
+        "compute_offset",
+        "penalty_block",
+    }
+    uses = []
+
+    def visit(node, scope, path):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = node.name
+        name = (
+            node.id if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+            else node.attr if isinstance(node, ast.Attribute)
+            else None
+        )
+        if name in routines:
+            uses.append((path.name, scope, name))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope, path)
+
+    for path in sorted(Path(splinecfr.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8"), str(path)), "<module>", path)
+    in_fit = {name for module, scope, name in uses if (module, scope) == ("cfr_core.py", "fit")}
+    assert in_fit == routines
+    elsewhere = [use for use in uses if use[:2] != ("cfr_core.py", "fit")]
+    assert elsewhere == [("solver.py", "least_squares", "penalized_least_squares")]

@@ -38,7 +38,7 @@ def augmented_least_squares(A, y):
 
 class TestLeastSquares:
     def test_mean(self):
-        npt.assert_allclose(least_squares([[1.0], [1.0]], [2.0, 4.0]), [3.0], atol=1e-8)
+        npt.assert_allclose(least_squares(np.ones((2, 1)), [2.0, 4.0]), [3.0], atol=1e-8)
 
     def test_identity(self):
         npt.assert_allclose(
@@ -67,21 +67,6 @@ class TestLeastSquares:
             expanded = B @ least_squares(B[group], t)
             npt.assert_allclose(weighted, expanded, rtol=0.0,
                                 atol=1e-12 * np.abs(expanded).max())
-
-    def test_shape_errors(self):
-        with pytest.raises(ValueError, match="rows"):
-            least_squares(np.eye(3), [1.0, 2.0])
-        with pytest.raises(ValueError, match="non-finite"):
-            least_squares([[np.nan], [1.0]], [1.0, 2.0])
-        for A, y, match in [
-            (np.ones((2, 2, 2)), np.ones(2), "2-D, got ndim=3"),
-            (np.ones((2, 2)), np.ones((2, 1)), "1-D, got ndim=2"),
-            (np.ones((0, 2)), np.ones(0), "empty system"),
-            (np.ones((2, 0)), np.ones(2), "empty system"),
-            (np.eye(2), np.array([1.0, np.nan]), "target contains non-finite"),
-        ]:
-            with pytest.raises(ValueError, match=match):
-                penalized_least_squares(A, y, 1.0, [])
 
     def test_is_the_penalized_solve_without_blocks(self):
         for seed in range(5):
@@ -152,16 +137,6 @@ class TestPenalizedLeastSquares:
         beta = penalized_least_squares(B, y, 0.0, [penalty_block(4)])
         assert np.abs(B.T @ (y - B @ beta)).max() < 1e-6
 
-    def test_block_layout_mismatch(self):
-        B = np.ones((5, 4))
-        with pytest.raises(ValueError, match="tile"):
-            penalized_least_squares(B, np.ones(5), 1.0, [penalty_block(6)])
-        with pytest.raises(ValueError, match="tile"):
-            # two leading unpenalized columns is not a supported layout
-            penalized_least_squares(
-                np.ones((5, 5)), np.ones(5), 1.0, [penalty_block(3)]
-            )
-
     def test_no_blocks_is_ordinary_least_squares(self):
         # The one-leading-column rule holds only when blocks are given.
         rng = np.random.default_rng(8)
@@ -170,10 +145,6 @@ class TestPenalizedLeastSquares:
         npt.assert_allclose(
             penalized_least_squares(A, y, 2.0, []), oracle_solution(A, y), atol=1e-8
         )
-
-    def test_negative_lambda(self):
-        with pytest.raises(ValueError, match="non-negative"):
-            penalized_least_squares(np.eye(2), [1.0, 1.0], -0.5, [])
 
     def test_singular_fallback_warns_and_solves(self, monkeypatch):
         rng = np.random.default_rng(41)
@@ -234,21 +205,3 @@ class TestCounts:
             penalized_least_squares(B, y, 0.7, pens),
             rtol=1e-12,
         )
-
-    @pytest.mark.parametrize(
-        "counts, match",
-        [
-            (np.ones((4, 1)), "1-D"),
-            (np.ones(3), "4 entries"),
-            (np.ones(5), "4 entries"),
-            (np.array([1.0, 2.0, np.nan, 1.0]), "finite"),
-            (np.array([1.0, 2.0, np.inf, 1.0]), "finite"),
-            (np.array([1.0, 0.5, 1.0, 1.0]), "at least 1"),
-            (np.array([1, 0, 1, 1]), "at least 1"),
-            (np.array([1.0, -2.0, 1.0, 1.0]), "at least 1"),
-        ],
-    )
-    def test_bad_counts_raise(self, counts, match):
-        B = np.hstack([np.ones((4, 1)), np.eye(4)[:, :3]])
-        with pytest.raises(ValueError, match=match):
-            penalized_least_squares(B, np.ones(4), 1.0, [penalty_block(3)], counts=counts)

@@ -466,7 +466,3 @@ class TestPenaltyBlock:
             assert eigs.min() >= -1e-10
             v = rng.normal(size=size)
             assert v @ m @ v >= -1e-10
-
-    def test_too_small(self):
-        with pytest.raises(ValueError, match="at least 3"):
-            penalty_block(2)
