@@ -137,6 +137,9 @@ class FitConfig:
 
     def __post_init__(self) -> None:
         _require_integers(self, "knots_per_depth", "max_depth")
+        for name in ("auto_depth", "literal_final_offset"):
+            if not isinstance(getattr(self, name), bool):
+                raise ValueError(f"{name} must be a boolean, got {getattr(self, name)!r}")
         for name, rule, ok in (
             ("lam", "finite and non-negative", self.lam >= 0),
             ("knots_per_depth", "at least 1", self.knots_per_depth >= 1),
@@ -146,7 +149,7 @@ class FitConfig:
             ("denom_floor", "finite and positive", self.denom_floor > 0),
         ):
             value = getattr(self, name)
-            if not (ok and math.isfinite(value)):
+            if isinstance(value, bool) or not (ok and math.isfinite(value)):
                 raise ValueError(f"{name} must be {rule}, got {value}")
 
 
@@ -201,10 +204,10 @@ class CFracModel:
     layer's offset and coefficients finite, ``literal_final_offset`` a bool,
     ``feature_bounds`` an (m, 2) array of finite rows with lo <= hi, distinct
     string feature names and a string target name that is none of them, a
-    linear first layer, each layer's coefficient count, and each spline
-    variable a feature index once per layer, its knot ends that feature's
-    bounds. A broken rule raises ValueError naming its field, so a model that
-    builds saves a document that loads.
+    linear first layer, each layer's coefficient count, one knot vector per
+    spline variable, and each spline variable a feature index once per layer,
+    its knot ends that feature's bounds. A broken rule raises ValueError
+    naming its field, so a model that builds saves a document that loads.
     """
 
     norm: float
@@ -270,10 +273,12 @@ class CFracModel:
                 )
             _require_finite(f"layers[{d}].coefficients", g.coefficients)
             if isinstance(g, AdditiveSplineModel):
-                self._check_variables(f"layers[{d}].variables", g.variable_ids, g.bases.edge)
+                self._check_variables(f"layers[{d}].variables", g.variable_ids, g.bases)
 
-    def _check_variables(self, path: str, ids: tuple[int, ...], edge: np.ndarray) -> None:
-        """Distinct feature indices whose knot ends (``edge``) are their bounds."""
+    def _check_variables(self, path: str, ids: tuple[int, ...], bases: LayerBases) -> None:
+        """Distinct feature indices, one per knot vector, whose knot ends are their bounds."""
+        if len(ids) != len(bases):
+            raise ValueError(f"{path}: {len(ids)} ids for {len(bases)} knot vectors")
         m = self.feature_count
         if ids and not 0 <= min(ids) <= max(ids) < m:
             j = next(j for j, vid in enumerate(ids) if not 0 <= vid < m)
@@ -283,7 +288,7 @@ class CFracModel:
             raise ValueError(f"{path}[{j}].id: feature {ids[j]} is already in this layer")
         # predict clips each layer's design rows to its knot ends and measures
         # the line beyond them from feature_bounds, so the two must agree.
-        bad = (np.reshape(edge, (-1, 2)) != self.feature_bounds[list(ids)]).any(1)
+        bad = (np.reshape(bases.edge, (-1, 2)) != self.feature_bounds[list(ids)]).any(1)
         if bad.any():
             j = int(np.argmax(bad))
             raise ValueError(f"{path}[{j}]: lo and hi differ from feature_bounds[{ids[j]}]")
@@ -514,6 +519,15 @@ def _insert_knot(knots: list[float], value: float, lo: float, hi: float) -> None
     knots.insert(i, value)
 
 
+def _require_finite_depth(depth: int, values: np.ndarray, y0: np.ndarray) -> None:
+    """Name the depth whose residuals (depth 0) or inverted target are not finite."""
+    if not np.isfinite(values).all():
+        raise ValueError(
+            f"depth {depth}: residuals or their inverses are not finite at target scale "
+            f"{np.abs(y0).max():.3g} (max |y| / norm); a larger norm shrinks it"
+        )
+
+
 def fit(X, y, config: FitConfig | None = None) -> CFracModel:
     """Fit a continued-fraction model, one layer per depth.
 
@@ -546,14 +560,18 @@ def fit(X, y, config: FitConfig | None = None) -> CFracModel:
 
     lo = X.min(axis=0)
     hi = X.max(axis=0)
-    spline_vars = [j for j in range(m) if hi[j] - lo[j] > KNOT_DEDUP_TOL]
+    span = hi - lo
+    if not np.isfinite(span).all():
+        j = int(np.argmax(~np.isfinite(span)))
+        raise ValueError(f"X column {j}: its range {lo[j]} to {hi[j]} overflows float64")
+    spline_vars = [j for j in range(m) if span[j] > KNOT_DEDUP_TOL]
 
     first, group, counts = _distinct_rows(X)
     counts = counts if first.size < n else None
     X_spline = X[np.ix_(first, spline_vars)]
     y0 = y / config.norm
     # Solve on the varying columns mapped onto [0, 1]; map the coefficients back.
-    shift, scale = lo[spline_vars], hi[spline_vars] - lo[spline_vars]
+    shift, scale = lo[spline_vars], span[spline_vars]
     design = np.ones((first.size, 1 + len(spline_vars)))
     np.divide(np.subtract(X_spline, shift, out=design[:, 1:]), scale, out=design[:, 1:])
     beta = least_squares(design, np.bincount(group, weights=y0, minlength=first.size), counts)
@@ -562,6 +580,7 @@ def fit(X, y, config: FitConfig | None = None) -> CFracModel:
     coefficients[0] = beta[0] - coefficients[1:][spline_vars] @ shift
     values = [LinearModel(coefficients).evaluate(X)]
     resid = y0 - values[0]
+    _require_finite_depth(0, resid, y0)
     model = CFracModel(
         norm=config.norm,
         layers=(LinearModel(coefficients, compute_offset(resid, config.offset_epsilon)),),
@@ -576,6 +595,7 @@ def fit(X, y, config: FitConfig | None = None) -> CFracModel:
     rmses = [rmse(y, train_pred)]
     for depth in range(1, config.max_depth + 1):
         target = 1.0 / (resid + model.layers[-1].offset)
+        _require_finite_depth(depth, target, y0)
         for p in select_knots(resid, config.knots_per_depth):
             for j in spline_vars:
                 _insert_knot(knots[j], float(X[p, j]), lo[j], hi[j])
@@ -617,6 +637,9 @@ def training_rmse_by_depth(model: CFracModel, X, y) -> list[float]:
     On the training rows this recomputes ``model.training_rmse``.
     """
     values = model.layer_values(X)
+    y = np.asarray(y, dtype=float)
+    if y.shape != values[0].shape:
+        raise ValueError(f"y must be 1-D with {values[0].shape[0]} entries, got shape {y.shape}")
     return [rmse(y, model._fold(values[: d + 1])) for d in range(len(values))]
 
 

@@ -1,54 +1,45 @@
-"""Error metrics, agreement statistics, and cross-method comparison tables."""
+"""Error metrics, agreement statistics, and cross-method comparison tables.
+
+The callers build every vector these functions take (``cfr_core`` from the
+targets it checked, ``bench`` from its splits and the prediction files it
+matched to them, ``cli``'s report from those files), so nothing here checks
+them again: each is a non-empty 1-D numpy array of float64 values or boolean
+labels, and paired vectors have one length. What is checked here is the
+data (a zero true value has no relative error) and ``top_k_table``'s ``k``,
+set by a user.
+"""
 
 from __future__ import annotations
 
 import numpy as np
 
 
-def _paired(y_true, y_pred) -> tuple[np.ndarray, np.ndarray]:
-    t = np.asarray(y_true, dtype=float)
-    p = np.asarray(y_pred, dtype=float)
-    if t.ndim != 1 or p.ndim != 1 or t.shape != p.shape:
-        raise ValueError(f"expected equal-length 1-D vectors, got {t.shape} and {p.shape}")
-    if t.shape[0] == 0:
-        raise ValueError("empty vectors")
-    return t, p
+def rmse(y_true: np.ndarray, y_pred: np.ndarray) -> float:
+    return float(np.sqrt(np.mean((y_true - y_pred) ** 2)))
 
 
-def rmse(y_true, y_pred) -> float:
-    t, p = _paired(y_true, y_pred)
-    return float(np.sqrt(np.mean((t - p) ** 2)))
-
-
-def mean_relative_error(y_true, y_pred) -> float:
+def mean_relative_error(y_true: np.ndarray, y_pred: np.ndarray) -> float:
     """Mean of |true - pred| / |true|; zero true values are rejected."""
-    t, p = _paired(y_true, y_pred)
-    zeros = np.flatnonzero(t == 0.0)
+    zeros = np.flatnonzero(y_true == 0.0)
     if zeros.size:
         raise ValueError(
             f"mean relative error undefined: y_true is zero at index {int(zeros[0])}"
         )
-    return float(np.mean(np.abs(t - p) / np.abs(t)))
+    return float(np.mean(np.abs(y_true - y_pred) / np.abs(y_true)))
 
 
-def threshold_counts(y_pred, threshold: float) -> tuple[int, int]:
+def threshold_counts(y_pred: np.ndarray, threshold: float) -> tuple[int, int]:
     """(count >= threshold, count below); the boundary counts as positive."""
-    p = np.asarray(y_pred, dtype=float)
-    if p.ndim != 1 or p.shape[0] == 0:
-        raise ValueError("y_pred must be a non-empty 1-D vector")
-    pos = int(np.count_nonzero(p >= threshold))
-    return pos, p.shape[0] - pos
+    pos = int(np.count_nonzero(y_pred >= threshold))
+    return pos, y_pred.shape[0] - pos
 
 
-def count_beyond_training_max(y_pred, training_target_max: float) -> int:
+def count_beyond_training_max(y_pred: np.ndarray, training_target_max: float) -> int:
     """How many predictions exceed (strictly) the largest training target."""
-    p = np.asarray(y_pred, dtype=float)
-    if p.ndim != 1:
-        raise ValueError("y_pred must be 1-D")
-    return int(np.count_nonzero(p > training_target_max))
+    return int(np.count_nonzero(y_pred > training_target_max))
 
 
-def cohen_kappa(labels_a, labels_b) -> float:
+def cohen_kappa(labels_a: np.ndarray, labels_b: np.ndarray) -> float:
     """Chance-corrected agreement between two label vectors.
 
     kappa = (p_o - p_e) / (1 - p_e) with p_o the observed agreement rate and
@@ -56,15 +47,9 @@ def cohen_kappa(labels_a, labels_b) -> float:
     When both raters assign one identical label throughout (p_e = 1) the
     agreement is perfect by construction and kappa is defined as 1.
     """
-    a = np.asarray(labels_a)
-    b = np.asarray(labels_b)
-    if a.ndim != 1 or b.ndim != 1 or a.shape != b.shape:
-        raise ValueError(f"expected equal-length 1-D label vectors, got {a.shape} and {b.shape}")
-    if a.shape[0] == 0:
-        raise ValueError("empty label vectors")
-    p_o = float(np.mean(a == b))
-    labels = np.unique(np.concatenate([a, b]))
-    p_e = float(sum(np.mean(a == lab) * np.mean(b == lab) for lab in labels))
+    p_o = float(np.mean(labels_a == labels_b))
+    labels = np.unique(np.concatenate([labels_a, labels_b]))
+    p_e = float(sum(np.mean(labels_a == lab) * np.mean(labels_b == lab) for lab in labels))
     if p_e >= 1.0:
         return 1.0
     return (p_o - p_e) / (1.0 - p_e)
@@ -79,7 +64,7 @@ def kappa_agreement_label(kappa: float) -> str:
 
 
 def top_k_table(
-    y_true, y_pred, k: int = 20
+    y_true: np.ndarray, y_pred: np.ndarray, k: int = 20
 ) -> tuple[list[tuple[int, int, float, float]], tuple[float, float, float, float]]:
     """The k samples with the largest predicted values, plus subset metrics.
 
@@ -87,12 +72,11 @@ def top_k_table(
     subset's (mean true, mean predicted, mean relative error, RMSE). Sorted by
     predicted value, descending; ties resolve toward the lower sample index.
     """
-    t, p = _paired(y_true, y_pred)
-    n = p.shape[0]
+    n = y_pred.shape[0]
     if not 1 <= k <= n:
         raise ValueError(f"k must be in [1, {n}], got {k}")
-    order = np.argsort(-p, kind="stable")[:k]
-    t, p = t[order], p[order]
+    order = np.argsort(-y_pred, kind="stable")[:k]
+    t, p = y_true[order], y_pred[order]
     rows = [
         (rank, int(i), float(a), float(b))
         for rank, (i, a, b) in enumerate(zip(order, t, p), start=1)

@@ -17,13 +17,12 @@ targets, so a design of the distinct rows gives the normal equations of the
 full one exactly (Wood, Goude and Shaw, "Generalized additive models for
 large data sets", JRSS C 2015, with exact counts in place of bins).
 
-``cfr_core.fit`` is the one caller, and it checks the table and the config
-before any solve, so nothing here checks them again. Short of overflow in
-fit's own arithmetic (a feature range or an inverted residual beyond the
-float64 range), every call receives a finite float64 design of at least one
-row, a finite target with one entry per row, a finite ``lam >= 0``, blocks
-that tile every column but the intercept, and counts that are None or
-integers >= 1, one per row.
+``cfr_core.fit`` is the one caller, and it checks the table, the config and
+each depth's target before any solve, so nothing here checks them again.
+Every call receives a finite float64 design of at least one row, a finite
+target with one entry per row, a finite ``lam >= 0``, blocks that tile every
+column but the intercept, and counts that are None or integers >= 1, one per
+row.
 """
 
 from __future__ import annotations

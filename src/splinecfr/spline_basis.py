@@ -27,6 +27,11 @@ array, and a ``LayerBases`` (one layer's knot vectors) holds the tables
 ``design_matrix`` reads. ``design_matrix`` takes only a ``LayerBases``, so
 those tables are built once per layer, never per call. Both are freed with
 the models that hold them, so nothing keyed on a knot vector outlives them.
+
+Only ``cfr_core`` calls ``design_matrix``: ``fit`` and predict pass a
+C-contiguous float64 ``X`` with one column per knot vector and an ``out``
+that is None or a C-contiguous float64 array of the design's shape, so
+nothing here checks them again; the points themselves are checked, as above.
 """
 
 from __future__ import annotations
@@ -177,33 +182,20 @@ def _raise_outside(x: np.ndarray, r0: int, lo: np.ndarray, hi: np.ndarray) -> No
 _BLOCK_POINTS = 20480
 
 
-def design_matrix(X, bases: LayerBases, out: np.ndarray | None = None) -> np.ndarray:
+def design_matrix(X: np.ndarray, bases: LayerBases, out: np.ndarray | None = None) -> np.ndarray:
     """An intercept column followed by one basis block per variable.
 
-    ``bases`` is a :class:`LayerBases`, whose tables are read as they are;
-    anything else raises TypeError. ``X`` must have exactly one column per
-    knot vector in it. The result has 1 + sum(basis_count) columns and is
-    allocated once, or is ``out`` (a C-contiguous float64 array of that
-    shape, else ValueError) cleared and written over. Each point must lie in
-    its variable's [lo, hi] and writes only the degree+1 values of its span
-    in each block, its exact unit row at an end. A cell beyond an end,
+    ``X`` holds one column per knot vector of ``bases``, whose tables are
+    read as they are. The result has 1 + sum(basis_count) columns and is
+    allocated once, or is ``out`` cleared and written over. Each point must
+    lie in its variable's [lo, hi] and writes only the degree+1 values of its
+    span in each block, its exact unit row at an end. A cell beyond an end,
     infinite or NaN raises ValueError naming its row and column.
     """
-    if not isinstance(bases, LayerBases):
-        raise TypeError(f"bases must be a LayerBases, got {type(bases).__name__}")
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2:
-        raise ValueError(f"expected a 2-D feature matrix, got ndim={X.ndim}")
-    if X.shape[1] != len(bases):
-        raise ValueError(
-            f"feature matrix has {X.shape[1]} columns but {len(bases)} knot vectors were given"
-        )
     n, m = X.shape
     width = bases.width
     if out is None:
         out = np.zeros((n, width))
-    elif out.shape != (n, width) or out.dtype != float or not out.flags.c_contiguous:
-        raise ValueError(f"out must be a C-contiguous float64 array of shape {(n, width)}")
     else:
         out.fill(0.0)
     out[:, 0] = 1.0

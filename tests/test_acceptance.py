@@ -264,7 +264,7 @@ def test_property_battery(tmp_path):
     b = rng.integers(0, 2, size=300)
     assert cohen_kappa(a, b) == cohen_kappa(b, a)
     assert cohen_kappa(a, b) <= 1.0
-    assert cohen_kappa(["P", "P", "N", "N"], ["P", "N", "N", "N"]) == 0.5
+    assert cohen_kappa(np.array(["P", "P", "N", "N"]), np.array(["P", "N", "N", "N"])) == 0.5
 
     # Rank matrix rows always sum to M(M+1)/2.
     ranks = rank_matrix(rng.uniform(1, 9, size=(8, 3)))

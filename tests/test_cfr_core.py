@@ -9,13 +9,14 @@ import tracemalloc
 import warnings
 import weakref
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 from reference_model import oracle_design
-from splinecfr import bench, cfr_core, spline_basis
+from splinecfr import bench, cfr_core, cli, evaluation, spline_basis
 from splinecfr.cfr_core import (
     AdditiveSplineModel,
     CFracModel,
@@ -28,7 +29,9 @@ from splinecfr.cfr_core import (
     serialize,
     training_rmse_by_depth,
 )
+from splinecfr.data_io import load_csv, split_out_of_domain
 from splinecfr.errors import ModelFormatError, TrainingRmseWarning
+from splinecfr.fileio import csv_text
 from splinecfr.solver import least_squares, penalized_least_squares
 from splinecfr.spline_basis import LayerBases, build_knot_vector, design_matrix, penalty_block
 from test_golden import golden_table
@@ -122,6 +125,24 @@ class TestFit:
         X[3, 1] = np.nan
         with pytest.raises(ValueError, match="X contains non-finite values"):
             fit(X, y)
+
+    @pytest.mark.parametrize(
+        "scale_x, scale_y, norm, message",
+        [
+            # Column 1 spans about 2e308: its range overflows, its cells do not.
+            (6e307, 1.0, 1000.0, r"^X column 1: its range -1\.\d+e\+308 to 1\.\d+e\+308 overflows"),
+            # Depth 1 inverts residuals of order 1e303, where offset_epsilon is lost.
+            (1.0, 1e306, 1000.0, r"^depth 1: .* not finite at target scale \d\.\d+e\+303 \(max"),
+            # Residuals of a target near the float64 limit overflow at depth 0.
+            (1.0, 1e307, 1.0, r"^depth 0: .* not finite at target scale \d\.\d+e\+307 \(max"),
+        ],
+        ids=["x-range", "inverted-target", "residuals"],
+    )
+    def test_overflow_names_the_input(self, scale_x, scale_y, norm, message):
+        X, y = toy_data(n=50, seed=3)
+        X[:, 1] *= scale_x
+        with pytest.raises(ValueError, match=message), np.errstate(over="ignore", divide="ignore"):
+            fit(X, (y - 3.0) * scale_y, FitConfig(norm=norm))
 
     def test_constant_target_recovered_at_any_depth(self):
         rng = np.random.default_rng(4)
@@ -382,6 +403,13 @@ class TestDepthControl:
         assert list(model.training_rmse) == training_rmse_by_depth(model, X, y)
         assert deserialize(serialize(model)).training_rmse == ()
 
+    def test_rmse_by_depth_refuses_a_target_of_another_shape(self):
+        X, y = toy_data(n=60, seed=33)
+        model = fit(X, y, FitConfig(max_depth=1))
+        for bad in (y[:1], y[:, None], y[:-1]):
+            with pytest.raises(ValueError, match=r"y must be 1-D with 60 entries, got shape"):
+                training_rmse_by_depth(model, X, bad)
+
     def test_fixed_depth_warns_for_each_depth_that_raises_training_rmse(self):
         from splinecfr.data_io import gen_sinc
 
@@ -416,6 +444,14 @@ def layers_with(model, d, **changes):
     layers = list(model.layers)
     layers[d] = replace(layers[d], **changes)
     return tuple(layers)
+
+
+def two_bases_three_ids(model):
+    """model.layers with layer 1 cut to its first two knot vectors and its
+    coefficients to their width, its three variable ids kept."""
+    bases = LayerBases(model.layers[1].bases[:2])
+    coefficients = model.layers[1].coefficients[: bases.width]
+    return layers_with(model, 1, bases=bases, coefficients=coefficients)
 
 
 def nan_at(values, k):
@@ -677,6 +713,16 @@ class TestSerialization:
             lambda m: {"layers": layers_with(m, 1, variable_ids=(0, 1, 0))},
             r"layers\[1\]\.variables\[2\]\.id: feature 0 is already in this layer",
         ),
+        # One knot vector per variable id: with fewer ids the document loads
+        # as another model, with more it fails to load.
+        "fewer-ids-than-knot-vectors": (
+            lambda m: {"layers": layers_with(m, 1, variable_ids=(0, 1))},
+            r"layers\[1\]\.variables: 2 ids for 3 knot vectors",
+        ),
+        "more-ids-than-knot-vectors": (
+            lambda m: {"layers": two_bases_three_ids(m)},
+            r"layers\[1\]\.variables: 3 ids for 2 knot vectors",
+        ),
         # predict clips rows to feature_bounds and extends each term from its
         # knot ends, so the two must agree.
         "knot-ends": (
@@ -790,6 +836,13 @@ class TestFitConfigValidation:
             {"max_depth": 2.5},
             {"max_depth": False},
             {"max_depth": "3"},
+            {"auto_depth": "no"},
+            {"auto_depth": 1},
+            {"literal_final_offset": "no"},
+            {"lam": True},
+            {"norm": True},
+            {"offset_epsilon": True},
+            {"denom_floor": True},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -890,6 +943,141 @@ class TestFitGuarantees:
         # Every check ran; a table with no varying column has no spline block.
         unused = {"penalty_block"} if table == "all-columns-constant" else set()
         assert reached == set(self.ROUTINES) - unused
+
+
+class TestCallerGuarantees:
+    """design_matrix and the metrics check none of their arguments: fit,
+    predict, bench and report build them. Every call these make must pass
+    what the routine takes for granted. Each ``check_<routine>`` takes the
+    call's arguments."""
+
+    METRICS = (
+        "rmse",
+        "mean_relative_error",
+        "threshold_counts",
+        "count_beyond_training_max",
+        "cohen_kappa",
+        "top_k_table",
+    )
+
+    @staticmethod
+    def vector(v, dtype=np.float64):
+        assert isinstance(v, np.ndarray) and v.dtype == dtype and v.ndim == 1 and v.size >= 1
+
+    @staticmethod
+    def check_design_matrix(X, bases, out=None):
+        assert isinstance(bases, LayerBases)
+        assert isinstance(X, np.ndarray) and X.dtype == np.float64 and X.flags.c_contiguous
+        assert X.ndim == 2 and X.shape[1] == len(bases)
+        if out is not None:
+            assert out.dtype == np.float64 and out.flags.c_contiguous
+            assert out.shape == (X.shape[0], bases.width)
+
+    def check_paired(self, y_true, y_pred, k=None):
+        self.vector(y_true)
+        self.vector(y_pred)
+        assert y_true.shape == y_pred.shape
+
+    check_rmse = check_mean_relative_error = check_top_k_table = check_paired
+
+    def check_threshold_counts(self, y_pred, threshold):
+        self.vector(y_pred)
+
+    check_count_beyond_training_max = check_threshold_counts
+
+    def check_cohen_kappa(self, labels_a, labels_b):
+        self.vector(labels_a, bool)
+        self.vector(labels_b, bool)
+        assert labels_a.shape == labels_b.shape
+
+    @staticmethod
+    def fit_and_predict(tmp_path):
+        X, y = toy_data(n=60, seed=5)
+        model = fit(X, y, FitConfig(max_depth=2))
+        outside = X * 3.0
+        for batch in (X[:20], outside, X[:1], outside[:1], np.repeat(X[:10], 3, axis=0)):
+            model.predict(batch)
+
+    @staticmethod
+    def shared_blocks(tmp_path):
+        model = TestSharedBlocks.model()
+        _, batch = TestSharedBlocks.batch(model)
+        model.predict(batch)
+        model.predict(batch[-1:])
+
+    @staticmethod
+    def table(tmp_path):
+        data = tmp_path / "toy.csv"
+        X, y = toy_data(n=40, seed=6)
+        data.write_text(csv_text(["x0", "x1", "x2", "y"], np.column_stack([X, y]).tolist()))
+        return str(data)
+
+    def run_bench(self, tmp_path, *flags):
+        args = ["bench", "--data", self.table(tmp_path), "--target", "y"]
+        flags += ("--runs", "2", "--seed", "5", "--max-depth", "1", "--knots", "2")
+        assert cli.main([*args, *flags, "--out-dir", str(tmp_path / "b")]) == 0
+
+    def bench_oos(self, tmp_path):
+        self.run_bench(tmp_path)
+
+    def prediction_files(self, tmp_path):
+        """Two run_id,row_id,y_true,y_pred files for the ood splits of
+        run_bench, and the first split's threshold."""
+        ds = load_csv(self.table(tmp_path), "y")
+        splits = [split_out_of_domain(ds, 0.8, seed) for seed in (5, 6)]
+        paths = []
+        for name, shift in (("noisy", 0.5), ("shifted", -1.0)):
+            rows = [
+                (run_id, row_id, t, t + shift * (-1) ** row_id)
+                for run_id, split in enumerate(splits)
+                for row_id, t in enumerate(split.test.target.tolist())
+            ]
+            paths.append(str(tmp_path / f"{name}.csv"))
+            Path(paths[-1]).write_text(csv_text(["run_id", "row_id", "y_true", "y_pred"], rows))
+        return paths, splits[0].threshold
+
+    def bench_ood_external(self, tmp_path):
+        paths, _ = self.prediction_files(tmp_path)
+        ood = ("--protocol", "ood", "--quantile", "0.8")
+        self.run_bench(tmp_path, *ood, "--predictions", paths[0])
+
+    def report(self, tmp_path):
+        paths, threshold = self.prediction_files(tmp_path)
+        args = ["report", "--predictions", *paths, "--top-k", "3", "--threshold", str(threshold)]
+        assert cli.main([*args, "--out-dir", str(tmp_path / "report")]) == 0
+
+    SOURCES = {
+        "fit_and_predict": {"design_matrix", "rmse"},
+        "shared_blocks": {"design_matrix"},
+        "bench_oos": {"design_matrix", "rmse", "mean_relative_error"},
+        "bench_ood_external": {"design_matrix", *METRICS} - {"top_k_table"},
+        "report": set(METRICS) - {"count_beyond_training_max"},
+    }
+
+    @pytest.mark.parametrize("source", SOURCES)
+    def test_every_call_passes_what_its_routine_assumes(self, source, tmp_path, monkeypatch):
+        reached = set()
+
+        def spy(name, routine):
+            def checked(*args, **kwargs):
+                getattr(self, f"check_{name}")(*args, **kwargs)
+                reached.add(name)
+                return routine(*args, **kwargs)
+
+            return checked
+
+        patches = [(cfr_core, "design_matrix")] + [
+            (module, name)
+            for module in (evaluation, cfr_core, bench, cli)
+            for name in self.METRICS
+            if hasattr(module, name)
+        ]
+        for module, name in patches:
+            monkeypatch.setattr(module, name, spy(name, getattr(module, name)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", TrainingRmseWarning)
+            getattr(self, source)(tmp_path)
+        assert reached == self.SOURCES[source]
 
 
 class TestRowBlocks:
@@ -1005,6 +1193,15 @@ class TestSharedBlocks:
             ids = list(g.variable_ids)
             design = design_matrix(np.clip(inside[:, ids], lo[ids], hi[ids]), g.bases)
             assert_same_bits(value, cfr_core._row_dot(design, g.coefficients))
+
+    def test_document_round_trips(self):
+        # Layers reading three different variable tuples save and load as they are.
+        model = self.model()
+        text = serialize(model)
+        clone = deserialize(text)
+        assert serialize(clone) == text
+        _, batch = self.batch(model)
+        assert_same_bits(clone.predict(batch), model.predict(batch))
 
     def test_layers_match_their_own_model(self):
         # Outside the box as well, a layer's values do not depend on the

@@ -97,19 +97,34 @@ def test_modules_import_only_the_standard_library_and_numpy():
     assert found == []
 
 
-def test_only_fit_calls_the_routines_that_trust_their_inputs():
-    # The solver, knot selection, offsets and penalty blocks check none of
-    # their arguments, because fit checks the table and FitConfig the
-    # settings before any of them runs (tests/test_cfr_core.py,
-    # TestFitGuarantees). A second caller would have to bring its own checks.
-    routines = {
-        "penalized_least_squares",
-        "least_squares",
-        "select_knots",
-        "compute_offset",
-        "penalty_block",
-    }
-    uses = []
+FIT = ("cfr_core.py", "fit")
+SCORE = ("bench.py", "_score")
+REPORT = ("cli.py", "cmd_report")
+TOP_K = ("evaluation.py", "top_k_table")
+# Each routine that checks none of its arguments, and the (module, function)
+# pairs that call it. A new caller has to bring its own checks, or pass what
+# these ones pass.
+FIT_ROUTINES = {
+    "penalized_least_squares": {FIT, ("solver.py", "least_squares")},
+    "least_squares": {FIT},
+    "select_knots": {FIT},
+    "compute_offset": {FIT},
+    "penalty_block": {FIT},
+}
+BUILT_INPUT_ROUTINES = {
+    "design_matrix": {FIT, ("cfr_core.py", "_spline_values")},
+    "rmse": {FIT, ("cfr_core.py", "training_rmse_by_depth"), SCORE, TOP_K},
+    "mean_relative_error": {SCORE, TOP_K},
+    "threshold_counts": {SCORE, REPORT},
+    "count_beyond_training_max": {SCORE},
+    "cohen_kappa": {("bench.py", "pairwise_kappa")},
+    "top_k_table": {REPORT},
+}
+
+
+def callers_of(routines) -> dict[str, set[tuple[str, str]]]:
+    """Every (module, function) of the package that names each routine."""
+    callers = {name: set() for name in routines}
 
     def visit(node, scope, path):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -119,14 +134,26 @@ def test_only_fit_calls_the_routines_that_trust_their_inputs():
             else node.attr if isinstance(node, ast.Attribute)
             else None
         )
-        if name in routines:
-            uses.append((path.name, scope, name))
+        if name in callers:
+            callers[name].add((path.name, scope))
         for child in ast.iter_child_nodes(node):
             visit(child, scope, path)
 
     for path in sorted(Path(splinecfr.__file__).parent.glob("*.py")):
         visit(ast.parse(path.read_text(encoding="utf-8"), str(path)), "<module>", path)
-    in_fit = {name for module, scope, name in uses if (module, scope) == ("cfr_core.py", "fit")}
-    assert in_fit == routines
-    elsewhere = [use for use in uses if use[:2] != ("cfr_core.py", "fit")]
-    assert elsewhere == [("solver.py", "least_squares", "penalized_least_squares")]
+    return callers
+
+
+def test_only_fit_calls_the_routines_that_trust_their_inputs():
+    # The solver, knot selection, offsets and penalty blocks check none of
+    # their arguments, because fit checks the table and FitConfig the
+    # settings before any of them runs (tests/test_cfr_core.py,
+    # TestFitGuarantees).
+    assert callers_of(FIT_ROUTINES) == FIT_ROUTINES
+
+
+def test_only_the_callers_that_build_their_inputs_call_design_matrix_and_the_metrics():
+    # fit, predict, bench and report build the designs' rows and the metrics'
+    # vectors, and check them where they enter (tests/test_cfr_core.py,
+    # TestCallerGuarantees).
+    assert callers_of(BUILT_INPUT_ROUTINES) == BUILT_INPUT_ROUTINES

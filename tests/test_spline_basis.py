@@ -376,25 +376,6 @@ class TestDesignMatrix:
         X = np.random.default_rng(0).uniform(0, 1, (7, 2))
         assert design_matrix(X, LayerBases(kvs)).shape == (7, 1 + 4 + 5)
 
-    def test_dimension_mismatch(self):
-        kv = build_knot_vector([], 0.0, 1.0)
-        with pytest.raises(ValueError, match="columns"):
-            design_matrix(np.zeros((3, 2)), LayerBases([kv]))
-
-    @pytest.mark.parametrize("wrap", [list, tuple])
-    def test_bases_must_be_layer_bases(self, wrap):
-        kv = build_knot_vector([0.5], 0.0, 1.0)
-        with pytest.raises(TypeError, match="LayerBases"):
-            design_matrix(np.zeros((3, 1)), wrap([kv]))
-
-    @pytest.mark.parametrize(
-        "out", [np.zeros((3, 6)), np.zeros((3, 5), dtype=np.float32), np.zeros((5, 3)).T]
-    )
-    def test_out_must_be_a_contiguous_design(self, out):
-        kv = build_knot_vector([], 0.0, 1.0)
-        with pytest.raises(ValueError, match=r"out must be a C-contiguous float64 array"):
-            design_matrix(np.zeros((3, 1)), LayerBases([kv]), out=out)
-
     @pytest.mark.parametrize("row", [0, 5, _BLOCK_POINTS // 2 + 7])
     @pytest.mark.parametrize("column", [0, 1])
     def test_nan_names_its_row_and_column(self, row, column):
