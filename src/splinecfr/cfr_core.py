@@ -55,6 +55,7 @@ from .evaluation import rmse
 from .solver import least_squares, penalized_least_squares
 from .spline_basis import (
     KNOT_DEDUP_TOL,
+    KnotVector,
     LayerBases,
     build_knot_vector,
     design_matrix,
@@ -508,7 +509,8 @@ def _distinct_rows(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _insert_knot(knots: list[float], value: float, lo: float, hi: float) -> None:
-    """Insert a knot position, skipping boundary hits and near-duplicates."""
+    """Insert a knot position, skipping boundary hits and near-duplicates, so
+    that ``knots`` stays a valid interior of a knot vector on [lo, hi]."""
     if value - lo <= KNOT_DEDUP_TOL or hi - value <= KNOT_DEDUP_TOL:
         return
     i = bisect.bisect_left(knots, value)
@@ -558,77 +560,80 @@ def fit(X, y, config: FitConfig | None = None) -> CFracModel:
     if not np.isfinite(y).all():
         raise ValueError("y contains non-finite values")
 
-    lo = X.min(axis=0)
-    hi = X.max(axis=0)
-    span = hi - lo
-    if not np.isfinite(span).all():
-        j = int(np.argmax(~np.isfinite(span)))
-        raise ValueError(f"X column {j}: its range {lo[j]} to {hi[j]} overflows float64")
-    spline_vars = [j for j in range(m) if span[j] > KNOT_DEDUP_TOL]
+    # Overflow is named by the checks below, not by numpy warnings first.
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        lo = X.min(axis=0)
+        hi = X.max(axis=0)
+        span = hi - lo
+        if not np.isfinite(span).all():
+            j = int(np.argmax(~np.isfinite(span)))
+            raise ValueError(f"X column {j}: its range {lo[j]} to {hi[j]} overflows float64")
+        spline_vars = [j for j in range(m) if span[j] > KNOT_DEDUP_TOL]
 
-    first, group, counts = _distinct_rows(X)
-    counts = counts if first.size < n else None
-    X_spline = X[np.ix_(first, spline_vars)]
-    y0 = y / config.norm
-    # Solve on the varying columns mapped onto [0, 1]; map the coefficients back.
-    shift, scale = lo[spline_vars], span[spline_vars]
-    design = np.ones((first.size, 1 + len(spline_vars)))
-    np.divide(np.subtract(X_spline, shift, out=design[:, 1:]), scale, out=design[:, 1:])
-    beta = least_squares(design, np.bincount(group, weights=y0, minlength=first.size), counts)
-    coefficients = np.zeros(1 + m)  # a column constant on the training rows keeps 0
-    coefficients[1:][spline_vars] = beta[1:] / scale
-    coefficients[0] = beta[0] - coefficients[1:][spline_vars] @ shift
-    values = [LinearModel(coefficients).evaluate(X)]
-    resid = y0 - values[0]
-    _require_finite_depth(0, resid, y0)
-    model = CFracModel(
-        norm=config.norm,
-        layers=(LinearModel(coefficients, compute_offset(resid, config.offset_epsilon)),),
-        feature_bounds=np.column_stack([lo, hi]),
-        training_target_max=float(y.max()),
-        denom_floor=config.denom_floor,
-        literal_final_offset=config.literal_final_offset,
-    )
-    knots: dict[int, list[float]] = {j: [] for j in spline_vars}
+        first, group, counts = _distinct_rows(X)
+        counts = counts if first.size < n else None
+        X_spline = X[np.ix_(first, spline_vars)]
+        y0 = y / config.norm
+        # Solve on the varying columns mapped onto [0, 1]; map the coefficients back.
+        shift, scale = lo[spline_vars], span[spline_vars]
+        design = np.ones((first.size, 1 + len(spline_vars)))
+        np.divide(np.subtract(X_spline, shift, out=design[:, 1:]), scale, out=design[:, 1:])
+        beta = least_squares(design, np.bincount(group, weights=y0, minlength=first.size), counts)
+        coefficients = np.zeros(1 + m)  # a column constant on the training rows keeps 0
+        coefficients[1:][spline_vars] = beta[1:] / scale
+        coefficients[0] = beta[0] - coefficients[1:][spline_vars] @ shift
+        values = [LinearModel(coefficients).evaluate(X)]
+        resid = y0 - values[0]
+        _require_finite_depth(0, resid, y0)
+        model = CFracModel(
+            norm=config.norm,
+            layers=(LinearModel(coefficients, compute_offset(resid, config.offset_epsilon)),),
+            feature_bounds=np.column_stack([lo, hi]),
+            training_target_max=float(y.max()),
+            denom_floor=config.denom_floor,
+            literal_final_offset=config.literal_final_offset,
+        )
+        knots: dict[int, list[float]] = {j: [] for j in spline_vars}
+        ends = {j: (float(lo[j]), float(hi[j])) for j in spline_vars}
 
-    train_pred = model._fold(values)
-    rmses = [rmse(y, train_pred)]
-    for depth in range(1, config.max_depth + 1):
-        target = 1.0 / (resid + model.layers[-1].offset)
-        _require_finite_depth(depth, target, y0)
-        for p in select_knots(resid, config.knots_per_depth):
-            for j in spline_vars:
-                _insert_knot(knots[j], float(X[p, j]), lo[j], hi[j])
-        bases = LayerBases(build_knot_vector(knots[j], lo[j], hi[j]) for j in spline_vars)
-        design = design_matrix(X_spline, bases)
-        penalties = [penalty_block(kv.basis_count) for kv in bases]
-        # Each group's target sum; a group of one row sums to its target exactly.
-        sums = np.bincount(group, weights=target, minlength=first.size)
-        beta = penalized_least_squares(design, sums, config.lam, penalties, counts)
-        values.append(_row_dot(design, beta)[group])
-        # One design at a time: the next depth's is larger.
-        del design
-        resid = target - values[-1]
-        offset = compute_offset(resid, config.offset_epsilon)
-        layer = AdditiveSplineModel(tuple(spline_vars), bases, beta, offset)
-        deeper = replace(model, layers=model.layers + (layer,))
-        train_pred = deeper._fold(values)
-        depth_rmse = rmse(y, train_pred)
-        if depth_rmse > rmses[-1]:
-            if config.auto_depth:
-                break  # keep only the depths above the first worse one
-            warnings.warn(
-                f"depth {depth} raises the training RMSE from {rmses[-1]:.6g} "
-                f"to {depth_rmse:.6g}; auto depth keeps only the depths above it",
-                TrainingRmseWarning,
-                stacklevel=2,
-            )
-        model = deeper
-        rmses.append(depth_rmse)
+        train_pred = model._fold(values)
+        rmses = [rmse(y, train_pred)]
+        for depth in range(1, config.max_depth + 1):
+            target = 1.0 / (resid + model.layers[-1].offset)
+            _require_finite_depth(depth, target, y0)
+            for p in select_knots(resid, config.knots_per_depth):
+                for j in spline_vars:
+                    _insert_knot(knots[j], float(X[p, j]), *ends[j])
+            bases = LayerBases(KnotVector(tuple(knots[j]), *ends[j]) for j in spline_vars)
+            design = design_matrix(X_spline, bases)
+            penalties = [penalty_block(kv.basis_count) for kv in bases]
+            # Each group's target sum; a group of one row sums to its target exactly.
+            sums = np.bincount(group, weights=target, minlength=first.size)
+            beta = penalized_least_squares(design, sums, config.lam, penalties, counts)
+            values.append(_row_dot(design, beta)[group])
+            # One design at a time: the next depth's is larger.
+            del design
+            resid = target - values[-1]
+            offset = compute_offset(resid, config.offset_epsilon)
+            layer = AdditiveSplineModel(tuple(spline_vars), bases, beta, offset)
+            deeper = replace(model, layers=model.layers + (layer,))
+            train_pred = deeper._fold(values)
+            depth_rmse = rmse(y, train_pred)
+            if depth_rmse > rmses[-1]:
+                if config.auto_depth:
+                    break  # keep only the depths above the first worse one
+                warnings.warn(
+                    f"depth {depth} raises the training RMSE from {rmses[-1]:.6g} "
+                    f"to {depth_rmse:.6g}; auto depth keeps only the depths above it",
+                    TrainingRmseWarning,
+                    stacklevel=2,
+                )
+            model = deeper
+            rmses.append(depth_rmse)
 
-    if not np.isfinite(train_pred).all():
-        raise ArithmeticError("training predictions are not finite")
-    return replace(model, training_rmse=tuple(rmses))
+        if not np.isfinite(train_pred).all():
+            raise ArithmeticError("training predictions are not finite")
+        return replace(model, training_rmse=tuple(rmses))
 
 
 def training_rmse_by_depth(model: CFracModel, X, y) -> list[float]:

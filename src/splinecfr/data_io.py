@@ -3,6 +3,11 @@
 All randomness flows through ``numpy.random.default_rng`` (the PCG64
 generator) seeded explicitly, so every split and every synthetic dataset is
 reproducible from its seed alone.
+
+Every ``Dataset`` is built here from checked input: ``load_csv`` from
+``read_numeric_table``'s finite matrix, the generators from their checked
+arguments, the splits from rows of a dataset with ``ExperimentConfig``'s
+checked quantile.
 """
 
 from __future__ import annotations
@@ -30,28 +35,17 @@ _NOT_UTF8 = re.compile("[\udc80-\udcff]")
 
 @dataclass(frozen=True, eq=False)
 class Dataset:
-    """A fully numeric table: feature matrix, target vector, column names."""
+    """A fully numeric table: feature matrix, target vector, column names.
+
+    The features are 2-D, finite and float with one name per column, the
+    target 1-D, finite and float with one entry per row. Nothing here checks
+    it: ``load_csv``, the generators and ``take`` build it so.
+    """
 
     features: np.ndarray
     target: np.ndarray
     feature_names: tuple[str, ...]
     target_name: str
-
-    def __post_init__(self) -> None:
-        if self.features.ndim != 2:
-            raise ValueError(f"features must be 2-D, got ndim={self.features.ndim}")
-        if self.target.ndim != 1:
-            raise ValueError(f"target must be 1-D, got ndim={self.target.ndim}")
-        if self.features.shape[0] != self.target.shape[0]:
-            raise ValueError(
-                f"features have {self.features.shape[0]} rows, target has {self.target.shape[0]}"
-            )
-        if len(self.feature_names) != self.features.shape[1]:
-            raise ValueError(
-                f"{len(self.feature_names)} feature names for {self.features.shape[1]} columns"
-            )
-        if not np.isfinite(self.features).all() or not np.isfinite(self.target).all():
-            raise ValueError("dataset contains non-finite values")
 
     @property
     def n(self) -> int:
@@ -253,10 +247,9 @@ def split_out_of_domain(ds: Dataset, quantile: float = 0.9, seed: int = 0) -> Sp
     below it the train pool. Rows tied with the train pool's maximum join
     the train pool so that every test target is strictly above every train
     target. A seed-determined half of each pool is returned;
-    the threshold is the smallest test-pool target.
+    the threshold is the smallest test-pool target. ``quantile`` lies inside
+    (0, 1), as ``ExperimentConfig`` checks.
     """
-    if not 0.0 < quantile < 1.0:
-        raise ValueError(f"quantile must be inside (0, 1), got {quantile}")
     if np.unique(ds.target).size < 2:
         raise ValueError("target is constant; an out-of-domain split needs distinct values")
     order = np.argsort(ds.target, kind="stable")
@@ -264,9 +257,7 @@ def split_out_of_domain(ds: Dataset, quantile: float = 0.9, seed: int = 0) -> Sp
     test_size = int(math.floor((1.0 - quantile) * ds.n + 1e-9))
     cut = ds.n - test_size
     if cut < 1 or test_size < 1:
-        raise ValueError(
-            f"quantile {quantile} leaves an empty pool for {ds.n} rows"
-        )
+        raise ValueError(f"quantile {quantile} leaves an empty pool for {ds.n} rows")
     # Absorb boundary ties into the train pool: the test pool must sit
     # strictly above every train target.
     boundary = sorted_targets[cut - 1]
@@ -290,6 +281,8 @@ def _validated_range(x_range: Sequence[float]) -> tuple[float, float]:
         raise ValueError(f"x_range must be finite, got ({lo}, {hi})")
     if not lo < hi:
         raise ValueError(f"x_range must satisfy lo < hi, got ({lo}, {hi})")
+    if not math.isfinite(hi - lo):
+        raise ValueError(f"x_range ({lo}, {hi}) is wider than float64 holds")
     return lo, hi
 
 
@@ -297,10 +290,11 @@ def _grid_dataset(x: np.ndarray, clean: np.ndarray, noise_sd: float, seed: int) 
     if not (math.isfinite(noise_sd) and noise_sd >= 0):
         raise ValueError(f"noise_sd must be finite and non-negative, got {noise_sd}")
     noise = np.random.default_rng(seed).normal(0.0, noise_sd, x.shape[0]) if noise_sd > 0 else 0.0
-    y = clean + noise
-    return Dataset(
-        features=x[:, None], target=y, feature_names=("x",), target_name="y"
-    )
+    with np.errstate(over="ignore"):
+        y = clean + noise
+    if not np.isfinite(y).all():
+        raise ValueError(f"noise_sd {noise_sd} takes the target beyond float64")
+    return Dataset(features=x[:, None], target=y, feature_names=("x",), target_name="y")
 
 
 def gen_gamma(

@@ -54,7 +54,7 @@ class KnotVector:
     """Clamped cubic knot vector on [lo, hi].
 
     ``interior`` holds the strictly interior knots, sorted and pairwise
-    distinct. Construct through :func:`build_knot_vector`, which validates.
+    distinct: ``fit`` keeps its knots so, and :func:`build_knot_vector` checks others.
     """
 
     interior: tuple[float, ...]

@@ -16,7 +16,7 @@ import numpy.testing as npt
 import pytest
 
 from reference_model import oracle_design
-from splinecfr import bench, cfr_core, cli, evaluation, spline_basis
+from splinecfr import bench, cfr_core, cli, data_io, evaluation, spline_basis
 from splinecfr.cfr_core import (
     AdditiveSplineModel,
     CFracModel,
@@ -141,7 +141,7 @@ class TestFit:
     def test_overflow_names_the_input(self, scale_x, scale_y, norm, message):
         X, y = toy_data(n=50, seed=3)
         X[:, 1] *= scale_x
-        with pytest.raises(ValueError, match=message), np.errstate(over="ignore", divide="ignore"):
+        with pytest.raises(ValueError, match=message):
             fit(X, (y - 3.0) * scale_y, FitConfig(norm=norm))
 
     def test_constant_target_recovered_at_any_depth(self):
@@ -1078,6 +1078,67 @@ class TestCallerGuarantees:
             warnings.simplefilter("ignore", TrainingRmseWarning)
             getattr(self, source)(tmp_path)
         assert reached == self.SOURCES[source]
+
+
+class TestBuiltValues:
+    """Dataset and fit's knot vectors are built without checks: the package
+    builds every Dataset from checked input (``load_csv``, the generators,
+    ``take``), and fit keeps its knots sorted, distinct and inside the box.
+    Every value these runs build must pass the checks it skips."""
+
+    @staticmethod
+    def check_dataset(ds):
+        X, y = ds.features, ds.target
+        assert isinstance(X, np.ndarray) and X.dtype == np.float64 and X.ndim == 2
+        assert isinstance(y, np.ndarray) and y.dtype == np.float64 and y.ndim == 1
+        assert y.shape[0] == X.shape[0] >= 1 and len(ds.feature_names) == X.shape[1]
+        assert np.isfinite(X).all() and np.isfinite(y).all()
+
+    @staticmethod
+    def synth(kind, tmp_path):
+        assert cli.main(["synth", kind, "--n", "60", "--out", str(tmp_path / "s.csv")]) == 0
+
+    SOURCES = {
+        "load_csv": lambda tmp_path: load_csv(TestCallerGuarantees.table(tmp_path), "y"),
+        "bench_oos": lambda tmp_path: TestCallerGuarantees().run_bench(tmp_path),
+        "bench_ood": lambda tmp_path: TestCallerGuarantees().run_bench(
+            tmp_path, "--protocol", "ood", "--quantile", "0.8"
+        ),
+        "synth_gamma": lambda tmp_path: TestBuiltValues.synth("gamma", tmp_path),
+        "synth_sinc": lambda tmp_path: TestBuiltValues.synth("sinc", tmp_path),
+    }
+
+    @pytest.mark.parametrize("source", SOURCES)
+    def test_every_dataset_is_what_its_checks_would_pass(self, source, tmp_path, monkeypatch):
+        # Wrapping __init__ covers dataclasses.replace, which Dataset.take calls.
+        built = []
+        init = data_io.Dataset.__init__
+
+        def checked(ds, *args, **kwargs):
+            init(ds, *args, **kwargs)
+            self.check_dataset(ds)
+            built.append(ds)
+
+        monkeypatch.setattr(data_io.Dataset, "__init__", checked)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", TrainingRmseWarning)
+            self.SOURCES[source](tmp_path)
+        assert built
+
+    @pytest.mark.parametrize("table", ["golden", "every-row-repeated"])
+    def test_fit_builds_valid_knot_vectors_without_checking_them(self, table, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("fit called build_knot_vector")
+
+        monkeypatch.setattr(cfr_core, "build_knot_vector", refuse)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", TrainingRmseWarning)
+            model = fit(*TestFitGuarantees.TABLES[table])
+        kvs = [kv for layer in model.layers[1:] for kv in layer.bases]
+        assert len(kvs) == 3 * model.depth and any(kv.interior for kv in kvs)
+        for kv in kvs:
+            assert all(type(v) is float for v in (kv.lo, kv.hi, *kv.interior))
+            assert kv == build_knot_vector(kv.interior, kv.lo, kv.hi)
 
 
 class TestRowBlocks:

@@ -271,6 +271,24 @@ class TestSynthFitPredict:
         assert f"{name} must be finite" in capsys.readouterr().err
         assert not (tmp_path / "s.csv").exists()
 
+    @pytest.mark.parametrize(
+        "kind, flags, message",
+        [("sinc", ["--lo=-1e308", "--hi=1e308"], "x_range (-1e+308, 1e+308) is wider than"),
+         ("sinc", ["--noise", "1.5e308"], "noise_sd 1.5e+308 takes the target beyond float64"),
+         # Gamma values near 1e308 plus noise of that order overflow in the sum.
+         ("gamma", ["--lo", "171", "--hi", "171.6", "--noise", "1e308"], "noise_sd 1e+308")],
+    )
+    def test_synth_rejects_settings_that_leave_float64(
+        self, tmp_path, capsys, kind, flags, message
+    ):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["synth", kind, "--n", "10", *flags, "--out", str(tmp_path / "s.csv")])
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "s.csv").exists()
+
+
 class TestExitCodes:
     def test_missing_data_file(self, capsys):
         assert main(["fit", "--data", "/no/such/file.csv"]) == 2

@@ -120,18 +120,29 @@ BUILT_INPUT_ROUTINES = {
     "cohen_kappa": {("bench.py", "pairwise_kappa")},
     "top_k_table": {REPORT},
 }
+# Each value built without checks, and the (module, function) pairs that
+# build it from input they have checked.
+BUILT_VALUES = {
+    "Dataset": {("data_io.py", "load_csv"), ("data_io.py", "_grid_dataset")},
+    "KnotVector": {("spline_basis.py", "build_knot_vector"), FIT},
+    "split_out_of_domain": {("bench.py", "_split")},
+}
 
 
-def callers_of(routines) -> dict[str, set[tuple[str, str]]]:
-    """Every (module, function) of the package that names each routine."""
+def callers_of(routines, calls_only=False) -> dict[str, set[tuple[str, str]]]:
+    """Every (module, function) of the package that names each routine, or
+    with ``calls_only`` that calls it (an annotation names a class too)."""
     callers = {name: set() for name in routines}
 
     def visit(node, scope, path):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             scope = node.name
+        named = node
+        if calls_only:
+            named = node.func if isinstance(node, ast.Call) else None
         name = (
-            node.id if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
-            else node.attr if isinstance(node, ast.Attribute)
+            named.id if isinstance(named, ast.Name) and isinstance(named.ctx, ast.Load)
+            else named.attr if isinstance(named, ast.Attribute)
             else None
         )
         if name in callers:
@@ -157,3 +168,13 @@ def test_only_the_callers_that_build_their_inputs_call_design_matrix_and_the_met
     # vectors, and check them where they enter (tests/test_cfr_core.py,
     # TestCallerGuarantees).
     assert callers_of(BUILT_INPUT_ROUTINES) == BUILT_INPUT_ROUTINES
+
+
+def test_only_the_producers_that_check_their_input_build_datasets_and_knot_vectors():
+    # Dataset checks nothing when built, nor does split_out_of_domain its
+    # quantile or KnotVector its knots: load_csv, the generators (through
+    # _grid_dataset), ExperimentConfig and fit check or keep them first,
+    # and a model document's knots go through build_knot_vector
+    # (tests/test_cfr_core.py, TestBuiltValues). Dataset.take builds its rows
+    # through dataclasses.replace, which no call here names.
+    assert callers_of(BUILT_VALUES, calls_only=True) == BUILT_VALUES
